@@ -7,15 +7,15 @@ test: lint bench-smoke bench-base test-faults test-serving test-sharding test-in
 	pytest tests/
 
 # Static checks: ruff when the container ships it, plus a bytecode
-# compile of the whole source tree (catches syntax errors everywhere,
-# with or without ruff).
+# compile of the whole source tree and the test oracles (catches syntax
+# errors everywhere, with or without ruff).
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 	    ruff check src tests benchmarks examples; \
 	else \
 	    echo "ruff not installed; skipping ruff check"; \
 	fi
-	python -m compileall -q src
+	python -m compileall -q src tests/oracles
 
 # Fast fault-injection smoke: crash / stall / kill the Nth worker task
 # and assert recovery (retry + sequential fallback) stays bit-identical
@@ -79,12 +79,13 @@ bench-smoke:
 	test -s benchmarks/output/BENCH_partition_select_smoke.json
 
 # Reduced-scale run of the claim-index engine harness.  The harness
-# itself asserts the vectorized kernels match the reference loops bit
-# for bit before reporting any speedup, so this doubles as a regression
-# gate on engine correctness in the ordinary test flow.
+# itself asserts the vectorized kernels match the loop oracles of
+# tests/oracles bit for bit before reporting any speedup, so this
+# doubles as a regression gate on engine correctness in the ordinary
+# test flow.  The repository root is on the path for tests.oracles.
 bench-base:
 	mkdir -p benchmarks/output
-	PYTHONPATH=src python benchmarks/bench_base_algorithms.py \
+	PYTHONPATH=src:. python benchmarks/bench_base_algorithms.py \
 	    --config smoke --repeat 1 \
 	    --output benchmarks/output/BENCH_base_algorithms_smoke.json
 	test -s benchmarks/output/BENCH_base_algorithms_smoke.json

@@ -11,7 +11,7 @@ reproducible instead of anecdotal.
 from conftest import run_once
 
 from repro.algorithms import Accu
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.datasets import load
 from repro.evaluation import format_table
 from repro.evaluation.sweeps import best_configuration, sweep
@@ -37,7 +37,7 @@ def test_accu_stabilisation_grid(record_artifact, benchmark):
             Accu,
             GRID,
             datasets,
-            wrapper=lambda base: TDAC(base, seed=0),
+            wrapper=lambda base: TDAC(base, config=TDACConfig(seed=0)),
         )
 
     records = run_once(benchmark, run_sweep)

@@ -10,7 +10,7 @@ reference quality matters most).
 from conftest import run_once
 
 from repro.algorithms import Accu, MajorityVote, TruthFinder
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.datasets import load
 from repro.evaluation import format_table
 from repro.metrics import evaluate_predictions
@@ -30,7 +30,7 @@ def test_reference_vs_block_algorithm(record_artifact, benchmark):
         for ref_name, ref_factory in FACTORIES.items():
             for base_name, base_factory in FACTORIES.items():
                 tdac = TDAC(
-                    base_factory(), reference=ref_factory(), seed=0
+                    base_factory(), reference=ref_factory(), config=TDACConfig(seed=0)
                 )
                 outcome = tdac.run(dataset)
                 report = evaluate_predictions(dataset, outcome.predictions)

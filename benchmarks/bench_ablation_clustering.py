@@ -16,7 +16,7 @@ from repro.clustering import (
     pairwise_masked_hamming,
     silhouette_score,
 )
-from repro.core import TDAC, Partition, build_truth_vectors, run_blocks
+from repro.core import TDAC, TDACConfig, Partition, build_truth_vectors, run_blocks
 from repro.data import Fact
 from repro.datasets import load
 from repro.evaluation import format_table
@@ -56,8 +56,11 @@ def test_clustering_variants(record_artifact, benchmark):
     def sweep():
         rows = []
         for label, tdac in (
-            ("k-means + hamming", TDAC(Accu(), seed=0)),
-            ("k-means + masked", TDAC(Accu(), distance="masked", seed=0)),
+            ("k-means + hamming", TDAC(Accu(), config=TDACConfig(seed=0))),
+            (
+                "k-means + masked",
+                TDAC(Accu(), config=TDACConfig(distance="masked", seed=0)),
+            ),
         ):
             outcome = tdac.run(dataset)
             report = evaluate_predictions(dataset, outcome.predictions)

@@ -10,7 +10,7 @@ delta at the highest coverage level is at least that of the lowest.
 from conftest import run_once
 
 from repro.algorithms import Accu
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.data import data_coverage_rate, thin_coverage
 from repro.datasets import load
 from repro.evaluation import format_table
@@ -34,9 +34,8 @@ def test_coverage_sweep(record_artifact, benchmark):
             flat = evaluate_predictions(
                 dataset, Accu().discover(dataset).predictions
             ).accuracy
-            tdac = evaluate_predictions(
-                dataset, TDAC(Accu(), seed=0).run(dataset).predictions
-            ).accuracy
+            tdac_run = TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
+            tdac = evaluate_predictions(dataset, tdac_run.predictions).accuracy
             rows.append(
                 [f"{coverage:.0f}%", flat, tdac, tdac - flat]
             )

@@ -10,7 +10,7 @@ much of the headline accuracy the preprocessing is worth.
 from conftest import run_once
 
 from repro.algorithms import Accu, MajorityVote, TruthFinder
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.data import normalize_dataset
 from repro.datasets import GeneratorConfig, SourceClass, generate
 from repro.datasets.engine import noisy_numeric_values
@@ -44,7 +44,7 @@ def test_normalization_impact(record_artifact, benchmark):
         rows = []
         for label, dataset in (("raw", raw), ("normalised", normalized)):
             for algorithm in (MajorityVote(), TruthFinder(), Accu(),
-                              TDAC(Accu(), seed=0)):
+                              TDAC(Accu(), config=TDACConfig(seed=0))):
                 predictions = (
                     algorithm.run(dataset).predictions
                     if isinstance(algorithm, TDAC)

@@ -14,7 +14,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.algorithms import Accu
-from repro.core import ObjectTDAC, TDAC
+from repro.core import ObjectTDAC, TDAC, TDACConfig
 from repro.data import DatasetBuilder
 from repro.datasets import load
 from repro.evaluation import format_table
@@ -68,9 +68,8 @@ def test_attribute_vs_object_partitioning(record_artifact, benchmark):
             flat = evaluate_predictions(
                 dataset, Accu().discover(dataset).predictions
             ).accuracy
-            tdac = evaluate_predictions(
-                dataset, TDAC(Accu(), seed=0).run(dataset).predictions
-            ).accuracy
+            tdac_run = TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
+            tdac = evaluate_predictions(dataset, tdac_run.predictions).accuracy
             tdoc = evaluate_predictions(
                 dataset,
                 ObjectTDAC(Accu(), k_max=6, seed=0).run(dataset).predictions,

@@ -10,7 +10,7 @@ import time
 from conftest import run_once
 
 from repro.algorithms import TruthFinder
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.datasets import load
 from repro.evaluation import format_table
 
@@ -22,7 +22,7 @@ def test_parallel_blocks(record_artifact, benchmark):
         rows = []
         outcomes = {}
         for n_jobs in (1, 4):
-            tdac = TDAC(TruthFinder(), seed=0, n_jobs=n_jobs)
+            tdac = TDAC(TruthFinder(), config=TDACConfig(seed=0, n_jobs=n_jobs))
             start = time.perf_counter()
             outcomes[n_jobs] = tdac.run(dataset)
             rows.append([f"n_jobs={n_jobs}", time.perf_counter() - start])

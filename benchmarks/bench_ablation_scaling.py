@@ -13,7 +13,7 @@ import time
 from conftest import run_once
 
 from repro.algorithms import Accu
-from repro.core import TDAC, build_truth_vectors, run_blocks
+from repro.core import TDAC, TDACConfig, build_truth_vectors, run_blocks
 from repro.datasets import load
 from repro.evaluation import format_table
 
@@ -25,7 +25,7 @@ def test_runtime_scaling(record_artifact, benchmark):
         rows = []
         for n_objects in OBJECT_COUNTS:
             dataset = load("DS2", scale=n_objects / 1000)
-            tdac = TDAC(Accu(), seed=0)
+            tdac = TDAC(Accu(), config=TDACConfig(seed=0))
 
             start = time.perf_counter()
             reference = tdac.reference_algorithm.discover(dataset)

@@ -1,9 +1,9 @@
 """Perf harness for the vectorized claim-index engine.
 
 Measures one traced ``TDAC.run`` twice over the same dataset — once with
-the historical per-claim reference loops
-(``repro.algorithms.kernels.reference_kernels()``) and once with the
-vectorized engine — and emits ``BENCH_base_algorithms.json`` recording
+the historical per-claim loops patched back in by the test oracles
+(``tests.oracles.reference_kernels()``) and once with the vectorized
+engine — and emits ``BENCH_base_algorithms.json`` recording
 the per-stage wall times and the speedups on the two stages the engine
 targets: the ``reference`` pass and the ``block_runs`` fan-out.
 
@@ -19,9 +19,10 @@ representative slice of the base algorithms under both modes.
 
 Entry points:
 
-* standalone — ``python benchmarks/bench_base_algorithms.py --config
-  full`` regenerates the committed artefact; ``--config smoke`` is the
-  ``make bench-base`` smoke run;
+* standalone — ``PYTHONPATH=src:. python benchmarks/bench_base_algorithms.py
+  --config full`` regenerates the committed artefact (the repository
+  root on the path makes ``tests.oracles`` importable); ``--config
+  smoke`` is the ``make bench-base`` smoke run;
 * pytest — runs the smoke config and asserts the artefact is produced
   and that the identity checks held.
 """
@@ -40,12 +41,12 @@ from repro.algorithms import (
     AccuSim,
     Sums,
     TruthFinder,
-    kernels,
     similarity,
 )
 from repro.core import TDAC
 from repro.core.config import TDACConfig
 from repro.observability import SpanTracer, activate
+from tests.oracles import reference_kernels
 
 CONFIGS = {
     # Fast enough for `make bench-base` / CI.
@@ -99,7 +100,7 @@ def measure(
             dataset = load(dataset_name, scale=scale)
             _fresh_caches()
             if mode == "baseline":
-                with kernels.reference_kernels():
+                with reference_kernels():
                     outcome, spans = _run_traced(dataset, seed)
             else:
                 outcome, spans = _run_traced(dataset, seed)
@@ -138,7 +139,7 @@ def measure(
                 algorithm = algorithm_cls()
                 started = time.perf_counter()
                 if mode == "baseline":
-                    with kernels.reference_kernels():
+                    with reference_kernels():
                         result = algorithm.discover(dataset)
                 else:
                     result = algorithm.discover(dataset)

@@ -11,7 +11,7 @@ room for.
 from conftest import run_once
 
 from repro.algorithms import available, create
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.datasets import load
 from repro.evaluation import performance_table, run_algorithm
 
@@ -24,7 +24,7 @@ def test_extension_suite(record_artifact, benchmark):
         for name in available():
             records.append(run_algorithm(create(name), dataset))
             records.append(
-                run_algorithm(TDAC(create(name), seed=0), dataset)
+                run_algorithm(TDAC(create(name), config=TDACConfig(seed=0)), dataset)
             )
         return records
 

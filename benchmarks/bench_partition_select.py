@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 
 from repro.algorithms import Accu
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.observability import SpanTracer, activate
 
 CONFIGS = {
@@ -71,9 +71,10 @@ def measure(
     counters: dict[str, int] = {}
     for _ in range(max(repeat, 1)):
         dataset = load(dataset_name, scale=scale)
-        tdac = TDAC(
-            Accu(), seed=seed, n_jobs=n_jobs, backend=backend, sparse=sparse
+        config = TDACConfig(
+            seed=seed, n_jobs=n_jobs, backend=backend, sparse=sparse
         )
+        tdac = TDAC(Accu(), config=config)
         tracer = SpanTracer()
         with activate(tracer):
             partition = tdac.run(dataset).partition

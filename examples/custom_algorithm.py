@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.algorithms import register, create
 from repro.algorithms.base import EngineState, TruthDiscoveryAlgorithm
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.datasets import load
 from repro.evaluation import performance_table, run_algorithm
 
@@ -56,7 +56,8 @@ records = []
 for dataset in (books, ds1):
     records.append(run_algorithm(create("SpecialistVote"), dataset))
     records.append(run_algorithm(create("MajorityVote"), dataset))
-    records.append(run_algorithm(TDAC(create("SpecialistVote"), seed=0), dataset))
+    tdac = TDAC(create("SpecialistVote"), config=TDACConfig(seed=0))
+    records.append(run_algorithm(tdac, dataset))
 
 print(performance_table(records, title="A custom algorithm, flat and TD-AC-wrapped"))
 print(

@@ -10,7 +10,7 @@ the real key.
 Run with:  python examples/exam_grading.py
 """
 
-from repro import Accu, TDAC, TruthFinder
+from repro import Accu, TDAC, TDACConfig, TruthFinder
 from repro.datasets import make_exam
 from repro.evaluation import performance_table, run_algorithm
 
@@ -20,14 +20,14 @@ print(f"attributes span domains: "
       f"{sorted({a.split('-')[0] for a in dataset.attributes})}\n")
 
 records = []
-for algorithm in (Accu(), TDAC(Accu(), seed=0), TruthFinder(),
-                  TDAC(TruthFinder(), seed=0)):
+for algorithm in (Accu(), TDAC(Accu(), config=TDACConfig(seed=0)), TruthFinder(),
+                  TDAC(TruthFinder(), config=TDACConfig(seed=0))):
     records.append(run_algorithm(algorithm, dataset))
 
 print(performance_table(records, title="Answer-key recovery (Exam 62)"))
 
 # Which question clusters did TD-AC find?  Ideally they follow domains.
-outcome = TDAC(Accu(), seed=0).run(dataset)
+outcome = TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
 print("\nTD-AC question clusters (by domain histogram):")
 for i, block in enumerate(outcome.partition.blocks):
     domains: dict[str, int] = {}

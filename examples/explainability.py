@@ -13,7 +13,7 @@ three questions a reviewer asks:
 Run with:  python examples/explainability.py
 """
 
-from repro import Accu, TDAC
+from repro import Accu, TDAC, TDACConfig
 from repro.core import explain_fact, explain_partition
 from repro.datasets import make_synthetic
 from repro.evaluation import (
@@ -31,7 +31,7 @@ print(
     f"mean winning margin {profile.mean_winning_margin:.2f}"
 )
 
-outcome = TDAC(Accu(), seed=0).run(dataset)
+outcome = TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
 
 # 1. Why this value?  Pick a contested fact (smallest margin).
 explained = [

@@ -10,7 +10,7 @@ Run with:  python examples/partition_exploration.py
 
 import time
 
-from repro import Accu, AccuGenPartition, TDAC
+from repro import Accu, AccuGenPartition, TDAC, TDACConfig
 from repro.datasets import make_synthetic, planted_partition
 from repro.evaluation import record_from_result
 from repro.metrics import compare_partitions
@@ -26,7 +26,7 @@ for label, runner in (
     ("AccuGenPartition (Max)", AccuGenPartition(Accu(), "max")),
     ("AccuGenPartition (Avg)", AccuGenPartition(Accu(), "avg")),
     ("AccuGenPartition (Oracle)", AccuGenPartition(Accu(), "oracle")),
-    ("TD-AC (F=Accu)", TDAC(Accu(), seed=0)),
+    ("TD-AC (F=Accu)", TDAC(Accu(), config=TDACConfig(seed=0))),
 ):
     start = time.perf_counter()
     outcome = runner.run(dataset)

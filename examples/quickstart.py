@@ -10,7 +10,7 @@ and runs the base algorithm per cluster.
 Run with:  python examples/quickstart.py
 """
 
-from repro import Accu, DatasetBuilder, TDAC
+from repro import Accu, DatasetBuilder, TDAC, TDACConfig
 from repro.metrics import evaluate_predictions
 
 CITIES = [f"city{i}" for i in range(1, 9)]
@@ -41,7 +41,7 @@ plain = Accu().discover(dataset)
 plain_report = evaluate_predictions(dataset, plain.predictions)
 print(f"Accu alone            accuracy = {plain_report.accuracy:.2f}")
 
-outcome = TDAC(Accu(), seed=0).run(dataset)
+outcome = TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
 tdac_report = evaluate_predictions(dataset, outcome.predictions)
 print(f"TD-AC (F=Accu)        accuracy = {tdac_report.accuracy:.2f}")
 print(f"\nattribute clusters found: {outcome.partition}")

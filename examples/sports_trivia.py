@@ -10,7 +10,7 @@ discovery with the flat one.
 Run with:  python examples/sports_trivia.py
 """
 
-from repro import Accu, DatasetBuilder, MajorityVote, TDAC
+from repro import Accu, DatasetBuilder, MajorityVote, TDAC, TDACConfig
 from repro.core import build_truth_vectors
 
 builder = DatasetBuilder(name="table1")
@@ -57,7 +57,7 @@ plain_correct = sum(
 )
 print(f"\nplain Accu resolves {plain_correct}/6 facts")
 
-outcome = TDAC(Accu(), seed=0).run(dataset)
+outcome = TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
 print(f"\nchosen partition of the questions: {outcome.partition}")
 print("resolved answers:")
 correct = 0

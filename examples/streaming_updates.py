@@ -19,7 +19,7 @@ Run with:  python examples/streaming_updates.py
 
 import tempfile
 
-from repro import MajorityVote, TDACConfig, TruthService
+from repro import MajorityVote, ServiceConfig, TDACConfig, TruthService
 from repro.core import IncrementalTDAC
 from repro.data import Claim
 from repro.datasets import make_synthetic
@@ -27,7 +27,9 @@ from repro.datasets import make_synthetic
 generated = make_synthetic("DS1", n_objects=40, seed=1)
 dataset = generated.dataset
 
-incremental = IncrementalTDAC(MajorityVote(), repartition_fraction=0.2, seed=0)
+incremental = IncrementalTDAC(
+    MajorityVote(), repartition_fraction=0.2, config=TDACConfig(seed=0)
+)
 outcome = incremental.fit(dataset)
 print(f"initial fit: partition {outcome.partition}")
 print(f"stats: {incremental.stats}\n")
@@ -77,7 +79,7 @@ with tempfile.TemporaryDirectory() as store_dir:
         small,
         config=TDACConfig(seed=0),
         store=store_dir,          # WAL + checkpoints live here
-        max_wait_ms=1.0,
+        service_config=ServiceConfig(max_wait_ms=1.0),
     )
     service.start()
     for day in range(3):

@@ -11,7 +11,7 @@ restores it.
 Run with:  python examples/web_integration.py
 """
 
-from repro import Accu, TDAC
+from repro import Accu, TDAC, TDACConfig
 from repro.datasets import make_flights, make_stocks
 from repro.evaluation import performance_table, run_algorithm
 from repro.metrics import compare_partitions
@@ -23,11 +23,11 @@ for generated, label in (
     dataset = generated.dataset
     records = [
         run_algorithm(Accu(), dataset),
-        run_algorithm(TDAC(Accu(), seed=0), dataset),
+        run_algorithm(TDAC(Accu(), config=TDACConfig(seed=0)), dataset),
     ]
     print(performance_table(records, title=f"=== {label} ==="))
 
-    outcome = TDAC(Accu(), seed=0).run(dataset)
+    outcome = TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
     from repro.core import Partition
 
     planted = Partition.from_blocks(generated.planted_groups)

@@ -8,7 +8,6 @@ lists as future work (Sums, AverageLog, Investment, PooledInvestment,
 serve as the base algorithm ``F`` of TD-AC.
 """
 
-from repro.algorithms import kernels
 from repro.algorithms.accu import Accu, AccuSim, CopyDetector, Depen
 from repro.algorithms.catd import CATD
 from repro.algorithms.continuous import (
@@ -73,7 +72,6 @@ __all__ = [
     "available",
     "capability_gap",
     "create",
-    "kernels",
     "levenshtein_distance",
     "numeric_similarity",
     "register",

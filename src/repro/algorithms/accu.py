@@ -30,7 +30,6 @@ from weakref import WeakKeyDictionary
 import numpy as np
 from scipy import sparse
 
-from repro.algorithms import kernels
 from repro.algorithms.base import EngineState, TruthDiscoveryAlgorithm
 from repro.algorithms.convergence import ConvergenceCriterion
 from repro.algorithms.similarity import SlotSimilarity
@@ -225,70 +224,8 @@ def bayesian_vote_weights(
     return np.clip(weight, 0.0, None)
 
 
-def discounted_votes(
-    index: DatasetIndex,
-    dependence: np.ndarray,
-    accuracy: np.ndarray,
-    copy_rate: float,
-    vote_weight: np.ndarray,
-) -> np.ndarray:
-    """Dependence-discounted weighted vote count per value slot.
-
-    For every slot, its providers are walked in decreasing-accuracy
-    order; each provider's ``vote_weight`` is multiplied by the
-    probability that its claim is independent of every already-counted
-    provider of the same slot: ``prod(1 - c * P(dep))``.
-
-    Dispatches to the vectorized segment-reduction kernel; the original
-    per-slot loop is kept as the reference implementation (selected by
-    :func:`repro.algorithms.kernels.reference_kernels`) and the two are
-    bit-identical — the kernel evaluates the same products and the same
-    per-slot dot in the same order.
-    """
-    if kernels.reference_enabled():
-        return _discounted_votes_reference(
-            index, dependence, accuracy, copy_rate, vote_weight
-        )
-    return _discounted_votes_vectorized(
-        index, dependence, accuracy, copy_rate, vote_weight
-    )
-
-
-def _discounted_votes_reference(
-    index: DatasetIndex,
-    dependence: np.ndarray,
-    accuracy: np.ndarray,
-    copy_rate: float,
-    vote_weight: np.ndarray,
-) -> np.ndarray:
-    order = np.argsort(-accuracy, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-
-    totals = np.zeros(index.n_slots, dtype=float)
-    slot_sorted = np.argsort(index.claim_slot, kind="stable")
-    slots = index.claim_slot[slot_sorted]
-    sources = index.claim_source[slot_sorted]
-    boundaries = np.flatnonzero(np.diff(slots)) + 1
-    groups = np.split(sources, boundaries)
-    slot_ids = slots[np.concatenate(([0], boundaries))] if len(slots) else []
-    for slot_id, providers in zip(slot_ids, groups):
-        providers = providers[np.argsort(rank[providers], kind="stable")]
-        if len(providers) == 1:
-            totals[slot_id] = vote_weight[providers[0]]
-            continue
-        sub = dependence[np.ix_(providers, providers)]
-        independence = np.ones(len(providers))
-        # Lower triangle: provider i versus already-counted providers j < i.
-        factors = 1.0 - copy_rate * sub
-        for i in range(1, len(providers)):
-            independence[i] = np.prod(factors[i, :i])
-        totals[slot_id] = float(np.dot(independence, vote_weight[providers]))
-    return totals
-
-
 #: Per-index cache of the iteration-independent pair structure used by
-#: the vectorized kernel.  Weakly keyed: dropping the index frees it.
+#: :func:`discounted_votes`.  Weakly keyed: dropping the index frees it.
 _PAIR_STRUCTURES: "WeakKeyDictionary[DatasetIndex, tuple]" = WeakKeyDictionary()
 
 
@@ -338,13 +275,25 @@ def _pair_structure(index: DatasetIndex) -> tuple:
     return cached
 
 
-def _discounted_votes_vectorized(
+def discounted_votes(
     index: DatasetIndex,
     dependence: np.ndarray,
     accuracy: np.ndarray,
     copy_rate: float,
     vote_weight: np.ndarray,
 ) -> np.ndarray:
+    """Dependence-discounted weighted vote count per value slot.
+
+    For every slot, its providers are walked in decreasing-accuracy
+    order; each provider's ``vote_weight`` is multiplied by the
+    probability that its claim is independent of every already-counted
+    provider of the same slot: ``prod(1 - c * P(dep))``.
+
+    Evaluated as segment reductions over the slot-sorted claims rather
+    than a per-slot loop; the products and the per-slot dot run in the
+    loop's order, so the totals are bitwise equal to the per-slot loop
+    kept as a test oracle in ``tests/oracles/``.
+    """
     totals = np.zeros(index.n_slots, dtype=float)
     if index.n_claims == 0:
         return totals
@@ -354,7 +303,7 @@ def _discounted_votes_vectorized(
 
     # Claims sorted by (slot, provider accuracy rank): the composite key
     # is unique (one claim per source per slot), so this reproduces the
-    # reference per-slot provider order in one global argsort.
+    # per-slot loop's provider order in one global argsort.
     slot_sorted = index.claims_slot_sorted
     key = index.claim_slot[slot_sorted] * np.int64(index.n_sources)
     key += rank[index.claim_source[slot_sorted]]
@@ -372,8 +321,8 @@ def _discounted_votes_vectorized(
         independence[row_pos] = np.multiply.reduceat(factors, row_starts[:-1])
     weights = vote_weight[src]
     totals[single_slots] = weights[single_pos]
-    # Per-slot np.dot keeps the reference BLAS summation order, so the
-    # totals are bitwise equal to the loop implementation.
+    # Per-slot np.dot keeps the loop's BLAS summation order, so the
+    # totals are bitwise equal to it.
     for slot_id, start, stop in multi:
         totals[slot_id] = np.dot(independence[start:stop], weights[start:stop])
     return totals

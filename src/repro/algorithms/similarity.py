@@ -24,7 +24,6 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.algorithms import kernels
 from repro.data.index import DatasetIndex
 from repro.data.types import Value
 
@@ -189,37 +188,25 @@ class SlotSimilarity:
         score(v')`` — TruthFinder's implication adjustment and AccuSim's
         similarity-augmented vote count share this exact form.
 
-        The default path batches the facts whose similarity matrix has at
-        least one nonzero entry (facts with all-dissimilar values leave
-        their scores untouched, so skipping them is exact) by slot count
-        and applies each size group as one ``(b, n, n) @ (b, n, 1)``
-        batched matmul — bit-identical to the per-fact products, since
-        batched ``np.matmul`` computes each matrix-vector product exactly
-        as the standalone ``m @ v`` does (including the float64 upcast of
-        float32 scores).  The original every-fact loop remains available
-        as the reference kernel.
+        The facts whose similarity matrix has at least one nonzero entry
+        (facts with all-dissimilar values leave their scores untouched,
+        so skipping them is exact) are batched by slot count and each
+        size group is applied as one ``(b, n, n) @ (b, n, 1)`` batched
+        matmul — bit-identical to the per-fact products of an every-fact
+        loop (kept as a test oracle in ``tests/oracles/``), since batched
+        ``np.matmul`` computes each matrix-vector product exactly as the
+        standalone ``m @ v`` does (including the float64 upcast of
+        float32 scores).
         """
-        starts = self._index.fact_slot_start
-        if kernels.reference_enabled():
-            adjusted = slot_score.astype(float).copy()
-            for fact_id in range(self._index.n_facts):
-                start, stop = starts[fact_id], starts[fact_id + 1]
-                if stop - start < 2:
-                    continue
-                block = slot_score[start:stop]
-                adjusted[start:stop] = (
-                    block + weight * self.matrix(fact_id) @ block
-                )
-            return adjusted
         # float32 inputs stay in float32; everything else matches the
-        # reference kernel's float64 working dtype.
+        # every-fact loop's float64 working dtype.
         work = np.float32 if slot_score.dtype == np.float32 else np.float64
         adjusted = slot_score.astype(work, copy=True)
         for gather, matrices in self._active_groups():
             blocks = slot_score[gather]
-            # (weight * M) @ b, not weight * (M @ b): the reference
-            # kernel scales the matrix first, and bit-identity demands
-            # the same floating-point association.
+            # (weight * M) @ b, not weight * (M @ b): the every-fact
+            # loop scales the matrix first, and bit-identity demands the
+            # same floating-point association.
             support = np.matmul(weight * matrices, blocks[..., None])[..., 0]
             adjusted[gather] = blocks + support
         return adjusted

@@ -4,9 +4,7 @@
 :class:`~repro.core.tdac.TDAC` — the distance mode, the sweep bounds,
 the k-means restart budget and seed, the parallelism and sparsity
 switches, and the worker-failure policy — into one immutable, hashable
-value.  ``TDAC(base, config=...)`` is the primary constructor; the old
-per-knob keyword arguments keep working through a deprecation shim that
-builds the equivalent config, so both spellings are bit-identical.
+value, passed as ``TDAC(base, config=...)``.
 
 A config also knows its :meth:`~TDACConfig.fingerprint`: a short stable
 digest over the *result-affecting* knobs only.  Parallelism
@@ -186,10 +184,6 @@ class TDACConfig:
             ),
             "fingerprint": self.fingerprint(),
         }
-
-
-#: Names accepted by the deprecated per-knob ``TDAC(...)`` keyword shim.
-CONFIG_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(TDACConfig))
 
 
 def config_from_dict(payload: dict) -> TDACConfig:

@@ -51,7 +51,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.algorithms import kernels
 from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
 from repro.clustering.kmeans import lloyd
 from repro.clustering.kselect import score_silhouette_sweep
@@ -91,9 +90,6 @@ class IncrementalTDAC:
         Optional :class:`~repro.core.cache.PartitionCache` shared with
         the underlying :class:`TDAC`, so repeated full fits over the
         same accumulated dataset replay their partition.
-    tdac_kwargs:
-        Legacy per-knob spelling (``seed=``, ``distance=``, ...); folded
-        into a :class:`TDACConfig`.  Mutually exclusive with ``config``.
     """
 
     def __init__(
@@ -103,19 +99,11 @@ class IncrementalTDAC:
         warm_window: int = 1,
         config: TDACConfig | None = None,
         partition_cache: PartitionCache | None = None,
-        **tdac_kwargs,
     ) -> None:
         if not 0.0 < repartition_fraction <= 1.0:
             raise ValueError("repartition_fraction must be in (0, 1]")
         if warm_window < 0:
             raise ValueError("warm_window must be >= 0")
-        if tdac_kwargs and config is not None:
-            raise TypeError(
-                "pass knobs through config=TDACConfig(...) or as legacy "
-                "keywords, not both"
-            )
-        if tdac_kwargs:
-            config = TDACConfig(**tdac_kwargs)
         self.base = base
         self.repartition_fraction = repartition_fraction
         self.warm_window = warm_window
@@ -251,10 +239,7 @@ class IncrementalTDAC:
         # (and the discovery tie-breaker is seeded by the view's slot
         # count), so the reference is recomputed over the extended
         # corpus; the delta-compiled index keeps that pass cheap.
-        if engine is not None and tdac.reference_algorithm.supports_index:
-            reference = tdac.reference_algorithm.discover(engine.full_index)
-        else:
-            reference = tdac.reference_algorithm.discover(new_dataset)
+        reference = tdac.reference_pass(new_dataset, engine)
 
         # Stage 2 — Eq. 1 matrix, patched in place.
         store = self._vector_store
@@ -323,26 +308,17 @@ class IncrementalTDAC:
             else:
                 results.append(None)
                 refresh_idx.append(i)
-        if len(refresh_idx) == len(partition.blocks):
-            results = list(
-                run_blocks(
-                    self.base,
-                    new_dataset,
-                    partition,
-                    n_jobs=tdac.n_jobs,
-                    backend=tdac.backend,
-                    policy=tdac.execution_policy,
-                    engine=engine,
-                )
-            )
-        else:
-            for i in refresh_idx:
-                block = partition.blocks[i]
-                if engine is None:
-                    block_data = new_dataset.restrict_attributes(block)
-                else:
-                    block_data = engine.block_index(block)
-                results[i] = self.base.discover(block_data)
+        refreshed = run_blocks(
+            self.base,
+            new_dataset,
+            [partition.blocks[i] for i in refresh_idx],
+            n_jobs=tdac.n_jobs,
+            backend=tdac.backend,
+            policy=tdac.execution_policy,
+            engine=engine,
+        )
+        for i, result in zip(refresh_idx, refreshed):
+            results[i] = result
         self._n_block_refreshes += len(refresh_idx)
 
         # Stage 5 — TDAC's own merge (claim-count-weighted trust), then
@@ -395,9 +371,10 @@ class IncrementalTDAC:
         Registers the child in the shared registry, so a later full fit
         over the same dataset object also rides the spliced compile.
         Falls back to a cold shared compile when the previous engine
-        cannot splice (and to ``None`` in reference-kernel mode).
+        cannot splice (and to ``None`` when the base algorithm does not
+        consume index views).
         """
-        if kernels.reference_enabled() or not self.base.supports_index:
+        if not self.base.supports_index:
             return None
         if self._engine is not None:
             try:
@@ -453,7 +430,7 @@ class IncrementalTDAC:
         layer's refits (both full and incremental mode) run through this
         object, so they inherit the warm state automatically.
         """
-        if kernels.reference_enabled() or not self.base.supports_index:
+        if not self.base.supports_index:
             self._engine = None
         else:
             self._engine = ClaimIndexEngine.shared(

@@ -16,12 +16,13 @@ for Python-bound base algorithms.
 
 from __future__ import annotations
 
-from repro.algorithms import kernels
+from typing import Iterable
+
 from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
-from repro.core.partition import Partition
 from repro.data.claim_engine import ClaimIndexEngine
 from repro.data.dataset import Dataset
 from repro.data.index import DatasetIndex
+from repro.data.types import AttributeId
 from repro.execution import (  # noqa: F401  (re-exported for callers)
     BACKENDS,
     ExecutionPolicy,
@@ -42,14 +43,17 @@ def _discover(
 def run_blocks(
     algorithm: TruthDiscoveryAlgorithm,
     dataset: Dataset,
-    partition: Partition,
+    blocks: Iterable[tuple[AttributeId, ...]],
     n_jobs: int = 1,
     backend: str = "threads",
     policy: ExecutionPolicy | None = None,
     engine: ClaimIndexEngine | None = None,
 ) -> list[TruthDiscoveryResult]:
-    """Run ``algorithm`` on every block of ``partition``.
+    """Run ``algorithm`` on every block of ``blocks``.
 
+    ``blocks`` is any iterable of attribute tuples — a whole
+    :class:`~repro.core.partition.Partition` (which iterates its
+    blocks), or the subset of its blocks a delta refit must re-solve.
     Returns one result per block, in block order.  ``n_jobs=1`` runs
     sequentially; larger values fan the blocks out over the requested
     executor backend.  Results are gathered in block order, so the
@@ -62,18 +66,20 @@ def run_blocks(
     to compiling ``dataset.restrict_attributes(block)``, see the engine's
     docs), so no per-block dataset rebuild happens.  ``engine`` lets
     callers that already hold one (TDAC, the serving layer) pass it in;
-    ``None`` uses the dataset's shared engine.  The reference-kernel mode
-    restores the historical restrict-then-recompile path.
+    ``None`` uses the dataset's shared engine.  Algorithms that cannot
+    consume index views (``supports_index = False``) get the restricted
+    dataset instead.
     """
-    with current_tracer().span("block_runs", n_blocks=partition.n_blocks):
-        if kernels.reference_enabled() or not algorithm.supports_index:
+    blocks = list(blocks)
+    with current_tracer().span("block_runs", n_blocks=len(blocks)):
+        if not algorithm.supports_index:
             tasks: list[Dataset | DatasetIndex] = [
-                dataset.restrict_attributes(block) for block in partition.blocks
+                dataset.restrict_attributes(block) for block in blocks
             ]
         else:
             if engine is None:
                 engine = ClaimIndexEngine.shared(dataset)
-            tasks = [engine.block_index(block) for block in partition.blocks]
+            tasks = [engine.block_index(block) for block in blocks]
         return ordered_map(
             _discover,
             [(algorithm, task) for task in tasks],

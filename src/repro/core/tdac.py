@@ -21,7 +21,6 @@ parallel (the paper's second research perspective).
 from __future__ import annotations
 
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
@@ -38,15 +37,10 @@ from repro.clustering.distance import (
 from repro.clustering.kselect import score_silhouette_sweep
 from repro.clustering.sweep import sweep_kmeans
 from repro.core.cache import PartitionCache
-from repro.core.config import (
-    CONFIG_FIELD_NAMES,
-    DEFAULT_SPARSE_THRESHOLD,
-    TDACConfig,
-)
+from repro.core.config import TDACConfig
 from repro.core.parallel import run_blocks
 from repro.core.partition import Partition
 from repro.core.truth_vectors import TruthVectorMatrix, build_truth_vectors
-from repro.algorithms import kernels
 from repro.data.claim_engine import ClaimIndexEngine
 from repro.data.dataset import Dataset
 from repro.data.types import Fact, SourceId, Value
@@ -118,12 +112,6 @@ class TDAC(TruthDiscoveryAlgorithm):
         config fingerprint; a hit skips the distance matrix, the
         ``(k, init)`` sweep and the silhouette scoring while staying
         bit-identical (selection is deterministic in that key).
-    **legacy_knobs:
-        The pre-1.1 per-knob keyword arguments (``distance=``,
-        ``seed=``, ``n_jobs=``, ...).  Deprecated: they emit a single
-        :class:`DeprecationWarning` and are folded into an equivalent
-        :class:`TDACConfig`, so results are bit-identical to the
-        ``config=`` spelling.  Mutually exclusive with ``config``.
     """
 
     def __init__(
@@ -132,27 +120,7 @@ class TDAC(TruthDiscoveryAlgorithm):
         reference: TruthDiscoveryAlgorithm | None = None,
         config: TDACConfig | None = None,
         partition_cache: PartitionCache | None = None,
-        **legacy_knobs,
     ) -> None:
-        unknown = set(legacy_knobs) - set(CONFIG_FIELD_NAMES)
-        if unknown:
-            raise TypeError(
-                f"TDAC() got unexpected keyword arguments {sorted(unknown)}"
-            )
-        if legacy_knobs:
-            if config is not None:
-                raise TypeError(
-                    "pass knobs through config=TDACConfig(...) or as legacy "
-                    "keywords, not both"
-                )
-            warnings.warn(
-                "per-knob TDAC keyword arguments "
-                f"({', '.join(sorted(legacy_knobs))}) are deprecated; pass "
-                "config=TDACConfig(...) instead (results are identical)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = TDACConfig(**legacy_knobs)
         self.config = config if config is not None else TDACConfig()
         self.base = base
         self.reference_algorithm = reference if reference is not None else base
@@ -228,14 +196,7 @@ class TDAC(TruthDiscoveryAlgorithm):
         start = time.perf_counter()
         with tracer.span("reference"):
             engine = self._claim_engine(dataset)
-            if engine is None or not self.reference_algorithm.supports_index:
-                # TDAC-as-reference (ablation nesting) runs its own full
-                # pipeline and needs the Dataset, not an index view.
-                reference = self.reference_algorithm.discover(dataset)
-            else:
-                reference = self.reference_algorithm.discover(
-                    engine.full_index
-                )
+            reference = self.reference_pass(dataset, engine)
         with tracer.span("truth_vectors"):
             vectors = build_truth_vectors(
                 dataset,
@@ -287,17 +248,28 @@ class TDAC(TruthDiscoveryAlgorithm):
             merged = self._merge(dataset, partition, block_results, start)
         return merged, tuple(block_results)
 
-    def _claim_engine(self, dataset: Dataset) -> ClaimIndexEngine | None:
+    def reference_pass(
+        self, dataset: Dataset, engine: ClaimIndexEngine | None
+    ) -> TruthDiscoveryResult:
+        """Step 1: the reference algorithm over the whole dataset.
+
+        Runs on ``engine``'s full index when there is an engine and the
+        reference algorithm consumes index views; otherwise (TDAC as its
+        own reference, type-routed algorithms) on the raw ``dataset``.
+        Shared by :meth:`run` and the delta refits of
+        :class:`~repro.core.incremental.IncrementalTDAC`.
+        """
+        if engine is None or not self.reference_algorithm.supports_index:
+            return self.reference_algorithm.discover(dataset)
+        return self.reference_algorithm.discover(engine.full_index)
+
+    def _claim_engine(self, dataset: Dataset) -> ClaimIndexEngine:
         """The dataset's shared claim-index engine under this config.
 
         One engine per (dataset, working dtype) serves both the
         reference pass (its full index) and every per-block run (sliced
         views), so the incidence structure is compiled exactly once.
-        ``None`` in reference-kernel mode, where every stage must take
-        the historical per-block recompile path.
         """
-        if kernels.reference_enabled():
-            return None
         return ClaimIndexEngine.shared(dataset, dtype=self.config.dtype_np)
 
     # ------------------------------------------------------------------

@@ -22,8 +22,7 @@ provides it:
   multiplexed connections, per-connection backpressure, graceful
   drain) and the matching reconnect/backoff/retry-after client;
 * :class:`~repro.serving.config.ServiceConfig` — one frozen,
-  fingerprintable config object holding every serving knob (the old
-  per-knob keywords survive behind a deprecation shim);
+  fingerprintable config object holding every serving knob;
 * :mod:`~repro.serving.schema` — the versioned ``tdac-serve/v1`` wire
   envelope every front-end response carries, with
   :class:`ServeEnvelope` / :func:`serve_envelope_from_dict` as the

@@ -9,14 +9,11 @@ that used to sprawl across the :class:`~repro.serving.service.TruthService`,
 queue bounds, refit modes, checkpoint cadence, and the network framing /
 timeout / backpressure limits.
 
-``TruthService(..., service_config=ServiceConfig(...))`` is the primary
-spelling; the old per-knob keyword arguments keep working through a
-deprecation shim that folds them into the equivalent config (one
-:class:`DeprecationWarning` per construction — see CHANGELOG 1.5.0 for
-the removal window).  None of these knobs affects *what* a snapshot
-contains — every refit mode is bit-identical to offline ``TDAC.run`` —
-so the :meth:`fingerprint` is an operational identity (used by the
-tenant registry and the admin surface), not a result key.
+Every constructor takes it as ``service_config=ServiceConfig(...)``.
+None of these knobs affects *what* a snapshot contains — every refit
+mode is bit-identical to offline ``TDAC.run`` — so the
+:meth:`fingerprint` is an operational identity (used by the tenant
+registry and the admin surface), not a result key.
 """
 
 from __future__ import annotations
@@ -167,14 +164,6 @@ class ServiceConfig:
         return out
 
 
-#: Field names of :class:`ServiceConfig` (the deprecated per-knob shim
-#: of :class:`TruthService` / :class:`TruthServer` accepts exactly the
-#: subset each constructor historically took).
-SERVICE_CONFIG_FIELD_NAMES = tuple(
-    f.name for f in dataclasses.fields(ServiceConfig)
-)
-
-
 def service_config_from_dict(payload: dict) -> ServiceConfig:
     """Rebuild a :class:`ServiceConfig` from its :meth:`~ServiceConfig.to_dict`.
 
@@ -190,41 +179,3 @@ def service_config_from_dict(payload: dict) -> ServiceConfig:
             f"its knobs (recomputed {config.fingerprint()})"
         )
     return config
-
-
-def fold_legacy_kwargs(
-    owner: str,
-    service_config: ServiceConfig | None,
-    legacy: dict,
-    allowed: tuple[str, ...],
-) -> ServiceConfig:
-    """Shared deprecation shim: fold per-knob kwargs into a config.
-
-    ``legacy`` keys outside ``allowed`` raise :class:`TypeError` (typo
-    protection, matching normal keyword behaviour); a non-empty
-    ``legacy`` alongside an explicit ``service_config`` also raises.
-    Warns once per construction, like the :class:`TDACConfig` shim.
-    """
-    import warnings
-
-    unknown = set(legacy) - set(allowed)
-    if unknown:
-        raise TypeError(
-            f"{owner}() got unexpected keyword arguments "
-            f"{sorted(unknown)!r}"
-        )
-    if not legacy:
-        return service_config if service_config is not None else ServiceConfig()
-    if service_config is not None:
-        raise TypeError(
-            f"pass knobs through service_config=ServiceConfig(...) or as "
-            f"legacy keywords, not both ({owner})"
-        )
-    warnings.warn(
-        f"passing {sorted(legacy)!r} to {owner}() is deprecated; use "
-        "service_config=ServiceConfig(...) (removal per CHANGELOG 1.5.0 "
-        "deprecation window)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ServiceConfig(**legacy)

@@ -58,31 +58,16 @@ import json
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import IO, Any
+from typing import IO
 
 from repro.observability import SpanTracer
-from repro.serving.config import (
-    DEFAULT_MAX_LINE_BYTES,
-    ServiceConfig,
-    fold_legacy_kwargs,
-)
+from repro.serving.config import DEFAULT_MAX_LINE_BYTES, ServiceConfig
 from repro.serving.frontend import handle_request, parse_claims
 from repro.serving.schema import envelope_error, envelope_tag
 from repro.serving.service import (
     IngestTicket,
     ServiceOverloadedError,
     TruthService,
-)
-
-#: The per-knob keywords :class:`TruthServer` historically accepted;
-#: still honoured through the :class:`ServiceConfig` deprecation shim.
-SERVER_LEGACY_KWARGS = (
-    "max_line_bytes",
-    "max_inflight_per_connection",
-    "idle_timeout",
-    "write_timeout",
-    "write_buffer_bytes",
-    "drain_timeout",
 )
 
 #: Counter names the server maintains (and mirrors onto the tracer).
@@ -297,8 +282,7 @@ class TruthServer:
         ``max_inflight_per_connection``, ``idle_timeout``,
         ``write_timeout``, ``write_buffer_bytes``, ``drain_timeout``
         (``None`` means the service's own config, falling back to
-        defaults).  The old per-knob keywords still work through a
-        :class:`DeprecationWarning` shim; see CHANGELOG 1.5.0.
+        defaults).
     stop_service_on_drain:
         Whether :meth:`drain` calls ``service.stop()`` (commit WAL, cut
         the final checkpoint) before closing sockets.  The CLI leaves
@@ -317,15 +301,13 @@ class TruthServer:
         service_config: ServiceConfig | None = None,
         stop_service_on_drain: bool = True,
         tracer: SpanTracer | None = None,
-        **legacy,
     ) -> None:
-        if service_config is None and not legacy:
+        if service_config is None:
             # Inherit the service's own config so one ServiceConfig
             # passed to TruthService flows through to the network knobs.
-            service_config = getattr(service, "service_config", None)
-        service_config = fold_legacy_kwargs(
-            "TruthServer", service_config, legacy, SERVER_LEGACY_KWARGS
-        )
+            service_config = (
+                getattr(service, "service_config", None) or ServiceConfig()
+            )
         self.service_config = service_config
         self.service = service
         self.host = host
@@ -572,7 +554,9 @@ def serve_network(
     *,
     announce: IO[str] | None = None,
     install_signal_handlers: bool = True,
-    **server_kwargs: Any,
+    service_config: ServiceConfig | None = None,
+    stop_service_on_drain: bool = True,
+    tracer: SpanTracer | None = None,
 ) -> int:
     """Run a :class:`TruthServer` until SIGINT/SIGTERM drains it.
 
@@ -581,6 +565,8 @@ def serve_network(
     ``announce`` once bound (harnesses launching the server as a
     subprocess parse it to learn the bound port) and an
     ``{"event": "drained", ...}`` line with the final counters on exit.
+    ``service_config``, ``stop_service_on_drain`` and ``tracer`` are
+    passed to :class:`TruthServer` unchanged.
     """
     if isinstance(listen, str):
         host, port = parse_listen(listen)
@@ -599,7 +585,14 @@ def serve_network(
             pass  # the launcher is gone; keep serving/draining anyway
 
     async def _main() -> int:
-        server = TruthServer(service, host=host, port=port, **server_kwargs)
+        server = TruthServer(
+            service,
+            host=host,
+            port=port,
+            service_config=service_config,
+            stop_service_on_drain=stop_service_on_drain,
+            tracer=tracer,
+        )
         bound_host, bound_port = await server.start()
         loop = asyncio.get_running_loop()
         if install_signal_handlers:

@@ -56,27 +56,9 @@ from repro.core.incremental import IncrementalTDAC, extend_dataset
 from repro.data.dataset import Dataset
 from repro.data.types import AttributeId, Claim, ObjectId, Value
 from repro.observability import SpanTracer, activate, current_tracer
-from repro.serving.config import (
-    REFIT_MODES,
-    ServiceConfig,
-    fold_legacy_kwargs,
-)
+from repro.serving.config import REFIT_MODES, ServiceConfig
 from repro.serving.snapshot import TruthSnapshot
 from repro.store import StoreError, TruthStore, WALCorruptionWarning, open_store
-
-#: The per-knob keywords :class:`TruthService` historically accepted;
-#: still honoured through the :class:`ServiceConfig` deprecation shim.
-SERVICE_LEGACY_KWARGS = (
-    "refit",
-    "replay_refit",
-    "repartition_fraction",
-    "warm_window",
-    "max_batch_size",
-    "max_wait_ms",
-    "queue_capacity",
-    "snapshot_every",
-)
-
 
 class ServiceOverloadedError(RuntimeError):
     """The admission queue is full; retry after ``retry_after_seconds``."""
@@ -204,11 +186,7 @@ class TruthService:
     service_config:
         :class:`~repro.serving.config.ServiceConfig` holding every
         serving knob — refit modes, micro-batch sizing, queue bounds,
-        checkpoint cadence (``None`` means defaults).  The old per-knob
-        keywords (``refit=``, ``max_batch_size=``, ...) still work
-        through a :class:`DeprecationWarning` shim that folds them into
-        the equivalent config; see CHANGELOG 1.5.0 for the removal
-        window.
+        checkpoint cadence (``None`` means defaults).
     partition_cache:
         Optional shared :class:`~repro.core.cache.PartitionCache`.
     tracer:
@@ -235,11 +213,9 @@ class TruthService:
         partition_cache: PartitionCache | None = None,
         tracer: SpanTracer | None = None,
         store: TruthStore | str | Path | None = None,
-        **legacy,
     ) -> None:
-        service_config = fold_legacy_kwargs(
-            "TruthService", service_config, legacy, SERVICE_LEGACY_KWARGS
-        )
+        if service_config is None:
+            service_config = ServiceConfig()
         self.service_config = service_config
         self.partition_cache = partition_cache
         self.store = None if store is None else open_store(store)
@@ -436,7 +412,6 @@ class TruthService:
         service_config: ServiceConfig | None = None,
         partition_cache: PartitionCache | None = None,
         tracer: SpanTracer | None = None,
-        **service_kwargs,
     ) -> "TruthService":
         """Resume a service from a store directory after a crash or stop.
 
@@ -482,7 +457,6 @@ class TruthService:
             partition_cache=partition_cache,
             tracer=tracer,
             store=store,
-            **service_kwargs,
         )
         if partition_cache is not None:
             # Warm-start the sweep before the initial fit runs.

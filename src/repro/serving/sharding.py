@@ -65,11 +65,10 @@ from repro.core.schema import result_to_dict
 from repro.data.dataset import Dataset
 from repro.data.types import AttributeId, Claim, ObjectId, Value
 from repro.observability import SpanTracer, activate, current_tracer
-from repro.serving.config import ServiceConfig, fold_legacy_kwargs
+from repro.serving.config import ServiceConfig
 from repro.serving.service import (
     IngestTicket,
     QueryAnswer,
-    SERVICE_LEGACY_KWARGS,
     ServiceOverloadedError,
     ServiceStoppedError,
     TruthService,
@@ -283,8 +282,7 @@ class ShardRouter:
     service_config:
         :class:`~repro.serving.config.ServiceConfig` applied to every
         shard worker; its ``merge_every`` / ``rebalance_threshold``
-        fields drive the router itself.  Legacy per-knob keywords are
-        honoured through the usual deprecation shim.
+        fields drive the router itself.
     partition_cache / tracer:
         Shared across every shard and the merger.
     store:
@@ -313,7 +311,6 @@ class ShardRouter:
         store: str | Path | None = None,
         exception_shard: int = 0,
         snapshot_store_factory: Callable[[int, int], object] | None = None,
-        **legacy,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be at least 1")
@@ -322,8 +319,8 @@ class ShardRouter:
                 f"exception_shard must be in [0, {n_shards}), "
                 f"got {exception_shard}"
             )
-        self.service_config = fold_legacy_kwargs(
-            "ShardRouter", service_config, legacy, SERVICE_LEGACY_KWARGS
+        self.service_config = (
+            service_config if service_config is not None else ServiceConfig()
         )
         self.n_shards = n_shards
         self.exception_shard = exception_shard

@@ -4,9 +4,10 @@ Two contracts are pinned here:
 
 * every symbol in ``repro.__all__`` imports from ``repro`` directly and
   stays importable from its documented home module;
-* the deprecated per-knob ``TDAC(...)`` keyword constructor warns
-  exactly once per construction and remains bit-identical to the
-  ``config=TDACConfig(...)`` path it is a shim for.
+* the per-knob keyword spellings whose deprecation windows closed
+  (``TDAC(base, seed=...)``, ``TruthService(..., max_batch_size=...)``,
+  ...) are rejected with :class:`TypeError`; knobs travel only through
+  ``TDACConfig`` / ``ServiceConfig``.
 """
 
 import dataclasses
@@ -16,9 +17,18 @@ import warnings
 import pytest
 
 import repro
-from repro import IncrementalTDAC, MajorityVote, TDAC, TDACConfig
-from repro.core.config import CONFIG_FIELD_NAMES, RESULT_AFFECTING_FIELDS
+from repro import (
+    IncrementalTDAC,
+    MajorityVote,
+    ShardRouter,
+    TDAC,
+    TDACConfig,
+    TruthServer,
+    TruthService,
+)
+from repro.core.config import RESULT_AFFECTING_FIELDS
 from repro.datasets import make_synthetic
+from repro.serving import serve_network
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +71,7 @@ class TestPublicSurface:
         from repro import TruthService, TruthSnapshot  # noqa: F401
 
     def test_version_matches_package_metadata(self):
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "1.7.0"
 
     def test_store_symbols_are_top_level(self):
         from repro import TruthStore, store  # noqa: F401
@@ -88,15 +98,12 @@ class TestTDACConfig:
         assert len(fingerprints) == 4
 
     def test_result_affecting_fields_exist(self):
-        assert set(RESULT_AFFECTING_FIELDS) <= set(CONFIG_FIELD_NAMES)
+        fields = {f.name for f in dataclasses.fields(TDACConfig)}
+        assert set(RESULT_AFFECTING_FIELDS) <= fields
 
 
 class TestLegacyKwargShim:
-    def test_warns_exactly_once_per_construction(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            TDAC(MajorityVote(), seed=7, k_min=2)
-        assert len(caught) == 1
-        assert "TDACConfig" in str(caught[0].message)
+    """What survives the shim: unknown keywords raise, ``config=`` is quiet."""
 
     def test_config_path_does_not_warn(self):
         with warnings.catch_warnings():
@@ -113,25 +120,45 @@ class TestLegacyKwargShim:
         with pytest.raises(TypeError):
             IncrementalTDAC(MajorityVote(), config=TDACConfig(), seed=1)
 
-    def test_legacy_kwargs_bit_identical_to_config(self, dataset):
-        with pytest.warns(DeprecationWarning):
-            legacy = TDAC(MajorityVote(), seed=5, n_init=4).run(dataset)
-        modern = TDAC(
-            MajorityVote(), config=TDACConfig(seed=5, n_init=4)
-        ).run(dataset)
-        assert dict(legacy.result.predictions) == dict(
-            modern.result.predictions
-        )
-        assert dict(legacy.result.source_trust) == dict(
-            modern.result.source_trust
-        )
-        assert legacy.partition == modern.partition
-        assert legacy.silhouette_by_k == modern.silhouette_by_k
 
-    def test_shim_folds_into_config(self):
-        with pytest.warns(DeprecationWarning):
-            tdac = TDAC(MajorityVote(), seed=9, n_jobs=2)
-        assert tdac.config == TDACConfig(seed=9, n_jobs=2)
+class TestRemovedSpellings:
+    """The per-knob keyword spellings removed in 1.7.0 raise, not fold."""
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            pytest.param(lambda ds: TDAC(MajorityVote(), seed=7), id="TDAC"),
+            pytest.param(
+                lambda ds: IncrementalTDAC(MajorityVote(), seed=0),
+                id="IncrementalTDAC",
+            ),
+            pytest.param(
+                lambda ds: TruthService(MajorityVote(), ds, max_batch_size=8),
+                id="TruthService",
+            ),
+            pytest.param(
+                lambda ds: TruthService.restore("store", refit="full"),
+                id="TruthService.restore",
+            ),
+            pytest.param(
+                lambda ds: TruthServer(object(), max_line_bytes=4096),
+                id="TruthServer",
+            ),
+            pytest.param(
+                lambda ds: ShardRouter(MajorityVote(), ds, max_wait_ms=2.5),
+                id="ShardRouter",
+            ),
+            pytest.param(
+                lambda ds: serve_network(
+                    object(), "127.0.0.1:0", idle_timeout=1.0
+                ),
+                id="serve_network",
+            ),
+        ],
+    )
+    def test_old_spelling_raises_type_error(self, dataset, construct):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            construct(dataset)
 
 
 class TestResultSchema:

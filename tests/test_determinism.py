@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.algorithms import available, capability_gap, create
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.datasets import load
 from repro.datasets import make_books, make_exam, make_synthetic
 
@@ -69,10 +69,13 @@ class TestAlgorithmDeterminism:
             assert fingerprint_predictions(
                 first.predictions
             ) == fingerprint_predictions(second.predictions), name
+            assert first.confidence == second.confidence, name
+            assert first.source_trust == second.source_trust, name
+            assert first.iterations == second.iterations, name
 
     def test_tdac_full_provenance_is_deterministic(self, dataset):
-        first = TDAC(create("Accu"), seed=11).run(dataset)
-        second = TDAC(create("Accu"), seed=11).run(dataset)
+        first = TDAC(create("Accu"), config=TDACConfig(seed=11)).run(dataset)
+        second = TDAC(create("Accu"), config=TDACConfig(seed=11)).run(dataset)
         assert first.partition == second.partition
         assert first.silhouette_by_k == second.silhouette_by_k
         assert fingerprint_predictions(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import MajorityVote
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.evaluation import (
     PerformanceRecord,
     run_algorithm,
@@ -20,7 +20,8 @@ def test_table4_reuses_dataset_when_scales_match():
 
 
 def test_performance_record_fields(small_ds1):
-    record = run_algorithm(TDAC(MajorityVote(), seed=0), small_ds1.dataset)
+    tdac = TDAC(MajorityVote(), config=TDACConfig(seed=0))
+    record = run_algorithm(tdac, small_ds1.dataset)
     assert isinstance(record, PerformanceRecord)
     assert record.fact_accuracy == pytest.approx(record.fact_accuracy)
     assert 0 <= record.fact_accuracy <= 1

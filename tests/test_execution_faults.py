@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import MajorityVote
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.execution import (
     DEFAULT_MP_START_METHOD,
     ExecutionPolicy,
@@ -208,7 +208,7 @@ class TestTDACUnderFaults:
 
     @pytest.fixture(scope="class")
     def sequential(self, dataset):
-        return TDAC(MajorityVote(), seed=0, n_jobs=1).run(dataset)
+        return TDAC(MajorityVote(), config=TDACConfig(seed=0, n_jobs=1)).run(dataset)
 
     @pytest.mark.parametrize(
         "injector",
@@ -224,7 +224,7 @@ class TestTDACUnderFaults:
     ):
         policy = ExecutionPolicy(max_retries=1, fault_injector=injector)
         faulty = TDAC(
-            MajorityVote(), seed=0, n_jobs=3, execution_policy=policy
+            MajorityVote(), config=TDACConfig(seed=0, n_jobs=3, execution_policy=policy)
         ).run(dataset)
         assert str(faulty.partition) == str(sequential.partition)
         assert faulty.silhouette_by_k == sequential.silhouette_by_k
@@ -238,7 +238,8 @@ class TestTDACUnderFaults:
         tracer = SpanTracer()
         with activate(tracer):
             TDAC(
-                MajorityVote(), seed=0, n_jobs=3, execution_policy=policy
+                MajorityVote(),
+                config=TDACConfig(seed=0, n_jobs=3, execution_policy=policy),
             ).run(dataset)
         retries = [
             name for name in tracer.counters if name.endswith("task_retries")

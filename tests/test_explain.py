@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import Accu, MajorityVote
-from repro.core import TDAC, explain_fact, explain_partition
+from repro.core import TDAC, TDACConfig, explain_fact, explain_partition
 from repro.data import Fact
 
 
@@ -44,7 +44,7 @@ class TestExplainFact:
 class TestExplainPartition:
     def test_separation_on_structured_data(self, small_ds1):
         dataset = small_ds1.dataset
-        outcome = TDAC(Accu(), seed=0).run(dataset)
+        outcome = TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
         explanation = explain_partition(outcome.truth_vectors, outcome.partition)
         # TD-AC's chosen blocks should be far better separated than mixed.
         assert explanation.separation_ratio > 1.5

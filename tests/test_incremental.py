@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import MajorityVote
-from repro.core import IncrementalTDAC
+from repro.core import IncrementalTDAC, TDACConfig
 from repro.data import Claim, DataError, Fact
 from repro.datasets import make_synthetic
 
@@ -11,7 +11,7 @@ from repro.datasets import make_synthetic
 @pytest.fixture
 def fitted():
     generated = make_synthetic("DS1", n_objects=25, seed=9)
-    incremental = IncrementalTDAC(MajorityVote(), seed=0)
+    incremental = IncrementalTDAC(MajorityVote(), config=TDACConfig(seed=0))
     outcome = incremental.fit(generated.dataset)
     return incremental, generated.dataset, outcome
 

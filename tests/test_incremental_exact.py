@@ -191,11 +191,14 @@ class TestStreamBitIdentity:
         assert outcome.partition == offline.partition
         assert dict(outcome.silhouette_by_k) == dict(offline.silhouette_by_k)
 
+    # n_jobs=2 fans the partial block refreshes of every delta update
+    # out over the block executor, exactly as a full refit's blocks.
+    @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("distance", ["hamming", "masked"])
     def test_randomized_stream_matches_offline_at_every_watermark(
-        self, distance
+        self, distance, n_jobs
     ):
-        config = TDACConfig(seed=0, distance=distance)
+        config = TDACConfig(seed=0, distance=distance, n_jobs=n_jobs)
         dataset = make_synthetic("DS1", n_objects=25, seed=11).dataset
         incremental = IncrementalTDAC(
             MajorityVote(), config=config, repartition_fraction=1.0

@@ -9,7 +9,7 @@ column's behaviour rather than exact values.
 import pytest
 
 from repro.algorithms import Accu, Depen, MajorityVote, TruthFinder
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.datasets import make_synthetic
 
 
@@ -33,7 +33,7 @@ class TestIterationColumn:
 
     def test_tdac_reports_one_iteration(self, dataset):
         # Tables 4, 6, 7 and 9 all report TD-AC with #Iteration = 1.
-        result = TDAC(Accu(), seed=0).discover(dataset)
+        result = TDAC(Accu(), config=TDACConfig(seed=0)).discover(dataset)
         assert result.iterations == 1
 
     def test_tighter_tolerance_never_fewer_iterations(self, dataset):

@@ -73,7 +73,7 @@ class TestDegenerateSweep:
     def test_agrees_with_tdac_selection_path(self):
         """select_k_silhouette and TDAC.select_partition must degrade
         the same way: one trivial block covering every attribute."""
-        from repro.core import TDAC, Partition
+        from repro.core import TDAC, TDACConfig, Partition
         from repro.core.truth_vectors import TruthVectorMatrix
 
         matrix = np.ones((6, 12))
@@ -85,7 +85,8 @@ class TestDegenerateSweep:
         )
         from repro.algorithms import MajorityVote
 
-        partition, _ = TDAC(MajorityVote(), seed=0).select_partition(vectors)
+        tdac = TDAC(MajorityVote(), config=TDACConfig(seed=0))
+        partition, _ = tdac.select_partition(vectors)
         assert partition == Partition.whole(vectors.attributes)
 
         result = select_k_silhouette(matrix, seed=0)

@@ -173,25 +173,25 @@ class TestTraceReportSchema:
 class TestTracedTDACRun:
     def test_stages_cover_wall_time_within_5_percent(self):
         from repro.algorithms import Accu
-        from repro.core import TDAC
+        from repro.core import TDAC, TDACConfig
         from repro.datasets import load
 
         dataset = load("DS2", scale=0.05)
         tracer = SpanTracer()
         with Timer() as timer:
             with activate(tracer):
-                TDAC(Accu(), seed=0, n_jobs=2).run(dataset)
+                TDAC(Accu(), config=TDACConfig(seed=0, n_jobs=2)).run(dataset)
         report = trace_report(tracer, total_seconds=timer.elapsed)
         assert set(report["stage_seconds"]) == set(TDAC_STAGES)
         assert report["stage_coverage"] == pytest.approx(1.0, abs=0.05)
 
     def test_untraced_run_stays_silent(self):
         from repro.algorithms import MajorityVote
-        from repro.core import TDAC
+        from repro.core import TDAC, TDACConfig
         from repro.datasets import load
 
         dataset = load("DS1", scale=0.02)
-        TDAC(MajorityVote(), seed=0).run(dataset)
+        TDAC(MajorityVote(), config=TDACConfig(seed=0)).run(dataset)
         assert NULL_TRACER.spans == []
 
 

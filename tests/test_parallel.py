@@ -37,11 +37,11 @@ def test_parallel_accu_matches_sequential():
     """Accu keeps per-call detector state, so thread-parallel blocks must
     be race-free (regression test for a shared-state bug)."""
     from repro.algorithms import Accu
-    from repro.core import TDAC
+    from repro.core import TDAC, TDACConfig
     from repro.datasets import make_synthetic
 
     dataset = make_synthetic("DS3", n_objects=25, seed=5).dataset
-    sequential = TDAC(Accu(), seed=0, n_jobs=1).run(dataset)
-    parallel = TDAC(Accu(), seed=0, n_jobs=4).run(dataset)
+    sequential = TDAC(Accu(), config=TDACConfig(seed=0, n_jobs=1)).run(dataset)
+    parallel = TDAC(Accu(), config=TDACConfig(seed=0, n_jobs=4)).run(dataset)
     assert sequential.predictions == parallel.predictions
     assert sequential.partition == parallel.partition

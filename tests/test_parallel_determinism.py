@@ -19,7 +19,7 @@ from repro.clustering import (
     sweep_kmeans,
 )
 from repro.clustering.kmeans import KMeans
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.datasets import load
 
 
@@ -39,24 +39,26 @@ class TestTDACParallelDeterminism:
     @pytest.mark.parametrize("base_cls", [Accu, MajorityVote])
     @pytest.mark.parametrize("distance", ["hamming", "masked"])
     def test_n_jobs_matches_sequential(self, dataset, base_cls, distance):
-        sequential = TDAC(base_cls(), seed=0, distance=distance).run(dataset)
+        sequential = TDAC(
+            base_cls(), config=TDACConfig(seed=0, distance=distance)
+        ).run(dataset)
         for n_jobs in (2, 4):
             parallel = TDAC(
-                base_cls(), seed=0, distance=distance, n_jobs=n_jobs
+                base_cls(), config=TDACConfig(seed=0, distance=distance, n_jobs=n_jobs)
             ).run(dataset)
             _assert_runs_identical(sequential, parallel)
 
     @pytest.mark.slow
     def test_process_backend_matches_sequential(self, dataset):
-        sequential = TDAC(Accu(), seed=0).run(dataset)
-        parallel = TDAC(Accu(), seed=0, n_jobs=2, backend="processes").run(
-            dataset
-        )
+        sequential = TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
+        parallel = TDAC(
+            Accu(), config=TDACConfig(seed=0, n_jobs=2, backend="processes")
+        ).run(dataset)
         _assert_runs_identical(sequential, parallel)
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            TDAC(Accu(), backend="rayon")
+            TDAC(Accu(), config=TDACConfig(backend="rayon"))
 
 
 class TestSweepDeterminism:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.algorithms import Accu, MajorityVote
 from repro.clustering import KMeans, pairwise_hamming, silhouette_score
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.data import DatasetIndex
 from repro.datasets import make_exam, make_synthetic
 
@@ -66,5 +66,6 @@ class TestPipelineBudgets:
 
     def test_tdac_exam_budget(self):
         dataset = make_exam(62, seed=0)
-        _, seconds = elapsed(lambda: TDAC(Accu(), seed=0).run(dataset))
+        tdac = TDAC(Accu(), config=TDACConfig(seed=0))
+        _, seconds = elapsed(lambda: tdac.run(dataset))
         assert seconds < 120.0

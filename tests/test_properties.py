@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algorithms import MajorityVote, Sums, TruthFinder, TwoEstimates
-from repro.core import TDAC, Partition, build_truth_vectors
+from repro.core import TDAC, TDACConfig, Partition, build_truth_vectors
 from repro.data import DatasetBuilder
 from repro.metrics import evaluate_predictions
 
@@ -88,7 +88,7 @@ def test_truth_vectors_are_masked_binary(dataset):
 @given(claim_datasets(with_truth=False))
 @COMMON_SETTINGS
 def test_tdac_output_is_valid_partition(dataset):
-    outcome = TDAC(MajorityVote(), seed=0).run(dataset)
+    outcome = TDAC(MajorityVote(), config=TDACConfig(seed=0)).run(dataset)
     partition = outcome.partition
     # Blocks are disjoint and jointly exhaustive over the attributes.
     assert partition.attributes == tuple(sorted(dataset.attributes))
@@ -101,8 +101,8 @@ def test_tdac_output_is_valid_partition(dataset):
 @given(claim_datasets(with_truth=False), st.integers(0, 3))
 @COMMON_SETTINGS
 def test_tdac_deterministic_in_seed(dataset, seed):
-    first = TDAC(MajorityVote(), seed=seed).run(dataset)
-    second = TDAC(MajorityVote(), seed=seed).run(dataset)
+    first = TDAC(MajorityVote(), config=TDACConfig(seed=seed)).run(dataset)
+    second = TDAC(MajorityVote(), config=TDACConfig(seed=seed)).run(dataset)
     assert first.partition == second.partition
     assert first.predictions == second.predictions
 

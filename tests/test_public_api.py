@@ -14,7 +14,7 @@ def test_all_names_resolve():
 
 def test_readme_quickstart_flow():
     """The README's quickstart snippet must keep working verbatim-ish."""
-    from repro import Accu, TDAC, DatasetBuilder
+    from repro import Accu, TDAC, TDACConfig, DatasetBuilder
 
     builder = DatasetBuilder(name="weather")
     for city in ("paris", "rome", "oslo"):
@@ -26,7 +26,7 @@ def test_readme_quickstart_flow():
         builder.add_claim("blog", city, "humidity", f"{city}-h")
     dataset = builder.build()
 
-    outcome = TDAC(Accu(), seed=0).run(dataset)
+    outcome = TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
     assert outcome.partition.attributes == ("humidity", "temp")
     assert len(outcome.result.predictions) == 6
     assert isinstance(outcome.silhouette_by_k, dict)

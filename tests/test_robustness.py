@@ -16,7 +16,7 @@ from repro.algorithms import (
     capability_gap,
     create,
 )
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.data import DataError, DatasetBuilder, Fact
 from repro.metrics import evaluate_predictions
 
@@ -116,7 +116,7 @@ class TestUnreachableTruth:
                 for s in ("s1", "s2", "s3"):
                     builder.add_claim(s, obj, attr, f"{s}-{obj}-{attr}")
         builder.set_truth("o1", "a1", "s1-o1-a1")  # only one fact labelled
-        outcome = TDAC(MajorityVote(), seed=0).run(builder.build())
+        outcome = TDAC(MajorityVote(), config=TDACConfig(seed=0)).run(builder.build())
         assert len(outcome.predictions) == 12
 
 

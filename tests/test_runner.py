@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms import MajorityVote
 from repro.baselines import AccuGenPartition
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.evaluation import (
     PerformanceRecord,
     records_by_algorithm,
@@ -23,7 +23,8 @@ class TestRunAlgorithm:
         assert 0.0 <= record.accuracy <= 1.0
 
     def test_tdac_record_has_partition(self, small_ds1):
-        record = run_algorithm(TDAC(MajorityVote(), seed=0), small_ds1.dataset)
+        tdac = TDAC(MajorityVote(), config=TDACConfig(seed=0))
+        record = run_algorithm(tdac, small_ds1.dataset)
         assert record.partition is not None
         assert record.algorithm.startswith("TD-AC")
 

@@ -104,13 +104,6 @@ class TestRouting:
             ShardRouter(MajorityVote(), dataset, n_shards=2,
                         exception_shard=2)
 
-    def test_legacy_kwargs_warn_and_fold(self, dataset):
-        with pytest.warns(DeprecationWarning, match="ShardRouter"):
-            router = ShardRouter(
-                MajorityVote(), dataset, n_shards=2, max_wait_ms=2.5
-            )
-        assert router.service_config.max_wait_ms == 2.5
-
 
 class TestMergedBitIdentity:
     def test_every_watermark_matches_offline_run(self, dataset):

@@ -16,7 +16,7 @@ from repro.clustering.distance import (
     pairwise_masked_hamming,
     pairwise_masked_hamming_sparse,
 )
-from repro.core import DEFAULT_SPARSE_THRESHOLD, TDAC, build_truth_vectors
+from repro.core import DEFAULT_SPARSE_THRESHOLD, TDAC, TDACConfig, build_truth_vectors
 from repro.datasets import load
 
 # Synthetic and semi-synthetic seed datasets, kept small enough for CI.
@@ -69,10 +69,10 @@ class TestSparsePipeline:
     def test_sparse_and_dense_pipelines_agree(self, name, kwargs, distance):
         dataset = load(name, **kwargs)
         dense = TDAC(
-            MajorityVote(), seed=0, distance=distance, sparse=False
+            MajorityVote(), config=TDACConfig(seed=0, distance=distance, sparse=False)
         ).run(dataset)
         sparse = TDAC(
-            MajorityVote(), seed=0, distance=distance, sparse=True
+            MajorityVote(), config=TDACConfig(seed=0, distance=distance, sparse=True)
         ).run(dataset)
         assert str(dense.partition) == str(sparse.partition)
         assert dense.silhouette_by_k == sparse.silhouette_by_k
@@ -85,12 +85,17 @@ class TestAutoThreshold:
         dataset = load("DS2", scale=0.05)
         reference = MajorityVote().discover(dataset)
         vectors = build_truth_vectors(dataset, reference)
-        small = TDAC(MajorityVote(), sparse="auto", sparse_threshold=10**9)
-        large = TDAC(MajorityVote(), sparse="auto", sparse_threshold=1)
+        small = TDAC(
+            MajorityVote(),
+            config=TDACConfig(sparse="auto", sparse_threshold=10**9),
+        )
+        large = TDAC(
+            MajorityVote(), config=TDACConfig(sparse="auto", sparse_threshold=1)
+        )
         assert not small.use_sparse(vectors)
         assert large.use_sparse(vectors)
         assert DEFAULT_SPARSE_THRESHOLD > 0
 
     def test_rejects_bad_sparse_mode(self):
         with pytest.raises(ValueError, match="sparse"):
-            TDAC(MajorityVote(), sparse="sometimes")
+            TDAC(MajorityVote(), config=TDACConfig(sparse="sometimes"))

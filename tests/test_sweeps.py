@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import MajorityVote, TruthFinder
-from repro.core import TDAC
+from repro.core import TDAC, TDACConfig
 from repro.evaluation.sweeps import best_configuration, parameter_grid, sweep
 
 
@@ -36,7 +36,7 @@ class TestSweep:
             MajorityVote,
             {},
             [small_ds1.dataset],
-            wrapper=lambda base: TDAC(base, seed=0),
+            wrapper=lambda base: TDAC(base, config=TDACConfig(seed=0)),
         )
         assert len(records) == 1
         assert records[0].iterations == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import Accu, MajorityVote, TruthFinder
-from repro.core import TDAC, Partition
+from repro.core import TDAC, TDACConfig, Partition
 from repro.data import DatasetBuilder
 from repro.datasets import make_synthetic, planted_partition
 from repro.metrics import evaluate_predictions, is_refinement
@@ -12,7 +12,7 @@ from repro.metrics import evaluate_predictions, is_refinement
 @pytest.fixture(scope="module")
 def ds1_run():
     generated = make_synthetic("DS1", n_objects=60, seed=3)
-    tdac = TDAC(Accu(), seed=0)
+    tdac = TDAC(Accu(), config=TDACConfig(seed=0))
     return generated, tdac.run(generated.dataset)
 
 
@@ -61,13 +61,14 @@ class TestAccuracy:
 
 class TestInterface:
     def test_discover_returns_plain_result(self, small_ds1):
-        result = TDAC(MajorityVote(), seed=0).discover(small_ds1.dataset)
+        tdac = TDAC(MajorityVote(), config=TDACConfig(seed=0))
+        result = tdac.discover(small_ds1.dataset)
         assert result.algorithm == "TD-AC (F=MajorityVote)"
         assert result.iterations == 1
         assert "partition" in result.extras
 
     def test_separate_reference_algorithm(self, small_ds1):
-        tdac = TDAC(MajorityVote(), reference=TruthFinder(), seed=0)
+        tdac = TDAC(MajorityVote(), reference=TruthFinder(), config=TDACConfig(seed=0))
         outcome = tdac.run(small_ds1.dataset)
         assert outcome.reference.algorithm == "TruthFinder"
         assert all(
@@ -75,14 +76,19 @@ class TestInterface:
         )
 
     def test_masked_distance_mode(self, small_ds1):
-        outcome = TDAC(MajorityVote(), distance="masked", seed=0).run(
-            small_ds1.dataset
-        )
+        outcome = TDAC(
+            MajorityVote(), config=TDACConfig(distance="masked", seed=0)
+        ).run(small_ds1.dataset)
         assert outcome.partition.n_blocks >= 2
 
     def test_parallel_matches_sequential(self, small_ds1):
-        sequential = TDAC(MajorityVote(), seed=0, n_jobs=1).run(small_ds1.dataset)
-        parallel = TDAC(MajorityVote(), seed=0, n_jobs=4).run(small_ds1.dataset)
+        dataset = small_ds1.dataset
+        sequential = TDAC(
+            MajorityVote(), config=TDACConfig(seed=0, n_jobs=1)
+        ).run(dataset)
+        parallel = TDAC(
+            MajorityVote(), config=TDACConfig(seed=0, n_jobs=4)
+        ).run(dataset)
         assert sequential.predictions == parallel.predictions
         assert sequential.partition == parallel.partition
 
@@ -91,27 +97,28 @@ class TestInterface:
         for s in ("s1", "s2", "s3"):
             for a in ("a1", "a2"):
                 builder.add_claim(s, "o1", a, f"{s}-{a}")
-        outcome = TDAC(MajorityVote(), seed=0).run(builder.build())
+        outcome = TDAC(MajorityVote(), config=TDACConfig(seed=0)).run(builder.build())
         assert outcome.partition == Partition.whole(("a1", "a2"))
         assert outcome.silhouette_by_k == {}
 
     def test_k_max_caps_sweep(self, small_ds1):
-        outcome = TDAC(MajorityVote(), k_max=3, seed=0).run(small_ds1.dataset)
+        tdac = TDAC(MajorityVote(), config=TDACConfig(k_max=3, seed=0))
+        outcome = tdac.run(small_ds1.dataset)
         assert max(outcome.silhouette_by_k) == 3
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="distance"):
-            TDAC(MajorityVote(), distance="cosine")
+            TDAC(MajorityVote(), config=TDACConfig(distance="cosine"))
         with pytest.raises(ValueError, match="k_min"):
-            TDAC(MajorityVote(), k_min=1)
+            TDAC(MajorityVote(), config=TDACConfig(k_min=1))
         with pytest.raises(ValueError, match="n_jobs"):
-            TDAC(MajorityVote(), n_jobs=0)
+            TDAC(MajorityVote(), config=TDACConfig(n_jobs=0))
 
     def test_name_embeds_base(self):
         assert TDAC(Accu()).name == "TD-AC (F=Accu)"
 
     def test_deterministic_given_seed(self, small_ds1):
-        first = TDAC(MajorityVote(), seed=5).run(small_ds1.dataset)
-        second = TDAC(MajorityVote(), seed=5).run(small_ds1.dataset)
+        first = TDAC(MajorityVote(), config=TDACConfig(seed=5)).run(small_ds1.dataset)
+        second = TDAC(MajorityVote(), config=TDACConfig(seed=5)).run(small_ds1.dataset)
         assert first.partition == second.partition
         assert first.predictions == second.predictions

@@ -3,9 +3,9 @@
 The engine (``repro.data.claim_engine.ClaimIndexEngine`` plus the
 vectorized kernels inside the base algorithms) must be *bitwise*
 indistinguishable from the historical per-claim loops under the default
-float64 working dtype.  ``repro.algorithms.kernels.reference_kernels()``
-switches the loops back on in-process, which is what every identity test
-here compares against.
+float64 working dtype.  ``tests.oracles.reference_kernels()`` patches the
+loops (and the per-block recompiles) back in from the outside, which is
+what every identity test here compares against.
 
 The float32 opt-in is explicitly *not* bit-identical; its contract —
 identical winning predictions on the small suites, confidences within a
@@ -32,32 +32,37 @@ from repro.algorithms import (
     ThreeEstimates,
     TruthFinder,
     TwoEstimates,
-    kernels,
 )
 from repro.core.config import TDACConfig, config_from_dict
+from repro.core.parallel import run_blocks
 from repro.core.tdac import TDAC
 from repro.data import ClaimIndexEngine, DataError, DatasetIndex
 from repro.datasets.exam import make_exam
 from repro.datasets.registry import load
 from repro.datasets.stocks import make_stocks
+from tests.oracles import reference_kernels
 
-#: Every base algorithm whose per-iteration updates were vectorized.
-ALGORITHMS = [
-    MajorityVote,
-    TruthFinder,
-    Depen,
-    Accu,
-    AccuSim,
-    Sums,
-    AverageLog,
-    Investment,
-    PooledInvestment,
-    TwoEstimates,
-    ThreeEstimates,
-    CRH,
-    CATD,
-    SimpleLCA,
-]
+#: Every base algorithm whose per-iteration updates were vectorized,
+#: with the kernel oracles its solve must reach.  Algorithms with no
+#: kernel oracle are still compared against an independent path: the
+#: oracle context also swaps engine block slices for a fresh compile of
+#: each restricted dataset.
+ORACLES_REACHED = {
+    MajorityVote: set(),
+    TruthFinder: {"weighted_support"},
+    Depen: {"discounted_votes"},
+    Accu: {"discounted_votes"},
+    AccuSim: {"discounted_votes", "weighted_support"},
+    Sums: set(),
+    AverageLog: set(),
+    Investment: set(),
+    PooledInvestment: set(),
+    TwoEstimates: set(),
+    ThreeEstimates: set(),
+    CRH: set(),
+    CATD: set(),
+    SimpleLCA: set(),
+}
 
 
 def _datasets():
@@ -75,14 +80,20 @@ def _assert_results_equal(fast, reference, label):
     assert fast.iterations == reference.iterations, label
 
 
-@pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
+@pytest.mark.parametrize("algorithm_cls", list(ORACLES_REACHED))
 def test_algorithm_bit_identical_to_reference_loops(algorithm_cls):
-    """Each vectorized algorithm matches its loop implementation bitwise."""
+    """Block solves match the loop oracles and restricted recompiles."""
     for name, dataset in _datasets():
-        fast = algorithm_cls().discover(dataset)
-        with kernels.reference_kernels():
-            reference = algorithm_cls().discover(dataset)
-        _assert_results_equal(fast, reference, f"{algorithm_cls.__name__}/{name}")
+        attrs = dataset.attributes
+        half = len(attrs) // 2
+        blocks = [tuple(attrs), tuple(attrs[:half]), tuple(attrs[half:])]
+        fast = run_blocks(algorithm_cls(), dataset, blocks)
+        with reference_kernels() as reached:
+            reference = run_blocks(algorithm_cls(), dataset, blocks)
+        label = f"{algorithm_cls.__name__}/{name}"
+        assert reached == ORACLES_REACHED[algorithm_cls], label
+        for fast_block, reference_block in zip(fast, reference):
+            _assert_results_equal(fast_block, reference_block, label)
 
 
 def test_block_slices_identical_to_recompiled_restrictions():
@@ -149,8 +160,9 @@ def test_full_tdac_pipeline_bit_identical():
     dataset = load("DS2", seed=0, scale=0.1)
     tdac = TDAC(Accu(), config=TDACConfig(seed=0))
     fast = tdac.run(dataset)
-    with kernels.reference_kernels():
+    with reference_kernels() as reached:
         reference = tdac.run(dataset)
+    assert reached == {"discounted_votes"}
     assert fast.partition == reference.partition
     assert fast.silhouette_by_k == reference.silhouette_by_k
     _assert_results_equal(fast.result, reference.result, "pipeline")
@@ -208,7 +220,6 @@ def test_float32_config_changes_fingerprint_but_float64_is_legacy():
 
 def test_run_blocks_engine_reuse_matches_default():
     """Passing an explicit engine to run_blocks changes nothing."""
-    from repro.core.parallel import run_blocks
     from repro.core.partition import Partition
 
     dataset = load("DS2", seed=0, scale=0.1)
@@ -217,8 +228,9 @@ def test_run_blocks_engine_reuse_matches_default():
     engine = ClaimIndexEngine(dataset)
     explicit = run_blocks(Accu(), dataset, partition, engine=engine)
     implicit = run_blocks(Accu(), dataset, partition)
-    with kernels.reference_kernels():
+    with reference_kernels() as reached:
         legacy = run_blocks(Accu(), dataset, partition)
+    assert reached == {"discounted_votes"}
     for a, b in zip(explicit, implicit):
         _assert_results_equal(a, b, "explicit-vs-implicit")
     for a, b in zip(explicit, legacy):
