@@ -1,9 +1,9 @@
-.PHONY: install lint test test-fast test-faults test-serving test-sharding test-incremental test-store test-net test-scenarios bench bench-smoke bench-base bench-serving-smoke bench-sharding-smoke bench-incremental-smoke bench-scenarios-smoke report examples clean
+.PHONY: install lint test test-fast test-faults test-serving test-incremental test-store test-net test-scenarios bench bench-smoke bench-base bench-serving-smoke bench-incremental-smoke bench-scenarios-smoke report examples clean
 
 install:
 	pip install -e . --no-build-isolation
 
-test: lint bench-smoke bench-base test-faults test-serving test-sharding test-incremental test-store test-net test-scenarios bench-serving-smoke bench-sharding-smoke bench-incremental-smoke bench-scenarios-smoke
+test: lint bench-smoke bench-base test-faults test-serving test-incremental test-store test-net test-scenarios bench-serving-smoke bench-incremental-smoke bench-scenarios-smoke
 	pytest tests/
 
 # Static checks: ruff when the container ships it, plus a bytecode
@@ -23,18 +23,13 @@ lint:
 test-faults:
 	PYTHONPATH=src python -m pytest tests/test_execution_faults.py -q -m "not slow"
 
-# Serving + API-stability suites plus a live `repro serve --smoke`
-# round trip (service snapshots bit-identical to an offline replay).
+# Serving, tenancy and API-stability suites (including the golden
+# API-surface snapshot for the v1 promise) plus a live `repro serve
+# --smoke` round trip (service snapshots bit-identical to an offline
+# replay).
 test-serving:
-	PYTHONPATH=src python -m pytest tests/test_serving.py tests/test_api_stability.py -q
+	PYTHONPATH=src python -m pytest tests/test_serving.py tests/test_tenancy.py tests/test_api_stability.py tests/test_api_surface.py -q
 	PYTHONPATH=src python -m repro serve --smoke
-
-# Sharded multi-tenant serving suites: ShardRouter merged-view
-# bit-identity at every watermark, exact rebalance hand-off,
-# crash/restore with zero acked-claim loss, tenant quotas/engine
-# sharing, and the golden API-surface snapshot for the v1 promise.
-test-sharding:
-	PYTHONPATH=src python -m pytest tests/test_sharding.py tests/test_tenancy.py tests/test_api_surface.py -q
 
 # Exact-incremental suites: the streaming delta path (append-only
 # dataset extension, spliced index compile, patched truth vectors,
@@ -102,13 +97,6 @@ bench-serving-smoke:
 	    --config smoke \
 	    --output benchmarks/output/BENCH_serving_smoke.json
 	test -s benchmarks/output/BENCH_serving_smoke.json
-
-# Deterministic 2-shard x 2-tenant soak with a mid-soak shard kill and
-# restore.  The harness exits non-zero if any acked claim is lost, the
-# fault window never rejected a batch, or the merged view diverges from
-# an offline replay — so sharded durability is gated in the test flow.
-bench-sharding-smoke:
-	PYTHONPATH=src python benchmarks/bench_serving.py --mode shard-smoke
 
 # CI-sized run of the exact-delta refit/restore harness.  The harness
 # asserts the delta path is bit-identical to the full-refit baseline at

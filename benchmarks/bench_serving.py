@@ -32,20 +32,6 @@ soak), fault/overload counters and the kill/restart timeline.
 Entry points: standalone (``make bench-serving-smoke`` runs ``--config
 smoke``; ``--config soak`` produced the committed BENCH_serving.json)
 and pytest (collected with the bench suite, runs the smoke config).
-
-The sharded serving path has two further modes:
-
-* ``--mode shard-scaling`` — closed-loop in-process ingest against a
-  :class:`ShardRouter` at 1/2/4 shards over the same corpus and batch
-  stream, asserting merged bit-identity at every shard count *before*
-  reporting, and recording the scaling curve under the
-  ``shard_scaling`` key of BENCH_serving.json (the soak record is
-  preserved).  Per-batch refits cover only the owning shard's slice of
-  the corpus, so throughput scales with shard count even on one core.
-* ``--mode shard-smoke`` — a deterministic 2-shard × 2-tenant soak
-  through :class:`TenantRegistry` with a mid-soak ``crash_shard`` /
-  ``restore_shard`` fault injection, asserting zero acked-claim loss
-  and per-tenant merged bit-identity (``make bench-sharding-smoke``).
 """
 
 from __future__ import annotations
@@ -66,18 +52,13 @@ import time
 from pathlib import Path
 
 from repro.algorithms import create
-from repro.core import TDAC, TDACConfig
-from repro.data import Claim, Dataset
+from repro.core import TDAC
 from repro.datasets.exam import make_exam
 from repro.datasets.flights import make_flights
 from repro.datasets.stocks import make_stocks
 from repro.serving import (
     AsyncTruthClient,
     RetryPolicy,
-    ServiceConfig,
-    ServiceOverloadedError,
-    ShardRouter,
-    TenantRegistry,
     TruthClientError,
     TruthService,
 )
@@ -680,378 +661,21 @@ def run_soak(config_name: str, overrides: dict | None = None) -> dict:
     return record
 
 
-# ----------------------------------------------------------------------
-# Sharded serving: scaling curve + tenant fault-injection smoke
-# ----------------------------------------------------------------------
-
-SHARD_CONFIGS = {
-    # Committed shard_scaling entry in BENCH_serving.json.
-    "scaling": {
-        "stocks_objects": 30,
-        "flights_objects": 30,
-        "exam_attributes": 32,
-        "batches": 24,
-        "batch_size": 4,
-        "shard_counts": (1, 2, 4),
-        "seed": 0,
-        # k_min == k_max pins the partition at 8 blocks: enough units
-        # of placement for 4 shards to each own a real slice.
-        "k_blocks": 8,
-        "n_init": 2,
-    },
-    # Scaled-down variant for pytest / CI.
-    "scaling_smoke": {
-        "stocks_objects": 12,
-        "flights_objects": 12,
-        "exam_attributes": 32,
-        "batches": 12,
-        "batch_size": 3,
-        "shard_counts": (1, 4),
-        "seed": 0,
-        "k_blocks": 8,
-        "n_init": 2,
-    },
-    # 2-shard x 2-tenant soak with a mid-soak shard kill.
-    "shard_smoke": {
-        "stocks_objects": 12,
-        "flights_objects": 12,
-        "exam_attributes": 32,
-        "batches_per_tenant": 10,
-        "batch_size": 3,
-        "n_shards": 2,
-        "seed": 0,
-        "k_blocks": 8,
-        "n_init": 2,
-    },
-}
-
-
-def build_shard_corpus(cfg: dict) -> Dataset:
-    """The scaling corpus: three simulators fused into one wide dataset.
-
-    Prefixed identifier namespaces keep the simulators disjoint at the
-    one-truth level while giving the attribute partition (pinned at
-    ``k_blocks`` blocks) enough independent groups to spread across
-    shards.
-    """
-    corpora = [
-        ("stocks", make_stocks(n_objects=cfg["stocks_objects"],
-                               seed=cfg["seed"]).dataset),
-        ("flights", make_flights(n_objects=cfg["flights_objects"],
-                                 seed=cfg["seed"]).dataset),
-        ("exam", make_exam(n_attributes=cfg["exam_attributes"],
-                           seed=cfg["seed"])),
-    ]
-    claims = []
-    for name, ds in corpora:
-        for c in ds.iter_claims():
-            claims.append(
-                Claim(f"{name}/{c.source}", f"{name}/{c.object}",
-                      f"{name}/{c.attribute}", c.value)
-            )
-    return Dataset((), (), (), {}, name="shard-bench").extended(claims)
-
-
-def _shard_tdac_config(cfg: dict) -> TDACConfig:
-    return TDACConfig(
-        seed=cfg["seed"],
-        k_min=cfg["k_blocks"],
-        k_max=cfg["k_blocks"],
-        n_init=cfg["n_init"],
-    )
-
-
-def _fresh_batches(
-    initial: Dataset, count: int, size: int, tag: str = "new"
-) -> list[list[Claim]]:
-    """Per-attribute batches of fresh objects, cycling the attributes.
-
-    One attribute per batch means one owning shard per batch, so the
-    closed-loop writer measures pure per-shard refit cost.
-    """
-    attrs = list(initial.attributes)
-    srcs = list(initial.sources)
-    return [
-        [
-            Claim(srcs[(b + i) % len(srcs)], f"{tag}-{b}-{i}",
-                  attrs[b % len(attrs)], f"v-{tag}-{b}-{i}")
-            for i in range(size)
-        ]
-        for b in range(count)
-    ]
-
-
-def run_shard_scaling(
-    config_name: str = "scaling", overrides: dict | None = None
-) -> dict:
-    """Closed-loop ingest at each shard count; identity gates the report.
-
-    The merged view is refreshed once after the timed window (the
-    router's lazy-merge default keeps it off the ingest hot path) and
-    compared bit-for-bit against an offline ``TDAC.run`` over the
-    replayed log before any throughput number is recorded.
-    """
-    cfg = dict(SHARD_CONFIGS[config_name])
-    cfg.update(overrides or {})
-    tdac_config = _shard_tdac_config(cfg)
-    initial = build_shard_corpus(cfg)
-    batches = _fresh_batches(initial, cfg["batches"], cfg["batch_size"])
-    total_claims = sum(len(b) for b in batches)
-    runs = []
-    for n_shards in cfg["shard_counts"]:
-        router = ShardRouter(
-            create("MajorityVote"),
-            initial,
-            n_shards=n_shards,
-            config=tdac_config,
-            service_config=ServiceConfig(max_wait_ms=1.0, max_batch_size=8),
-        )
-        router.start()
-        try:
-            if n_shards > 1:
-                # Greedy block placement beats hash homes for a corpus
-                # whose blocks straddle; the hand-off is exact.
-                router.rebalance()
-            started = time.perf_counter()
-            for batch in batches:
-                router.ingest(batch, wait=True)
-            router.drain()
-            elapsed = time.perf_counter() - started
-            merged = router.snapshot()
-            offline = TDAC(create("MajorityVote"), config=tdac_config).run(
-                router.replay_dataset(merged.watermark)
-            )
-            identical = (
-                dict(merged.predictions) == dict(offline.result.predictions)
-                and dict(merged.source_trust)
-                == dict(offline.result.source_trust)
-                and merged.partition == offline.partition
-            )
-            stats = router.stats
-            runs.append(
-                {
-                    "shards": n_shards,
-                    "ingest_seconds": round(elapsed, 3),
-                    "claims_per_second": round(total_claims / elapsed, 3),
-                    "snapshot_bit_identical": identical,
-                    "watermark": merged.watermark,
-                    "skew": round(stats["skew"], 3),
-                    "exceptions": stats["exceptions"],
-                }
-            )
-        finally:
-            router.stop()
-    base = runs[0]["claims_per_second"]
-    for run in runs:
-        run["speedup_vs_1_shard"] = round(run["claims_per_second"] / base, 3)
-    top = runs[-1]
-    failures = []
-    for run in runs:
-        if not run["snapshot_bit_identical"]:
-            failures.append(
-                f"{run['shards']}-shard merged view diverged from offline run"
-            )
-    if top["shards"] >= 4 and top["speedup_vs_1_shard"] < 1.8:
-        failures.append(
-            f"4-shard speedup {top['speedup_vs_1_shard']}x below 1.8x floor"
-        )
-    return {
-        "schema": "tdac-bench-shard-scaling/v1",
-        "config": config_name,
-        "knobs": cfg,
-        "corpus_claims": sum(1 for _ in initial.iter_claims()),
-        "corpus_attributes": len(initial.attributes),
-        "ingested_claims": total_claims,
-        "runs": runs,
-        "ok": not failures,
-        "failures": failures,
-    }
-
-
-def run_shard_smoke(overrides: dict | None = None) -> dict:
-    """2 shards x 2 tenants with a mid-soak shard kill: zero acked loss.
-
-    Both tenants share one engine (same dataset/config key); the writer
-    alternates tenant batches, kills one shard a third of the way in,
-    restores it two thirds in, and retries rejected batches — the
-    at-least-once contract clients are promised.  Afterwards every
-    acked claim must be in the replayed corpus and each tenant's merged
-    view bit-identical to the offline run.
-    """
-    cfg = dict(SHARD_CONFIGS["shard_smoke"])
-    cfg.update(overrides or {})
-    tdac_config = _shard_tdac_config(cfg)
-    initial = build_shard_corpus(cfg)
-    per_tenant = cfg["batches_per_tenant"]
-    schedules = {
-        "alice": _fresh_batches(initial, per_tenant, cfg["batch_size"],
-                                tag="alice"),
-        "bob": _fresh_batches(initial, per_tenant, cfg["batch_size"],
-                              tag="bob"),
-    }
-    acked: dict[str, list[Claim]] = {"alice": [], "bob": []}
-    rejected_ingests = 0
-    store_dir = tempfile.mkdtemp(prefix="bench-sharding-store-")
-    kill_at = per_tenant // 3
-    restore_at = (2 * per_tenant) // 3
-    events: dict = {}
-    try:
-        with TenantRegistry(
-            store_root=store_dir,
-            n_shards=cfg["n_shards"],
-            service_config=ServiceConfig(max_wait_ms=1.0, max_batch_size=8),
-        ) as registry:
-            handles = {
-                name: registry.register(
-                    name, create("MajorityVote"), initial,
-                    config=tdac_config,
-                )
-                for name in ("alice", "bob")
-            }
-            engine = handles["alice"].engine
-            assert engine is handles["bob"].engine
-            victim = engine.shard_of(
-                schedules["alice"][kill_at][0].attribute
-            )
-            pending = {
-                name: list(enumerate(schedule))
-                for name, schedule in schedules.items()
-            }
-            for step in range(per_tenant):
-                if step == kill_at:
-                    engine.crash_shard(victim)
-                    events["killed_shard"] = victim
-                    events["killed_at_step"] = step
-                if step == restore_at:
-                    engine.restore_shard(victim)
-                    events["restored_at_step"] = step
-                for name, handle in handles.items():
-                    still = []
-                    for index, batch in pending[name]:
-                        if index > step:
-                            still.append((index, batch))
-                            continue
-                        try:
-                            handle.ingest(batch, wait=True)
-                        except ServiceOverloadedError:
-                            # Down shard: keep the batch for a retry
-                            # after the restore, like a real client.
-                            rejected_ingests += 1
-                            still.append((index, batch))
-                            continue
-                        acked[name].extend(batch)
-                    pending[name] = still
-            # Post-restore: retry everything that was rejected.
-            for name, handle in handles.items():
-                for _, batch in pending[name]:
-                    handle.ingest(batch, wait=True)
-                    acked[name].extend(batch)
-                pending[name] = []
-            verification = {}
-            failures = []
-            merged = handles["alice"].snapshot()
-            offline = TDAC(
-                create("MajorityVote"), config=tdac_config
-            ).run(handles["alice"].replay_dataset(merged.watermark))
-            identical = dict(merged.predictions) == dict(
-                offline.result.predictions
-            )
-            if not identical:
-                failures.append("merged view diverged from offline run")
-            corpus = {
-                (c.source, c.object, c.attribute): c.value
-                for c in handles["alice"].replay_dataset().iter_claims()
-            }
-            lost = sum(
-                1
-                for batches_acked in acked.values()
-                for claim in batches_acked
-                if corpus.get(
-                    (claim.source, claim.object, claim.attribute)
-                ) != claim.value
-            )
-            if lost:
-                failures.append(f"{lost} acked claims lost")
-            if not rejected_ingests:
-                failures.append(
-                    "shard kill never rejected a batch; fault not exercised"
-                )
-            stats = engine.stats
-            verification = {
-                "snapshot_bit_identical": identical,
-                "acked_claims": sum(len(v) for v in acked.values()),
-                "lost_acked_claims": lost,
-                "rejected_ingests": rejected_ingests,
-                "watermark": merged.watermark,
-                "shard_crashes": stats["shard_crashes"],
-                "shard_restores": stats["shard_restores"],
-                "tenants": {
-                    name: handle.stats["applied_claims"]
-                    for name, handle in handles.items()
-                },
-            }
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-    return {
-        "schema": "tdac-bench-shard-smoke/v1",
-        "knobs": cfg,
-        "events": events,
-        "verification": verification,
-        "ok": not failures,
-        "failures": failures,
-    }
-
-
-def _merge_bench_record(output: Path, key: str, record: dict) -> dict:
-    """Update one top-level section of BENCH_serving.json in place.
-
-    The file's top level is the soak record plus named side sections
-    (``shard_scaling``); each mode owns its section and preserves the
-    others, so re-running one bench never erases another's numbers.
-    """
-    merged: dict = {}
-    if output.exists():
-        with contextlib.suppress(json.JSONDecodeError):
-            merged = json.loads(output.read_text())
-    if key == "soak":
-        preserved = {
-            k: merged[k] for k in ("shard_scaling",) if k in merged
-        }
-        merged = {**record, **preserved}
-    else:
-        merged[key] = record
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    return merged
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--mode",
-        choices=("soak", "shard-scaling", "shard-smoke"),
-        default="soak",
-    )
     parser.add_argument("--config", default=None)
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     parser.add_argument("--clients", type=int, default=None)
     parser.add_argument("--duration", type=float, default=None)
     args = parser.parse_args(argv)
-    if args.mode == "shard-scaling":
-        record = run_shard_scaling(args.config or "scaling")
-        _merge_bench_record(args.output, "shard_scaling", record)
-    elif args.mode == "shard-smoke":
-        # Diagnostic/gate only: smoke numbers don't belong in the
-        # committed bench file.
-        record = run_shard_smoke()
-    else:
-        overrides = {}
-        if args.clients is not None:
-            overrides["clients"] = args.clients
-        if args.duration is not None:
-            overrides["duration"] = args.duration
-        record = run_soak(args.config or "smoke", overrides)
-        _merge_bench_record(args.output, "soak", record)
+    overrides = {}
+    if args.clients is not None:
+        overrides["clients"] = args.clients
+    if args.duration is not None:
+        overrides["duration"] = args.duration
+    record = run_soak(args.config or "smoke", overrides)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
+    args.output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(json.dumps(record, indent=2, sort_keys=True))
     if not record["ok"]:
         print("FAILED: " + "; ".join(record["failures"]), file=sys.stderr)
@@ -1065,28 +689,6 @@ def test_serving_bench_smoke(artifact_dir, benchmark):
 
     record = run_once(benchmark, run_soak, "smoke")
     (artifact_dir / "BENCH_serving_smoke.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
-    )
-    assert record["ok"], record["failures"]
-
-
-def test_shard_scaling_smoke(artifact_dir, benchmark):
-    """Pytest entry: sharded ingest must scale and stay bit-identical."""
-    from conftest import run_once
-
-    record = run_once(benchmark, run_shard_scaling, "scaling_smoke")
-    (artifact_dir / "BENCH_shard_scaling_smoke.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
-    )
-    assert record["ok"], record["failures"]
-
-
-def test_sharding_fault_smoke(artifact_dir, benchmark):
-    """Pytest entry: shard kill mid-soak must lose zero acked claims."""
-    from conftest import run_once
-
-    record = run_once(benchmark, run_shard_smoke)
-    (artifact_dir / "BENCH_shard_smoke.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n"
     )
     assert record["ok"], record["failures"]

@@ -24,8 +24,8 @@ depends on, from scratch:
   for every pipeline stage;
 * :mod:`repro.serving` — the long-lived :class:`TruthService`:
   micro-batched ingests, versioned snapshots, backpressure; plus the
-  sharded multi-tenant layer (:class:`ShardRouter`,
-  :class:`TenantRegistry`) behind the ``tdac-serve/v1`` wire schema;
+  multi-tenant :class:`TenantRegistry` behind the ``tdac-serve/v1``
+  wire schema;
 * :mod:`repro.store` — durable claim WAL, versioned snapshot
   checkpoints and crash recovery for the serving layer.
 
@@ -113,11 +113,9 @@ from repro.scenarios import (
 from repro.observability import SpanTracer
 from repro.serving import (
     AsyncTruthClient,
-    MergedSnapshot,
     SERVE_SCHEMA,
     ServeEnvelope,
     ServiceConfig,
-    ShardRouter,
     TenantRegistry,
     TruthServer,
     TruthService,
@@ -126,7 +124,7 @@ from repro.serving import (
 )
 from repro.store import TruthStore
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 #: The stable public surface: every name here imports from ``repro``
 #: directly and is covered by the API-stability tests.  Additions are
@@ -155,7 +153,6 @@ __all__ = [
     "Investment",
     "MULTI",
     "MajorityVote",
-    "MergedSnapshot",
     "Partition",
     "PartitionCache",
     "PooledInvestment",
@@ -164,7 +161,6 @@ __all__ = [
     "ScenarioConfig",
     "ServeEnvelope",
     "ServiceConfig",
-    "ShardRouter",
     "SimpleLCA",
     "SpanTracer",
     "Sums",

@@ -263,14 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "loudly and the connection dropped (with --listen)",
     )
     serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the claim stream across this many in-process "
-        "service workers (attribute-hash routing with a block exception "
-        "list); snapshots serve the exact merged view",
-    )
-    serve.add_argument(
         "--tenants",
         metavar="NAME[,NAME...]",
         default=None,
@@ -543,7 +535,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             else []
         )
         store = None
-        if args.store_dir is not None and args.shards <= 1 and not tenants:
+        if args.store_dir is not None and not tenants:
             from repro.store import TruthStore
 
             store = TruthStore(args.store_dir)
@@ -567,7 +559,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             registry = TenantRegistry(
                 store_root=args.store_dir,
                 tracer=tracer,
-                n_shards=max(1, args.shards),
                 service_config=service_config,
             )
             for name in tenants:
@@ -579,21 +570,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     quota=args.tenant_quota,
                 )
             service = registry
-        elif args.shards > 1:
-            from repro.serving import ShardRouter
-
-            dataset = load(args.dataset, seed=args.seed, scale=args.scale)
-            service = ShardRouter(
-                create(args.algorithm),
-                dataset,
-                n_shards=args.shards,
-                config=_config_from_args(args),
-                service_config=service_config,
-                partition_cache=PartitionCache(),
-                tracer=tracer,
-                store=args.store_dir,
-            )
-            service.start()
         else:
             dataset = load(args.dataset, seed=args.seed, scale=args.scale)
             service = TruthService(

@@ -27,14 +27,10 @@ provides it:
   envelope every front-end response carries, with
   :class:`ServeEnvelope` / :func:`serve_envelope_from_dict` as the
   typed client-side view;
-* :class:`~repro.serving.sharding.ShardRouter` — N service workers
-  partitioning the attribute space (hash homes + an exception list for
-  straddling blocks), an exact lazily-merged global view
-  (:class:`MergedSnapshot`), skew-triggered rebalancing with exact
-  WAL/checkpoint hand-off, and crash/restore fault injection;
 * :class:`~repro.serving.tenancy.TenantRegistry` — named tenants
-  multiplexed over fingerprint-keyed shared engines with per-tenant
-  admission quotas, counters and WAL namespaces.
+  multiplexed over fingerprint-keyed shared :class:`TruthService`
+  engines with per-tenant admission quotas, counters and WAL
+  namespaces.
 
 Durability is opt-in through :mod:`repro.store`: pass ``store=`` to
 :class:`TruthService` and every admission is WAL-logged before its
@@ -65,7 +61,6 @@ from repro.serving.service import (
     ServiceStoppedError,
     TruthService,
 )
-from repro.serving.sharding import MergedSnapshot, ShardRouter
 from repro.serving.snapshot import TruthSnapshot
 from repro.serving.tenancy import (
     TenantHandle,
@@ -77,7 +72,6 @@ from repro.serving.tenancy import (
 __all__ = [
     "AsyncTruthClient",
     "IngestTicket",
-    "MergedSnapshot",
     "PartitionCache",
     "QueryAnswer",
     "REFIT_MODES",
@@ -87,7 +81,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceOverloadedError",
     "ServiceStoppedError",
-    "ShardRouter",
     "TenantHandle",
     "TenantQuotaError",
     "TenantRegistry",

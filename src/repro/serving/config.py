@@ -67,17 +67,6 @@ class ServiceConfig:
     idle_timeout / write_timeout / write_buffer_bytes / drain_timeout:
         Connection lifecycle bounds (idle close, slow-loris cutoff,
         bounded write buffers, graceful-drain flush window).
-
-    Sharding / tenancy (:class:`~repro.serving.sharding.ShardRouter`):
-
-    merge_every:
-        Applied shard batches between automatic merged-view refreshes
-        (``0`` refreshes only on demand — ``snapshot()`` / ``drain`` /
-        ``stop``).
-    rebalance_threshold:
-        Shard skew ratio (max/mean applied claims) above which
-        :meth:`ShardRouter.maybe_rebalance` re-partitions the attribute
-        space; ``0`` disables automatic rebalancing.
     """
 
     refit: str = "full"
@@ -94,8 +83,6 @@ class ServiceConfig:
     write_timeout: float = 10.0
     write_buffer_bytes: int = 256 * 1024
     drain_timeout: float = 30.0
-    merge_every: int = 0
-    rebalance_threshold: float = 0.0
 
     def __post_init__(self) -> None:
         if self.refit not in REFIT_MODES:
@@ -128,10 +115,6 @@ class ServiceConfig:
                 raise ValueError(f"{name} must be positive")
         if self.write_buffer_bytes < 1:
             raise ValueError("write_buffer_bytes must be positive")
-        if self.merge_every < 0:
-            raise ValueError("merge_every must be >= 0")
-        if self.rebalance_threshold < 0:
-            raise ValueError("rebalance_threshold must be >= 0")
 
     # ------------------------------------------------------------------
 

@@ -80,14 +80,13 @@ def handle_request(service: TruthService, request: dict) -> dict:
             service = resolver(request.get("tenant"))
         except KeyError as exc:
             return envelope_error(str(exc.args[0] if exc.args else exc))
-    # Multi-tenant / sharded wrappers advertise routing context for the
-    # tdac-serve/v1 envelope; a bare TruthService has none.
+    # Tenant handles advertise routing context for the tdac-serve/v1
+    # envelope; a bare TruthService has none.
     context = getattr(service, "wire_context", None) or {}
     tenant = context.get("tenant")
-    shard = context.get("shard")
 
     def _tag(response: dict) -> dict:
-        return envelope_tag(response, tenant=tenant, shard=shard)
+        return envelope_tag(response, tenant=tenant)
 
     if op == "ingest":
         try:
@@ -99,7 +98,6 @@ def handle_request(service: TruthService, request: dict) -> dict:
                 op="ingest",
                 retry_after_seconds=exc.retry_after_seconds,
                 tenant=tenant,
-                shard=shard,
             )
         return _tag(
             {
@@ -132,9 +130,7 @@ def handle_request(service: TruthService, request: dict) -> dict:
         )
     if op == "stats":
         return _tag({"ok": True, "op": "stats", "stats": service.stats})
-    return envelope_error(
-        f"unknown op {op!r}", tenant=tenant, shard=shard
-    )
+    return envelope_error(f"unknown op {op!r}", tenant=tenant)
 
 
 def serve_jsonl(

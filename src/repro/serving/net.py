@@ -268,8 +268,7 @@ class TruthServer:
     ----------
     service:
         A **started** :class:`TruthService` (the server never starts
-        it), or any object with the same duck type — e.g. a started
-        :class:`~repro.serving.sharding.ShardRouter`, or a
+        it), or any object with the same duck type — e.g. a
         :class:`~repro.serving.tenancy.TenantRegistry` whose
         ``resolve_tenant`` the request paths consult to route requests
         carrying a ``tenant`` field.
@@ -524,10 +523,7 @@ class TruthServer:
         context = getattr(
             self.service if target is None else target, "wire_context", None
         ) or {}
-        return {
-            "tenant": context.get("tenant"),
-            "shard": context.get("shard"),
-        }
+        return {"tenant": context.get("tenant")}
 
     @staticmethod
     async def _await_ticket(ticket: IngestTicket):

@@ -8,8 +8,8 @@ envelope::
 
     {"schema": "tdac-serve/v1", "ok": true, "op": "ingest", ...}
 
-with optional routing context (``tenant``, ``shard``) stamped when the
-responding stack knows it.  The change is **additive**: every key a
+with optional routing context (``tenant``) stamped when the responding
+stack knows it.  The change is **additive**: every key a
 pre-1.5 client read (``applied``, ``offset``, ``version``,
 ``watermark``, ``error``, ``retry_after_seconds``, ``stats``,
 ``snapshot``, ``id`` ...) is still present with the same meaning, so
@@ -38,7 +38,6 @@ SERVE_ENVELOPE_KEYS = (
     "error",
     "retry_after_seconds",
     "tenant",
-    "shard",
 )
 
 
@@ -49,8 +48,8 @@ class ServeEnvelope:
     ``ok`` is the only mandatory field.  ``op`` names the operation the
     response answers (absent on transport-level rejections such as a
     malformed frame); ``error`` / ``retry_after_seconds`` carry the
-    failure contract; ``tenant`` / ``shard`` are routing context the
-    multi-tenant sharded stack stamps when it knows it.  ``body`` holds
+    failure contract; ``tenant`` is routing context the multi-tenant
+    stack stamps when it knows it.  ``body`` holds
     every op-specific key (``applied``, ``version``, ``stats``,
     ``snapshot``, the echoed ``id``, ...), untouched.
     """
@@ -60,13 +59,12 @@ class ServeEnvelope:
     error: str | None = None
     retry_after_seconds: float | None = None
     tenant: str | None = None
-    shard: int | None = None
     body: Mapping[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """Flatten back to the wire shape (envelope keys + body keys)."""
         out: dict = {"schema": SERVE_SCHEMA, "ok": self.ok}
-        for key in ("op", "error", "retry_after_seconds", "tenant", "shard"):
+        for key in ("op", "error", "retry_after_seconds", "tenant"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -99,7 +97,6 @@ class ServeEnvelope:
             error=payload.get("error"),
             retry_after_seconds=payload.get("retry_after_seconds"),
             tenant=payload.get("tenant"),
-            shard=payload.get("shard"),
             body=body,
         )
 
@@ -113,7 +110,6 @@ def envelope_tag(
     response: dict,
     *,
     tenant: str | None = None,
-    shard: int | None = None,
 ) -> dict:
     """Stamp the ``tdac-serve/v1`` envelope onto a response dict.
 
@@ -125,8 +121,6 @@ def envelope_tag(
     response.setdefault("schema", SERVE_SCHEMA)
     if tenant is not None:
         response.setdefault("tenant", tenant)
-    if shard is not None:
-        response.setdefault("shard", shard)
     return response
 
 
@@ -136,7 +130,6 @@ def envelope_error(
     op: str | None = None,
     retry_after_seconds: float | None = None,
     tenant: str | None = None,
-    shard: int | None = None,
     **body: Any,
 ) -> dict:
     """Build a rejection response under the v1 envelope.
@@ -153,7 +146,5 @@ def envelope_error(
         out["retry_after_seconds"] = retry_after_seconds
     if tenant is not None:
         out["tenant"] = tenant
-    if shard is not None:
-        out["shard"] = shard
     out.update(body)
     return out

@@ -5,9 +5,9 @@ engines.  The unit of sharing is the **engine key**
 ``(dataset fingerprint, config fingerprint)`` — the same pair that
 content-addresses checkpoints and partition-cache entries — so two
 tenants registered over the same corpus and config get handles onto the
-*same* :class:`~repro.serving.sharding.ShardRouter` (same workers, same
-WAL, same merged view), while tenants with different keys get disjoint
-engines under disjoint store namespaces.
+*same* :class:`~repro.serving.service.TruthService` (same batcher, same
+WAL, same exact snapshots), while tenants with different keys get
+disjoint engines under disjoint store namespaces.
 
 What is shared and what is isolated:
 
@@ -15,16 +15,12 @@ What is shared and what is isolated:
   :class:`~repro.core.cache.PartitionCache` (a sweep certified for one
   tenant warm-starts any other tenant on the same key) and one
   :class:`~repro.observability.SpanTracer`.
-* **Shared within an engine**: the per-shard
-  :class:`~repro.store.snapshots.SnapshotStore` instances, handed to
-  the router through its ``snapshot_store_factory`` hook and memoized
-  here, so every tenant on the key (and every shard restore) sees the
-  same checkpoint pool.  Content addressing keeps entries from distinct
-  keys collision-free by construction.
-* **Isolated per engine**: the WAL namespace.  Each engine's durable
-  state lives under ``<store_root>/tenants/<owner>/`` (the first
+* **Isolated per engine**: the store namespace.  Each engine's WAL and
+  checkpoints live under ``<store_root>/tenants/<owner>/`` (the first
   registered tenant on the key names the namespace), so one tenant's
-  recovery never scans another key's log.
+  recovery never scans another key's log.  Registering the owner again
+  over a non-empty namespace — in a later process, say — resumes it
+  through :meth:`TruthService.restore`.
 * **Isolated per tenant**: admission quotas and counters.  A
   :class:`TenantHandle` enforces a pending-claims quota *before*
   delegating to the shared engine — a noisy tenant exhausts its quota,
@@ -53,8 +49,10 @@ from repro.serving.service import (
     QueryAnswer,
     ServiceOverloadedError,
     ServiceStoppedError,
+    TruthService,
 )
-from repro.serving.sharding import MergedSnapshot, ShardRouter
+from repro.serving.snapshot import TruthSnapshot
+from repro.store import StoreError, TruthStore
 
 
 class UnknownTenantError(KeyError):
@@ -92,7 +90,7 @@ class TenantHandle:
     def __init__(
         self,
         name: str,
-        engine: ShardRouter,
+        engine: TruthService,
         registry: "TenantRegistry",
         quota: int | None,
     ) -> None:
@@ -178,10 +176,13 @@ class TenantHandle:
         self._count("ingest.claims", len(batch))
 
         def settled() -> None:
+            applied = ticket._error is None
             with self._lock:
                 self._pending_claims -= len(batch)
-                self._counters["applied_claims"] += len(batch)
-            self._count("applied.claims", len(batch))
+                if applied:
+                    self._counters["applied_claims"] += len(batch)
+            if applied:
+                self._count("applied.claims", len(batch))
 
         ticket.add_done_callback(settled)
         if wait:
@@ -194,7 +195,7 @@ class TenantHandle:
         self._count("query")
         return self.engine.query(obj, attribute)
 
-    def snapshot(self) -> MergedSnapshot:
+    def snapshot(self) -> TruthSnapshot:
         return self.engine.snapshot()
 
     def replay_dataset(self, watermark: int | None = None) -> Dataset:
@@ -233,16 +234,17 @@ class TenantRegistry:
     ----------
     store_root:
         Optional durability root; engine ``E`` owned by tenant ``t``
-        stores under ``<store_root>/tenants/<t>/``.  ``None`` keeps
-        every engine in memory.
+        stores under ``<store_root>/tenants/<t>/`` and resumes from it
+        when ``t`` registers again over a non-empty namespace.
+        ``None`` keeps every engine in memory.
     partition_cache:
         Shared across all engines (defaults to a fresh cache).
     tracer:
         Shared :class:`SpanTracer`; per-tenant counters land here under
         ``tenant.<name>.*``.
-    n_shards / service_config:
-        Defaults for engines whose :meth:`register` call does not
-        override them.
+    service_config:
+        Default for engines whose :meth:`register` call does not
+        override it.
 
     The registry also duck-types the single-service surface (delegating
     to the default tenant — the first one registered) so ``repro serve``
@@ -257,7 +259,6 @@ class TenantRegistry:
         store_root: str | Path | None = None,
         partition_cache: PartitionCache | None = None,
         tracer: SpanTracer | None = None,
-        n_shards: int = 1,
         service_config: ServiceConfig | None = None,
     ) -> None:
         self.store_root = None if store_root is None else Path(store_root)
@@ -265,15 +266,13 @@ class TenantRegistry:
             partition_cache if partition_cache is not None else PartitionCache()
         )
         self.tracer = tracer
-        self.default_n_shards = n_shards
         self.default_service_config = (
             service_config if service_config is not None else ServiceConfig()
         )
         self._lock = threading.Lock()
         self._tenants: dict[str, TenantHandle] = {}
-        self._engines: dict[tuple[str, str], ShardRouter] = {}
+        self._engines: dict[tuple[str, str], TruthService] = {}
         self._engine_owner: dict[tuple[str, str], str] = {}
-        self._snapshot_pools: dict[tuple, object] = {}
         self._default: str | None = None
         self._closed = False
 
@@ -287,17 +286,18 @@ class TenantRegistry:
         *,
         config: TDACConfig | None = None,
         service_config: ServiceConfig | None = None,
-        n_shards: int | None = None,
         quota: int | None = None,
     ) -> TenantHandle:
         """Admit a tenant; reuse the engine when its key already runs.
 
         The engine key is ``(dataset.fingerprint, config.fingerprint())``
         — registering a second tenant over an already-served corpus and
-        config returns a fresh handle onto the *same* running router
+        config returns a fresh handle onto the *same* running service
         (its claims and the first tenant's interleave into one exact
-        merged view).  A genuinely new key builds and starts a new
-        engine under the registering tenant's store namespace.
+        view).  A genuinely new key starts a new engine under the
+        registering tenant's store namespace, or resumes that namespace
+        when it already holds durable state; a namespace checkpointed
+        under another config raises :class:`~repro.store.StoreError`.
         """
         config = config if config is not None else TDACConfig()
         key = (dataset.fingerprint, config.fingerprint())
@@ -308,24 +308,15 @@ class TenantRegistry:
                 raise ValueError(f"tenant {name!r} is already registered")
             engine = self._engines.get(key)
         if engine is None:
-            engine = ShardRouter(
+            engine = self._open_engine(
+                name,
                 base,
                 dataset,
-                n_shards=(
-                    n_shards if n_shards is not None else self.default_n_shards
-                ),
-                config=config,
-                service_config=(
-                    service_config
-                    if service_config is not None
-                    else self.default_service_config
-                ),
-                partition_cache=self.partition_cache,
-                tracer=self.tracer,
-                store=self._engine_store_root(name),
-                snapshot_store_factory=self._snapshot_factory(key, name),
+                config,
+                service_config
+                if service_config is not None
+                else self.default_service_config,
             )
-            engine.start()
             with self._lock:
                 self._engines[key] = engine
                 self._engine_owner[key] = name
@@ -338,38 +329,40 @@ class TenantRegistry:
             self.tracer.count("tenant.registered")
         return handle
 
-    def _engine_store_root(self, owner: str) -> Path | None:
-        if self.store_root is None:
-            return None
-        return self.store_root / "tenants" / owner
-
-    def _snapshot_factory(self, key: tuple[str, str], owner: str):
-        """Shared-per-engine SnapshotStore instances for the router hook.
-
-        Memoized by (engine key, epoch, shard): a shard restore — or a
-        second tenant on the key — receives the *same* store object, so
-        all checkpoints of one engine slot live in one pool.
-        """
-        if self.store_root is None:
-            return None
-        from repro.store.snapshots import SnapshotStore
-
-        root = self._engine_store_root(owner)
-
-        def factory(epoch: int, shard: int) -> SnapshotStore:
-            pool_key = (key, epoch, shard)
-            with self._lock:
-                store = self._snapshot_pools.get(pool_key)
-                if store is None:
-                    store = SnapshotStore(
-                        root
-                        / "snapshots"
-                        / f"epoch-{epoch:03d}-shard-{shard:02d}"
-                    )
-                    self._snapshot_pools[pool_key] = store
-            return store
-
-        return factory
+    def _open_engine(
+        self,
+        owner: str,
+        base,
+        dataset: Dataset,
+        config: TDACConfig,
+        service_config: ServiceConfig,
+    ) -> TruthService:
+        """Start the key's engine, or resume ``owner``'s non-empty namespace."""
+        options = dict(
+            config=config,
+            service_config=service_config,
+            partition_cache=self.partition_cache,
+            tracer=self.tracer,
+        )
+        store = None
+        if self.store_root is not None:
+            store = TruthStore(self.store_root / "tenants" / owner)
+        if store is None or store.is_empty():
+            engine = TruthService(base, dataset, store=store, **options)
+            engine.start()
+            return engine
+        latest = store.snapshots.latest_valid()
+        if latest is not None:
+            serving = latest[0]["result"].get("serving", {})
+            recorded = serving.get("config_fingerprint")
+            if recorded != config.fingerprint():
+                store.close()
+                raise StoreError(
+                    f"tenant namespace {store.root} was checkpointed under "
+                    f"config {recorded}, not {config.fingerprint()}; "
+                    "refusing to serve another key's state"
+                )
+        return TruthService.restore(store, base, **options)
 
     # -- lookup ----------------------------------------------------------
 
@@ -398,7 +391,7 @@ class TenantRegistry:
             return tuple(sorted(self._tenants))
 
     @property
-    def engines(self) -> Mapping[tuple[str, str], ShardRouter]:
+    def engines(self) -> Mapping[tuple[str, str], TruthService]:
         with self._lock:
             return dict(self._engines)
 

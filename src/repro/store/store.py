@@ -115,7 +115,6 @@ class TruthStore:
         segment_max_records: int = 1024,
         segment_max_bytes: int = 1 << 20,
         sync: str = "commit",
-        snapshots: SnapshotStore | str | Path | None = None,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -125,16 +124,7 @@ class TruthStore:
             segment_max_bytes=segment_max_bytes,
             sync=sync,
         )
-        # The snapshot store is injectable so a multi-tenant registry
-        # can point many WAL namespaces (one per tenant/shard) at one
-        # shared, content-addressed checkpoint pool; default stays the
-        # private per-store directory.
-        if snapshots is None:
-            self.snapshots = SnapshotStore(self.root / "snapshots")
-        elif isinstance(snapshots, SnapshotStore):
-            self.snapshots = snapshots
-        else:
-            self.snapshots = SnapshotStore(snapshots)
+        self.snapshots = SnapshotStore(self.root / "snapshots")
         #: admission offset -> (admit record lsn, claim count) for every
         #: admitted batch with no commit/abort record yet; its minimum
         #: lsn is the compaction frontier.

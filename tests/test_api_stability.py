@@ -20,7 +20,6 @@ import repro
 from repro import (
     IncrementalTDAC,
     MajorityVote,
-    ShardRouter,
     TDAC,
     TDACConfig,
     TruthServer,
@@ -71,7 +70,7 @@ class TestPublicSurface:
         from repro import TruthService, TruthSnapshot  # noqa: F401
 
     def test_version_matches_package_metadata(self):
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "1.8.0"
 
     def test_store_symbols_are_top_level(self):
         from repro import TruthStore, store  # noqa: F401
@@ -143,10 +142,6 @@ class TestRemovedSpellings:
             pytest.param(
                 lambda ds: TruthServer(object(), max_line_bytes=4096),
                 id="TruthServer",
-            ),
-            pytest.param(
-                lambda ds: ShardRouter(MajorityVote(), ds, max_wait_ms=2.5),
-                id="ShardRouter",
             ),
             pytest.param(
                 lambda ds: serve_network(

@@ -27,7 +27,6 @@ from repro.serving import (
     AsyncTruthClient,
     ServeEnvelope,
     ServiceConfig,
-    ShardRouter,
     TenantRegistry,
     TruthServer,
     TruthService,
@@ -43,7 +42,6 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "api_surface.json"
 PUBLIC_CONSTRUCTORS = {
     "AsyncTruthClient": AsyncTruthClient,
     "ServiceConfig": ServiceConfig,
-    "ShardRouter": ShardRouter,
     "TenantRegistry": TenantRegistry,
     "TruthServer": TruthServer,
     "TruthService": TruthService,

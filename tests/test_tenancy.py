@@ -2,18 +2,20 @@
 
 Multi-tenancy multiplexes named tenants over shared engines keyed by
 (dataset fingerprint, config fingerprint).  The contract: same-key
-tenants share one running :class:`ShardRouter` (their claims interleave
-into one exact merged view), distinct keys get isolated engines and
-durable namespaces, per-tenant quotas bound admission independently,
-and the front-ends dispatch on a request's ``tenant`` field.
+tenants share one running :class:`TruthService` (their claims interleave
+into one exact view), distinct keys get isolated engines and durable
+namespaces that resume across registries, per-tenant quotas bound
+admission independently, and the front-ends dispatch on a request's
+``tenant`` field.
 """
 
 import json
+import time
 
 import pytest
 
 from repro import TDAC, MajorityVote, SpanTracer, TDACConfig
-from repro.data import Claim
+from repro.data import Claim, DataError
 from repro.datasets import make_synthetic
 from repro.serving import (
     ServiceConfig,
@@ -21,9 +23,12 @@ from repro.serving import (
     TenantHandle,
     TenantQuotaError,
     TenantRegistry,
+    TruthService,
+    TruthSnapshot,
     UnknownTenantError,
     handle_request,
 )
+from repro.store import StoreError
 
 CONFIG = TDACConfig(seed=13)
 FAST = ServiceConfig(max_wait_ms=1.0)
@@ -48,6 +53,25 @@ def fresh_claims(dataset, tag, n):
     ]
 
 
+def settle(handle, timeout=10.0):
+    """Wait until every admitted batch's done callback has run."""
+    deadline = time.monotonic() + timeout
+    while handle.stats["pending_claims"]:
+        assert time.monotonic() < deadline, "tenant never settled"
+        time.sleep(0.005)
+
+
+def assert_matches_offline(handle):
+    snapshot = handle.snapshot()
+    offline = TDAC(MajorityVote(), config=CONFIG).run(
+        handle.replay_dataset(snapshot.watermark)
+    )
+    assert dict(snapshot.predictions) == dict(offline.result.predictions)
+    assert dict(snapshot.source_trust) == dict(offline.result.source_trust)
+    assert snapshot.partition == offline.partition
+    return snapshot
+
+
 class TestEngineSharing:
     def test_same_key_tenants_share_one_engine(self, dataset):
         with TenantRegistry(service_config=FAST) as registry:
@@ -56,6 +80,7 @@ class TestEngineSharing:
             bob = registry.register("bob", MajorityVote(), dataset,
                                     config=CONFIG)
             assert isinstance(alice, TenantHandle)
+            assert isinstance(alice.engine, TruthService)
             assert alice.engine is bob.engine
             assert len(registry.engines) == 1
             assert registry.tenants == ("alice", "bob")
@@ -85,7 +110,7 @@ class TestEngineSharing:
                                   config=CONFIG)
 
     def test_interleaved_tenants_share_one_exact_merged_view(self, dataset):
-        with TenantRegistry(service_config=FAST, n_shards=2) as registry:
+        with TenantRegistry(service_config=FAST) as registry:
             alice = registry.register("alice", MajorityVote(), dataset,
                                       config=CONFIG)
             bob = registry.register("bob", MajorityVote(), dataset,
@@ -93,14 +118,9 @@ class TestEngineSharing:
             alice.ingest(fresh_claims(dataset, "a", 2), wait=True)
             bob.ingest(fresh_claims(dataset, "b", 2), wait=True)
             alice.ingest(fresh_claims(dataset, "a2", 1), wait=True)
-            merged = alice.snapshot()
+            merged = assert_matches_offline(alice)
+            assert isinstance(merged, TruthSnapshot)
             assert merged.watermark == 5
-            offline = TDAC(MajorityVote(), config=CONFIG).run(
-                alice.replay_dataset(merged.watermark)
-            )
-            assert dict(merged.predictions) == dict(
-                offline.result.predictions
-            )
             # Both handles see the same engine-level view.
             assert bob.snapshot().version == merged.version
 
@@ -139,8 +159,31 @@ class TestQuotas:
                                       config=CONFIG, quota=2)
             for j in range(3):  # sequential batches never breach
                 alice.ingest(fresh_claims(dataset, f"s{j}", 2), wait=True)
+            settle(alice)
             assert alice.stats["applied_claims"] == 6
-            assert alice.stats["pending_claims"] == 0
+
+    def test_rejected_batch_is_not_counted_as_applied(self, dataset):
+        with TenantRegistry(service_config=FAST) as registry:
+            alice = registry.register("alice", MajorityVote(), dataset,
+                                      config=CONFIG, quota=4)
+            claim = fresh_claims(dataset, "x", 1)[0]
+            # The same source asserting two values for one fact breaks
+            # the one-truth rule, so the refit rejects the whole batch.
+            conflict = [
+                claim,
+                Claim(claim.source, claim.object, claim.attribute, "other"),
+            ]
+            with pytest.raises(DataError):
+                alice.ingest(conflict, wait=True)
+            settle(alice)
+            stats = alice.stats
+            assert stats["ingested_claims"] == 2
+            assert stats["applied_claims"] == 0
+            assert stats["engine"]["applied_claims"] == 0
+            # The rejected claims no longer hold the tenant's quota.
+            alice.ingest(fresh_claims(dataset, "ok", 4), wait=True)
+            settle(alice)
+            assert alice.stats["applied_claims"] == 4
 
 
 class TestResolution:
@@ -225,46 +268,44 @@ class TestDurableNamespaces:
             assert (tmp_path / "tenants" / "alice").is_dir()
             assert (tmp_path / "tenants" / "dave").is_dir()
 
-    def test_snapshot_pool_shares_instances_per_engine_slot(
-        self, dataset, tmp_path
-    ):
+    def test_namespace_resumes_in_a_new_registry(self, dataset,
+                                                 tmp_path):
+        registry = TenantRegistry(store_root=tmp_path, service_config=FAST)
+        alice = registry.register("alice", MajorityVote(), dataset,
+                                  config=CONFIG)
+        acked = fresh_claims(dataset, "c", 2) + fresh_claims(dataset, "d", 1)
+        alice.ingest(acked[:2], wait=True)
+        alice.ingest(acked[2:], wait=True)
+        # No final checkpoint: the namespace looks as it would after a
+        # crash, so the restart must replay the WAL tail.
+        registry.stop(checkpoint=False)
+
+        with TenantRegistry(
+            store_root=tmp_path, service_config=FAST
+        ) as reopened:
+            alice = reopened.register("alice", MajorityVote(), dataset,
+                                      config=CONFIG)
+            replayed = set(alice.replay_dataset().iter_claims())
+            assert set(acked) <= replayed
+            snapshot = assert_matches_offline(alice)
+            assert snapshot.watermark == 3
+            post = fresh_claims(dataset, "post", 1)
+            alice.ingest(post, wait=True)
+            assert assert_matches_offline(alice).watermark == 4
+
+    def test_namespace_of_another_config_is_refused(self, dataset,
+                                                    tmp_path):
         with TenantRegistry(
             store_root=tmp_path, service_config=FAST
         ) as registry:
-            alice = registry.register("alice", MajorityVote(), dataset,
-                                      config=CONFIG)
-            key = (dataset.fingerprint, CONFIG.fingerprint())
-            factory = registry._snapshot_factory(key, "alice")
-            assert factory(0, 0) is factory(0, 0)  # memoized instance
-            assert factory(0, 0) is not factory(0, 1)  # per-shard dirs
-            # The engine's checkpoints land inside the owner namespace.
-            assert (
-                tmp_path / "tenants" / "alice" / "snapshots"
-            ).is_dir()
-            alice.ingest(fresh_claims(dataset, "s", 1), wait=True)
-
-    def test_crash_restore_inside_registry(self, dataset, tmp_path):
+            registry.register("alice", MajorityVote(), dataset,
+                              config=CONFIG)
         with TenantRegistry(
-            store_root=tmp_path, service_config=FAST, n_shards=2
-        ) as registry:
-            alice = registry.register("alice", MajorityVote(), dataset,
-                                      config=CONFIG)
-            batch = fresh_claims(dataset, "c", 2)
-            alice.ingest(batch, wait=True)
-            engine = alice.engine
-            victim = engine.shard_of(batch[0].attribute)
-            engine.crash_shard(victim)
-            engine.restore_shard(victim)
-            post = fresh_claims(dataset, "post", 1)
-            alice.ingest(post, wait=True)
-            merged = alice.snapshot()
-            assert merged.watermark == 3
-            offline = TDAC(MajorityVote(), config=CONFIG).run(
-                alice.replay_dataset(merged.watermark)
-            )
-            assert dict(merged.predictions) == dict(
-                offline.result.predictions
-            )
+            store_root=tmp_path, service_config=FAST
+        ) as reopened:
+            with pytest.raises(StoreError, match="checkpointed under config"):
+                reopened.register("alice", MajorityVote(), dataset,
+                                  config=TDACConfig(seed=99))
 
 
 class TestLifecycle:
