@@ -1,9 +1,9 @@
-.PHONY: install lint test test-fast test-faults test-serving test-incremental test-store test-net test-scenarios bench bench-smoke bench-base bench-serving-smoke bench-incremental-smoke bench-scenarios-smoke report examples clean
+.PHONY: install lint test test-fast test-serving test-incremental test-store test-net test-scenarios bench bench-base bench-serving-smoke bench-incremental-smoke bench-scenarios-smoke report examples clean
 
 install:
 	pip install -e . --no-build-isolation
 
-test: lint bench-smoke bench-base test-faults test-serving test-incremental test-store test-net test-scenarios bench-serving-smoke bench-incremental-smoke bench-scenarios-smoke
+test: lint bench-base test-serving test-incremental test-store test-net test-scenarios bench-serving-smoke bench-incremental-smoke bench-scenarios-smoke
 	pytest tests/
 
 # Static checks: ruff when the container ships it, plus a bytecode
@@ -16,12 +16,6 @@ lint:
 	    echo "ruff not installed; skipping ruff check"; \
 	fi
 	python -m compileall -q src tests/oracles
-
-# Fast fault-injection smoke: crash / stall / kill the Nth worker task
-# and assert recovery (retry + sequential fallback) stays bit-identical
-# to a clean sequential run.
-test-faults:
-	PYTHONPATH=src python -m pytest tests/test_execution_faults.py -q -m "not slow"
 
 # Serving, tenancy and API-stability suites (including the golden
 # API-surface snapshot for the v1 promise) plus a live `repro serve
@@ -62,16 +56,6 @@ test-fast:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-# Smallest-config run of the partition-selection perf harness; fails if
-# the JSON artefact cannot be produced, so perf regressions that break
-# the harness are caught in the ordinary test flow.
-bench-smoke:
-	mkdir -p benchmarks/output
-	PYTHONPATH=src python benchmarks/bench_partition_select.py \
-	    --config smoke --repeat 1 \
-	    --output benchmarks/output/BENCH_partition_select_smoke.json
-	test -s benchmarks/output/BENCH_partition_select_smoke.json
 
 # Reduced-scale run of the claim-index engine harness.  The harness
 # itself asserts the vectorized kernels match the loop oracles of
@@ -128,8 +112,7 @@ examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f; echo; done
 
 clean:
-	rm -rf benchmarks/output/BENCH_partition_select_smoke.json \
-	    benchmarks/output/BENCH_base_algorithms_smoke.json \
+	rm -rf benchmarks/output/BENCH_base_algorithms_smoke.json \
 	    benchmarks/output/BENCH_serving_smoke.json \
 	    benchmarks/output/BENCH_incremental_smoke.json \
 	    benchmarks/output/BENCH_scenarios_smoke.json \

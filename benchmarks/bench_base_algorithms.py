@@ -51,8 +51,7 @@ from tests.oracles import reference_kernels
 CONFIGS = {
     # Fast enough for `make bench-base` / CI.
     "smoke": {"dataset": "DS2", "scale": 0.05},
-    # Matches the committed BENCH_partition_select.json scale, so the
-    # two artefacts describe the same workload.
+    # The scale of the committed BENCH_base_algorithms.json.
     "full": {"dataset": "DS2", "scale": 0.4},
 }
 

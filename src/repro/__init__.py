@@ -103,7 +103,6 @@ from repro.data import (
     DatasetBuilder,
     Fact,
 )
-from repro.execution import ExecutionPolicy
 from repro.scenarios import (
     ScenarioConfig,
     apply_scenario,
@@ -124,7 +123,7 @@ from repro.serving import (
 )
 from repro.store import TruthStore
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 #: The stable public surface: every name here imports from ``repro``
 #: directly and is covered by the API-stability tests.  Additions are
@@ -147,7 +146,6 @@ __all__ = [
     "Dataset",
     "DatasetBuilder",
     "Depen",
-    "ExecutionPolicy",
     "Fact",
     "IncrementalTDAC",
     "Investment",

@@ -397,8 +397,7 @@ class _AccuBase(TruthDiscoveryAlgorithm):
 
     def _solve(self, index: DatasetIndex) -> EngineState:
         # A fresh detector per call: `prepare` caches dataset-specific
-        # matrices, and one algorithm instance may solve several blocks
-        # concurrently under TDAC(n_jobs > 1).
+        # matrices, and one algorithm instance solves every block.
         detector = CopyDetector(
             alpha=self.detector.alpha,
             copy_rate=self.detector.copy_rate,
@@ -409,14 +408,14 @@ class _AccuBase(TruthDiscoveryAlgorithm):
         similarity = (
             SlotSimilarity.shared(index) if self.similarity_weight > 0 else None
         )
-        accuracy = np.full(index.n_sources, self.initial_accuracy, dtype=index.dtype)
+        accuracy = np.full(index.n_sources, self.initial_accuracy, dtype=float)
         n = detector._false_domain_size()
 
         # Bootstrap the working truth with a plain majority vote.
         winners = index.winning_slots(index.votes_per_slot)
         confidence = index.normalize_per_fact(index.votes_per_slot)
         no_dependence = np.zeros(
-            (index.n_sources, index.n_sources), dtype=index.dtype
+            (index.n_sources, index.n_sources), dtype=float
         )
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):

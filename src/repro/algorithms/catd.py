@@ -57,9 +57,9 @@ class CATD(TruthDiscoveryAlgorithm):
         # one degree of freedom per observation — the numerator of the
         # CATD weight.  Constant across iterations.
         interval = stats.chi2.ppf(self.significance / 2.0, df=counts)
-        interval = np.maximum(interval, _LOSS_FLOOR).astype(index.dtype)
+        interval = np.maximum(interval, _LOSS_FLOOR)
 
-        weights = np.ones(index.n_sources, dtype=index.dtype)
+        weights = np.ones(index.n_sources, dtype=float)
         votes = index.votes_per_slot
         winners = index.winning_slots(votes)
         iterations = 0
@@ -68,7 +68,7 @@ class CATD(TruthDiscoveryAlgorithm):
             winners = index.winning_slots(votes)
             claim_wrong = (
                 winners[index.claim_fact] != index.claim_slot
-            ).astype(index.dtype)
+            ).astype(float)
             losses = index.sum_per_source(claim_wrong)
             losses = np.maximum(losses, _LOSS_FLOOR)
             new_weights = interval / losses

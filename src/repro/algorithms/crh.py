@@ -48,7 +48,7 @@ class CRH(TruthDiscoveryAlgorithm):
         self.max_iterations = max_iterations
 
     def _solve(self, index: DatasetIndex) -> EngineState:
-        weights = np.ones(index.n_sources, dtype=index.dtype)
+        weights = np.ones(index.n_sources, dtype=float)
         votes = index.votes_per_slot
         winners = index.winning_slots(votes)
         iterations = 0
@@ -60,7 +60,7 @@ class CRH(TruthDiscoveryAlgorithm):
             # with the current truths.
             claim_wrong = (
                 winners[index.claim_fact] != index.claim_slot
-            ).astype(index.dtype)
+            ).astype(float)
             losses = index.sum_per_source(claim_wrong)
             counts = np.maximum(index.claims_per_source, 1.0)
             losses = np.maximum(losses / counts, _LOSS_FLOOR)

@@ -56,8 +56,8 @@ class TwoEstimates(TruthDiscoveryAlgorithm):
         self.max_iterations = max_iterations
 
     def _solve(self, index: DatasetIndex) -> EngineState:
-        trust = np.full(index.n_sources, 0.8, dtype=index.dtype)
-        belief = np.zeros(index.n_slots, dtype=index.dtype)
+        trust = np.full(index.n_sources, 0.8, dtype=float)
+        belief = np.zeros(index.n_slots, dtype=float)
         # Number of sources covering every fact (voters on each slot).
         fact_voters = index.claims_per_fact
         iterations = 0
@@ -105,9 +105,9 @@ class ThreeEstimates(TwoEstimates):
     name = "3-Estimates"
 
     def _solve(self, index: DatasetIndex) -> EngineState:
-        error = np.full(index.n_sources, 0.2, dtype=index.dtype)
-        difficulty = np.full(index.n_slots, 0.5, dtype=index.dtype)
-        belief = np.full(index.n_slots, 0.5, dtype=index.dtype)
+        error = np.full(index.n_sources, 0.2, dtype=float)
+        difficulty = np.full(index.n_slots, 0.5, dtype=float)
+        belief = np.full(index.n_slots, 0.5, dtype=float)
         fact_voters = index.claims_per_fact
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):

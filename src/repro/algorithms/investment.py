@@ -38,8 +38,8 @@ class Investment(TruthDiscoveryAlgorithm):
 
     def _solve(self, index: DatasetIndex) -> EngineState:
         counts = np.maximum(index.claims_per_source, 1.0)
-        trust = np.ones(index.n_sources, dtype=index.dtype)
-        belief = np.zeros(index.n_slots, dtype=index.dtype)
+        trust = np.ones(index.n_sources, dtype=float)
+        belief = np.zeros(index.n_slots, dtype=float)
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
             per_claim = trust / counts

@@ -54,7 +54,7 @@ class SimpleLCA(TruthDiscoveryAlgorithm):
         self.max_iterations = max_iterations
 
     def _solve(self, index: DatasetIndex) -> EngineState:
-        honesty = np.full(index.n_sources, self.initial_honesty, dtype=index.dtype)
+        honesty = np.full(index.n_sources, self.initial_honesty, dtype=float)
         # Number of candidate values of every fact, >= 1.
         m = np.maximum(index.slots_per_fact, 1.0)
         wrong_denominator = np.maximum(m - 1.0, 1.0)[index.claim_fact]

@@ -25,7 +25,7 @@ class MajorityVote(TruthDiscoveryAlgorithm):
         votes = index.votes_per_slot
         confidence = index.normalize_per_fact(votes)
         winners = index.winning_slots(votes)
-        winner_mask = np.zeros(index.n_slots, dtype=index.dtype)
+        winner_mask = np.zeros(index.n_slots, dtype=float)
         winner_mask[winners] = 1.0
         trust = index.source_mean_of_slots(winner_mask)
         return EngineState(

@@ -195,13 +195,9 @@ class SlotSimilarity:
         matmul — bit-identical to the per-fact products of an every-fact
         loop (kept as a test oracle in ``tests/oracles/``), since batched
         ``np.matmul`` computes each matrix-vector product exactly as the
-        standalone ``m @ v`` does (including the float64 upcast of
-        float32 scores).
+        standalone ``m @ v`` does.
         """
-        # float32 inputs stay in float32; everything else matches the
-        # every-fact loop's float64 working dtype.
-        work = np.float32 if slot_score.dtype == np.float32 else np.float64
-        adjusted = slot_score.astype(work, copy=True)
+        adjusted = slot_score.astype(np.float64, copy=True)
         for gather, matrices in self._active_groups():
             blocks = slot_score[gather]
             # (weight * M) @ b, not weight * (M @ b): the every-fact

@@ -35,8 +35,8 @@ class Sums(TruthDiscoveryAlgorithm):
         self.max_iterations = max_iterations
 
     def _solve(self, index: DatasetIndex) -> EngineState:
-        trust = np.ones(index.n_sources, dtype=index.dtype)
-        belief = np.zeros(index.n_slots, dtype=index.dtype)
+        trust = np.ones(index.n_sources, dtype=float)
+        belief = np.zeros(index.n_slots, dtype=float)
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
             belief = index.slot_scores(trust)
@@ -75,8 +75,8 @@ class AverageLog(TruthDiscoveryAlgorithm):
         # Sources with a single claim would get log(1) = 0 trust forever;
         # give them the minimal positive weight instead.
         log_weight = np.where(counts > 0, np.maximum(log_weight, np.log(2.0) / 2), 0.0)
-        trust = np.ones(index.n_sources, dtype=index.dtype)
-        belief = np.zeros(index.n_slots, dtype=index.dtype)
+        trust = np.ones(index.n_sources, dtype=float)
+        belief = np.zeros(index.n_slots, dtype=float)
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
             belief = index.slot_scores(trust)

@@ -71,9 +71,9 @@ class TruthFinder(TruthDiscoveryAlgorithm):
 
     def _solve(self, index: DatasetIndex) -> EngineState:
         similarity = SlotSimilarity.shared(index) if self.influence > 0 else None
-        trust = np.full(index.n_sources, self.initial_trust, dtype=index.dtype)
-        confidence = np.zeros(index.n_slots, dtype=index.dtype)
-        sigma = np.zeros(index.n_slots, dtype=index.dtype)
+        trust = np.full(index.n_sources, self.initial_trust, dtype=float)
+        confidence = np.zeros(index.n_slots, dtype=float)
+        sigma = np.zeros(index.n_slots, dtype=float)
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
             tau = -np.log(np.clip(1.0 - trust, _TRUST_EPSILON, None))

@@ -123,9 +123,6 @@ class AccuGenPartition:
     include_trivial:
         Whether the one-block and all-singleton partitions participate
         (they do in the original exploration).
-    n_jobs:
-        Thread-level parallelism for the per-block runs of each
-        candidate.
     """
 
     def __init__(
@@ -133,7 +130,6 @@ class AccuGenPartition:
         base: TruthDiscoveryAlgorithm,
         weighting: str = "avg",
         include_trivial: bool = True,
-        n_jobs: int = 1,
     ) -> None:
         key = weighting.lower()
         if key not in WEIGHTING_FUNCTIONS:
@@ -142,7 +138,6 @@ class AccuGenPartition:
         self.base = base
         self.weighting = key
         self.include_trivial = include_trivial
-        self.n_jobs = n_jobs
 
     @property
     def name(self) -> str:
@@ -162,9 +157,7 @@ class AccuGenPartition:
                 len(dataset.attributes),
             ):
                 continue
-            block_results = run_blocks(
-                self.base, dataset, partition, n_jobs=self.n_jobs
-            )
+            block_results = run_blocks(self.base, dataset, partition)
             score = weight_fn(dataset, partition, block_results)
             explored += 1
             if score > best_score:

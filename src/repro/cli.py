@@ -11,7 +11,7 @@ Examples
     python -m repro run Accu DS1 --scale 0.05
     python -m repro run TDAC+Accu DS1 --scale 0.05 --trace trace.json
     python -m repro run TDAC+Accu DS1 --scale 0.05 --json
-    python -m repro leaderboard DS1 --scale 0.05 --n-jobs 4
+    python -m repro leaderboard DS1 --scale 0.05
     python -m repro serve --smoke
     echo '{"op": "stats"}' | python -m repro serve MajorityVote DS1 --scale 0.05
     python -m repro serve MajorityVote DS1 --store-dir /tmp/truth-store
@@ -25,9 +25,8 @@ Every table subcommand prints a paper-style ASCII table to stdout;
 ``run --json`` emits the versioned ``tdac-result/v1`` schema and
 ``serve`` speaks JSON lines on stdin/stdout.
 
-The execution knobs shared by ``run``, ``leaderboard`` and ``serve``
-(``--n-jobs``, ``--backend``, ``--trace``, ``--task-retries``,
-``--task-timeout``) live on one parent parser, so the subcommands
+The ``--trace`` flag shared by ``run``, ``leaderboard``, ``serve`` and
+``scenarios sweep`` lives on one parent parser, so the subcommands
 cannot drift apart.
 """
 
@@ -54,62 +53,24 @@ from repro.evaluation import (
 )
 
 
-def _execution_parent() -> argparse.ArgumentParser:
-    """The shared execution/observability flags of run/leaderboard/serve."""
+def _trace_parent() -> argparse.ArgumentParser:
+    """The shared observability flag of run/leaderboard/serve/sweep."""
     parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("execution")
-    group.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        help="workers for TD-AC's k-sweep and per-block passes",
-    )
-    group.add_argument(
-        "--backend",
-        choices=["threads", "processes"],
-        default="threads",
-        help="executor kind behind --n-jobs",
-    )
-    group.add_argument(
+    parent.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
         help="write a per-stage span report (JSON) of the run to PATH",
     )
-    group.add_argument(
-        "--task-retries",
-        type=int,
-        default=1,
-        help="retries per failed worker task before sequential fallback",
-    )
-    group.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="per-task timeout in seconds; a timeout counts as a task "
-        "failure",
-    )
     return parent
 
 
 def _config_from_args(args: argparse.Namespace) -> TDACConfig:
-    """Fold the shared execution flags (+ seed/sparse) into a TDACConfig."""
-    from repro.execution import ExecutionPolicy
-
-    sparse_mode = {"auto": "auto", "always": True, "never": False}[
-        getattr(args, "sparse", "auto")
-    ]
+    """Fold the parsed seed (and any sweep bounds) into a TDACConfig."""
     return TDACConfig(
         seed=getattr(args, "seed", 0),
         k_max=getattr(args, "k_max", None),
         n_init=getattr(args, "n_init", 10),
-        n_jobs=args.n_jobs,
-        backend=args.backend,
-        sparse=sparse_mode,
-        execution_policy=ExecutionPolicy(
-            max_retries=args.task_retries,
-            timeout_seconds=args.task_timeout,
-        ),
     )
 
 
@@ -119,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="TD-AC reproduction: regenerate the paper's tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    execution = _execution_parent()
+    traced = _trace_parent()
 
     table4 = sub.add_parser("table4", help="Tables 4a-4c (synthetic)")
     table4.add_argument("dataset", choices=["DS1", "DS2", "DS3"])
@@ -146,19 +107,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        parents=[execution],
+        parents=[traced],
         help="run one algorithm on one dataset",
     )
     run.add_argument("algorithm", help="algorithm name, or TDAC+<base>")
     run.add_argument("dataset")
     run.add_argument("--scale", type=float, default=1.0)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--sparse",
-        choices=["auto", "always", "never"],
-        default="auto",
-        help="CSR vs dense distance kernels for TD-AC (TDAC+ only)",
-    )
     run.add_argument(
         "--json",
         action="store_true",
@@ -167,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     board = sub.add_parser(
         "leaderboard",
-        parents=[execution],
+        parents=[traced],
         help="rank every algorithm on one dataset",
     )
     board.add_argument("dataset")
@@ -179,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        parents=[execution],
+        parents=[traced],
         help="long-lived micro-batching truth service (JSON lines on stdin)",
     )
     serve.add_argument(
@@ -342,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scenario_sweep = scenarios_sub.add_parser(
         "sweep",
-        parents=[execution],
+        parents=[traced],
         help="accuracy/F1-vs-severity curves plus a robustness leaderboard",
     )
     scenario_sweep.add_argument(
@@ -433,8 +388,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         records = table9_experiment(args.dataset)
         print(performance_table(records, title=f"Table 9 ({args.dataset})"))
     elif args.command == "run":
+        config = _config_from_args(args)
         dataset = load(args.dataset, seed=args.seed, scale=args.scale)
-        algorithm = _make_algorithm(args.algorithm, _config_from_args(args))
+        algorithm = _make_algorithm(args.algorithm, config)
         if args.json:
             import json
 
@@ -460,8 +416,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "dataset": args.dataset,
                     "scale": args.scale,
                     "seed": args.seed,
-                    "n_jobs": args.n_jobs,
-                    "backend": args.backend,
                 },
             )
             print(f"trace: {path}")
@@ -473,8 +427,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     elif args.command == "leaderboard":
         from repro.evaluation.leaderboard import leaderboard
 
-        dataset = load(args.dataset, seed=args.seed, scale=args.scale)
         config = _config_from_args(args)
+        dataset = load(args.dataset, seed=args.seed, scale=args.scale)
         if args.trace is not None:
             from repro.observability import SpanTracer, activate, write_trace
 
@@ -554,8 +508,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif tenants:
             from repro.serving import TenantRegistry
 
-            dataset = load(args.dataset, seed=args.seed, scale=args.scale)
             config = _config_from_args(args)
+            dataset = load(args.dataset, seed=args.seed, scale=args.scale)
             registry = TenantRegistry(
                 store_root=args.store_dir,
                 tracer=tracer,
@@ -571,11 +525,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
             service = registry
         else:
+            config = _config_from_args(args)
             dataset = load(args.dataset, seed=args.seed, scale=args.scale)
             service = TruthService(
                 create(args.algorithm),
                 dataset,
-                config=_config_from_args(args),
+                config=config,
                 service_config=service_config,
                 partition_cache=PartitionCache(),
                 tracer=tracer,
@@ -652,6 +607,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             degradation_sweep,
         )
 
+        config = _config_from_args(args)
         dataset = load(args.dataset, seed=args.seed, scale=args.scale)
         sweep_result = degradation_sweep(
             dataset,
@@ -661,7 +617,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             ),
             algorithms=tuple(a for a in args.algorithms.split(",") if a),
             seed=args.seed,
-            config=_config_from_args(args),
+            config=config,
         )
         if args.json:
             import json

@@ -16,9 +16,7 @@ from repro.clustering.distance import (
     pairwise,
     pairwise_euclidean,
     pairwise_hamming,
-    pairwise_hamming_sparse,
     pairwise_masked_hamming,
-    pairwise_masked_hamming_sparse,
 )
 from repro.clustering.kmeans import (
     KMeans,
@@ -62,9 +60,7 @@ __all__ = [
     "pairwise",
     "pairwise_euclidean",
     "pairwise_hamming",
-    "pairwise_hamming_sparse",
     "pairwise_masked_hamming",
-    "pairwise_masked_hamming_sparse",
     "score_silhouette_sweep",
     "select_k_elbow",
     "select_k_gap",

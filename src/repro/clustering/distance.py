@@ -136,98 +136,6 @@ def pairwise_masked_hamming(matrix: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.maximum(scaled, 0.0)
 
 
-def _dense_gram(left, right_t, chunk_elements: int | None = None) -> np.ndarray:
-    """Dense ``left @ right_t`` of two sparse operands, built in row chunks.
-
-    The naive spelling ``(left @ right_t).todense()`` materialises the
-    whole product twice — once as an intermediate sparse matrix (whose
-    index overhead can exceed the dense array for near-dense Grams) and
-    once as an ``np.matrix`` that is then copied again by ``asarray``.
-    Here the dense output is allocated exactly once and filled one row
-    chunk at a time, so the transient footprint beyond the result is one
-    chunk's sparse product rather than the full Gram.
-
-    ``chunk_elements`` caps the per-chunk output cells (default
-    ``_CHUNK_ELEMENT_BUDGET``); it is exposed so tests can force
-    multi-chunk execution on small matrices.  Chunking only partitions
-    output rows — each cell is still a single sparse dot product — so
-    the result is bitwise independent of the chunk size.
-    """
-    budget = _CHUNK_ELEMENT_BUDGET if chunk_elements is None else chunk_elements
-    n = left.shape[0]
-    m = right_t.shape[1]
-    out = np.empty((n, m), dtype=np.float64)
-    chunk = max(1, budget // max(m, 1))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = left[start:stop] @ right_t
-        out[start:stop] = block.toarray()
-    return out
-
-
-def pairwise_hamming_sparse(matrix, chunk_elements: int | None = None) -> np.ndarray:
-    """:func:`pairwise_hamming` on a scipy CSR/CSC binary matrix.
-
-    Same Gram expansion ``sum x + sum y - 2 x.y``, with the product taken
-    directly on the sparse operand — ``O(nnz)`` work instead of
-    ``O(n * d)``.  All quantities are counts of 0/1 agreements, which
-    float64 represents exactly, so the result is bit-identical to the
-    dense path whatever the summation order.  The Gram is densified in
-    row chunks (see :func:`_dense_gram`), so peak memory stays at the
-    ``n x n`` result plus one chunk instead of several full copies.
-    """
-    from scipy import sparse as sp
-
-    if not sp.issparse(matrix):
-        raise TypeError("expected a scipy sparse matrix")
-    csr = matrix.tocsr().astype(np.float64)
-    csr_t = csr.T.tocsc()
-    gram = _dense_gram(csr, csr_t, chunk_elements)
-    row_sums = np.asarray(csr.sum(axis=1)).ravel().astype(float)
-    gram *= -2.0
-    gram += row_sums[:, None]
-    gram += row_sums[None, :]
-    return np.maximum(gram, 0.0, out=gram)
-
-
-def pairwise_masked_hamming_sparse(
-    matrix, mask, chunk_elements: int | None = None
-) -> np.ndarray:
-    """:func:`pairwise_masked_hamming` on scipy sparse binary operands.
-
-    ``matrix`` must be zero wherever ``mask`` is zero (the truth-vector
-    invariant: a rank can only be confirmed where it is observed), which
-    lets the overlap-restricted sums come straight from sparse products.
-    Counts are integers, so the result matches the dense path exactly.
-    Each of the four Gram-style products is densified in row chunks
-    through :func:`_dense_gram` and the expansion is folded in place, so
-    at most two ``n x n`` float arrays are live at any point.
-    """
-    from scipy import sparse as sp
-
-    if not (sp.issparse(matrix) and sp.issparse(mask)):
-        raise TypeError("expected scipy sparse matrices")
-    if matrix.shape != mask.shape:
-        raise ValueError("matrix and mask must have the same shape")
-    values = matrix.tocsr().astype(np.float64)
-    ones = mask.tocsr().astype(np.float64)
-    n, length = values.shape
-    values_t = values.T.tocsc()
-    ones_t = ones.T.tocsc()
-    # raw = (values @ ones.T) + (ones @ values.T) - 2 * (values @ values.T),
-    # accumulated into one buffer chunk by chunk.
-    overlap = _dense_gram(values, ones_t, chunk_elements)
-    raw = overlap + overlap.T  # (values @ ones.T) + (ones @ values.T)
-    del overlap
-    gram = _dense_gram(values, values_t, chunk_elements)
-    raw -= 2.0 * gram
-    del gram
-    observed = _dense_gram(ones, ones_t, chunk_elements)
-    scaled = _rescale_overlap(raw, observed, length)
-    np.fill_diagonal(scaled, 0.0)
-    return np.maximum(scaled, 0.0, out=scaled)
-
-
 def pairwise_euclidean(matrix: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distance matrix of the rows of ``matrix``."""
     matrix = np.asarray(matrix, dtype=float)

@@ -8,17 +8,16 @@ the best inertia, and deterministic behaviour through an explicit random
 generator.
 
 The module exposes its internals at three altitudes so the k-sweep of
-Algorithm 1 can be scheduled by :mod:`repro.clustering.sweep`:
+Algorithm 1 (:mod:`repro.clustering.sweep`) can share row norms across
+fits:
 
 * :class:`KMeans` — the classic fit-and-restart front end;
 * :func:`initial_centroid_sequence` — draw the restart seeds of one fit
   up front, consuming the generator in exactly the order ``fit`` would;
-* :func:`lloyd` — the deterministic iteration from a given seeding,
-  which is the unit of work a parallel sweep fans out.
+* :func:`lloyd` — the deterministic iteration from a given seeding.
 
 Because ``lloyd`` draws no randomness, splitting a fit into "draw all
-seeds, then iterate each" is bit-identical to the sequential restart
-loop, whatever executor runs the iterations.
+seeds, then iterate each" is bit-identical to the classic restart loop.
 
 For the binary attribute truth vectors the squared Euclidean objective
 coincides with the paper's Hamming-distance objective (Eq. 2), see
@@ -160,8 +159,7 @@ def initial_centroid_sequence(
 
     Consumes ``rng`` in exactly the order :meth:`KMeans.fit` would (one
     seeding per restart, back to back), so running the returned seedings
-    through :func:`lloyd` — in any schedule — reproduces the sequential
-    fit bit for bit.
+    through :func:`lloyd` reproduces the fit bit for bit.
     """
     return [
         initial_centroids(data, n_clusters, rng, init=init)

@@ -7,11 +7,6 @@ inertia drop) and Tibshirani's gap statistic against a uniform reference.
 
 Every strategy returns a :class:`KSelectionResult` with the chosen ``k``,
 its labelling, and the full diagnostic curve so benches can plot it.
-
-All three accept ``n_jobs`` / ``backend``: the underlying ``(k, init)``
-restart grid is fanned out over a shared executor by
-:mod:`repro.clustering.sweep`, with results gathered in task order so
-any worker count selects the same ``k`` and labels as a sequential run.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from repro.clustering.silhouette import (
     total_distance_row_sums,
 )
 from repro.clustering.sweep import sweep_kmeans
-from repro.execution import ExecutionPolicy, ordered_map
 from repro.observability import current_tracer
 
 
@@ -115,9 +109,6 @@ def select_k_silhouette(
     n_init: int = 10,
     average: str = "macro",
     distances: np.ndarray | None = None,
-    n_jobs: int = 1,
-    backend: str = "threads",
-    policy: ExecutionPolicy | None = None,
 ) -> KSelectionResult:
     """The paper's sweep: best silhouette over ``k in [2, n-1]``.
 
@@ -135,15 +126,7 @@ def select_k_silhouette(
     k_range = _valid_range(len(data), k_min, k_max)
     if distances is None:
         distances = pairwise_hamming(data)
-    fits = sweep_kmeans(
-        data,
-        k_range,
-        n_init=n_init,
-        seed=seed,
-        n_jobs=n_jobs,
-        backend=backend,
-        policy=policy,
-    )
+    fits = sweep_kmeans(data, k_range, n_init=n_init, seed=seed)
     scores = score_silhouette_sweep(distances, fits, average=average)
     candidates = [
         k for k in sorted(fits) if len(np.unique(fits[k].labels)) >= 2
@@ -167,9 +150,6 @@ def select_k_elbow(
     k_max: int | None = None,
     seed: int = 0,
     n_init: int = 10,
-    n_jobs: int = 1,
-    backend: str = "threads",
-    policy: ExecutionPolicy | None = None,
 ) -> KSelectionResult:
     """Elbow criterion: k with the largest curvature of the inertia curve.
 
@@ -183,15 +163,7 @@ def select_k_elbow(
     """
     data = np.asarray(data, dtype=float)
     k_range = _valid_range(len(data), k_min, k_max)
-    fits = sweep_kmeans(
-        data,
-        k_range,
-        n_init=n_init,
-        seed=seed,
-        n_jobs=n_jobs,
-        backend=backend,
-        policy=policy,
-    )
+    fits = sweep_kmeans(data, k_range, n_init=n_init, seed=seed)
     inertias = {k: fits[k].inertia for k in k_range}
     ks = sorted(inertias)
     if len(ks) == 1:
@@ -225,50 +197,29 @@ def select_k_gap(
     seed: int = 0,
     n_init: int = 10,
     n_references: int = 10,
-    n_jobs: int = 1,
-    backend: str = "threads",
-    policy: ExecutionPolicy | None = None,
 ) -> KSelectionResult:
     """Tibshirani's gap statistic with a uniform-box reference.
 
     Picks the smallest ``k`` with ``gap(k) >= gap(k+1) - s(k+1)``; falls
     back to the max-gap ``k`` when the inequality never holds.  The
-    reference datasets are drawn sequentially (one generator, fixed
-    order) and only the fits are fanned out, keeping any ``n_jobs``
-    bit-identical to the sequential pass.
+    reference datasets are drawn from one generator in a fixed order.
     """
     data = np.asarray(data, dtype=float)
     k_range = _valid_range(len(data), k_min, k_max)
     rng = np.random.default_rng(seed)
     lows, highs = data.min(axis=0), data.max(axis=0)
-    fits = sweep_kmeans(
-        data,
-        k_range,
-        n_init=n_init,
-        seed=seed,
-        n_jobs=n_jobs,
-        backend=backend,
-        policy=policy,
-    )
-    reference_tasks: list[tuple[np.ndarray, int, int]] = []
-    for k in k_range:
-        for _ in range(n_references):
-            fake = rng.uniform(lows, highs, size=data.shape)
-            reference_tasks.append((fake, k, seed))
-    reference_log_list = ordered_map(
-        _fit_reference,
-        reference_tasks,
-        n_jobs=n_jobs,
-        backend=backend,
-        policy=policy,
-        label="gap_references",
-    )
+    fits = sweep_kmeans(data, k_range, n_init=n_init, seed=seed)
     gaps: dict[int, float] = {}
     errors: dict[int, float] = {}
-    for i, k in enumerate(k_range):
+    for k in k_range:
         observed = np.log(max(fits[k].inertia, 1e-12))
         reference_logs = np.asarray(
-            reference_log_list[i * n_references : (i + 1) * n_references]
+            [
+                _fit_reference(
+                    rng.uniform(lows, highs, size=data.shape), k, seed
+                )
+                for _ in range(n_references)
+            ]
         )
         gaps[k] = float(reference_logs.mean() - observed)
         errors[k] = float(

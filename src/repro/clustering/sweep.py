@@ -1,25 +1,15 @@
-"""The k-means restart grid of Algorithm 1's sweep, as schedulable tasks.
+"""The k-means restart sweep of Algorithm 1.
 
 TD-AC (and the alternative k-selectors) refit k-means for every
-``k in [2, |A|-1]`` with ``n_init`` restarts each.  Run naively that is
-``(k_max - 1) * n_init`` sequential Lloyd solves.  The restarts are
-independent once their seedings are drawn, so this module splits each
-fit into
-
-1. a cheap, **sequential** seeding pass per ``k`` — consuming the
-   per-``k`` generator in exactly the order :meth:`KMeans.fit` would —
-   followed by
-2. the Lloyd iterations of every ``(k, init)`` cell, fanned out over a
-   shared executor (:mod:`repro.execution`), and
-3. an order-preserving reduction keeping, per ``k``, the first restart
-   that strictly improves the inertia — the same tie-break as the
-   sequential restart loop.
-
-Because :func:`repro.clustering.kmeans.lloyd` draws no randomness and
-the gather is in task order, the result is bit-identical to calling
-``KMeans(n_clusters=k, n_init=n_init, seed=seed).fit(data)`` for every
-``k``, whatever ``n_jobs`` or ``backend``.  The per-row squared norms
-are computed once and shared by every cell of the grid.
+``k in [2, |A|-1]`` with ``n_init`` restarts each.  For every ``k`` this
+module draws the restart seedings from a fresh generator seeded like
+``KMeans(seed=seed)`` — consuming it in exactly the order
+:meth:`KMeans.fit` would — runs :func:`repro.clustering.kmeans.lloyd`
+from each, and keeps the first restart that strictly improves the
+inertia, the same tie-break as the classic restart loop.  The result is
+bit-identical to calling ``KMeans(n_clusters=k, n_init=n_init,
+seed=seed).fit(data)`` for every ``k``; the per-row squared norms are
+computed once and shared by every solve.
 """
 
 from __future__ import annotations
@@ -33,7 +23,6 @@ from repro.clustering.kmeans import (
     initial_centroid_sequence,
     lloyd,
 )
-from repro.execution import ExecutionPolicy, ordered_map, validate_backend
 from repro.observability import current_tracer
 
 
@@ -42,21 +31,16 @@ def sweep_kmeans(
     k_values: Iterable[int],
     n_init: int = 10,
     seed: int = 0,
-    n_jobs: int = 1,
-    backend: str = "threads",
     init: str = "k-means++",
     max_iterations: int = 300,
     tolerance: float = 1e-6,
-    policy: ExecutionPolicy | None = None,
 ) -> dict[int, KMeansResult]:
     """Best-of-``n_init`` k-means fit for every ``k`` in ``k_values``.
 
     Equivalent to ``{k: KMeans(n_clusters=k, n_init=n_init, seed=seed,
-    init=init).fit(data) for k in k_values}`` — bit for bit — but the
-    ``(k, init)`` restart grid runs on one shared executor and the data
-    row norms are computed once for the whole grid.
+    init=init).fit(data) for k in k_values}`` — bit for bit — with the
+    data row norms computed once for the whole sweep.
     """
-    validate_backend(backend)
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ValueError("expected a 2-D matrix of row vectors")
@@ -73,36 +57,16 @@ def sweep_kmeans(
         "k_sweep", n_candidates=len(k_values), n_init=n_init
     ):
         data_norms = np.einsum("ij,ij->i", data, data)
-
-        # Seeding stays sequential per k: each k gets a fresh generator
-        # seeded like KMeans(seed=seed) so the draws match the classic
-        # path.
-        tasks: list[tuple[np.ndarray, np.ndarray, int, float, np.ndarray]] = []
-        owners: list[int] = []
+        best: dict[int, KMeansResult] = {}
         for k in k_values:
             rng = np.random.default_rng(seed)
             for seeding in initial_centroid_sequence(
                 data, k, n_init, rng, init=init
             ):
-                tasks.append(
-                    (data, seeding, max_iterations, tolerance, data_norms)
+                result = lloyd(
+                    data, seeding, max_iterations, tolerance, data_norms
                 )
-                owners.append(k)
-
-        results = ordered_map(
-            lloyd,
-            tasks,
-            n_jobs=n_jobs,
-            backend=backend,
-            policy=policy,
-            label="k_sweep",
-        )
-
-        # Scan-order reduction per k: first strict improvement wins,
-        # exactly like the sequential restart loop inside KMeans.fit.
-        best: dict[int, KMeansResult] = {}
-        for k, result in zip(owners, results):
-            incumbent = best.get(k)
-            if incumbent is None or result.inertia < incumbent.inertia:
-                best[k] = result
+                incumbent = best.get(k)
+                if incumbent is None or result.inertia < incumbent.inertia:
+                    best[k] = result
         return best

@@ -4,13 +4,11 @@
 * :class:`~repro.core.partition.Partition` — canonical attribute
   partitions with Rand / adjusted-Rand comparison (Table 5);
 * :class:`~repro.core.tdac.TDAC` — the paper's algorithm;
-* :func:`~repro.core.parallel.run_blocks` — per-block execution,
-  optionally parallel.
+* :func:`~repro.core.parallel.run_blocks` — per-block execution.
 """
 
 from repro.core.cache import PartitionCache
 from repro.core.config import (
-    DEFAULT_SPARSE_THRESHOLD,
     RESULT_AFFECTING_FIELDS,
     TDACConfig,
     config_from_dict,
@@ -28,12 +26,7 @@ from repro.core.object_tdac import (
     ObjectTDACResult,
     build_object_truth_vectors,
 )
-from repro.core.parallel import (
-    ExecutionPolicy,
-    make_executor,
-    ordered_map,
-    run_blocks,
-)
+from repro.core.parallel import run_blocks
 from repro.core.partition import (
     Partition,
     adjusted_rand_index,
@@ -50,8 +43,6 @@ from repro.core.truth_vectors import TruthVectorMatrix, build_truth_vectors
 
 __all__ = [
     "CandidateSupport",
-    "DEFAULT_SPARSE_THRESHOLD",
-    "ExecutionPolicy",
     "FactExplanation",
     "IncrementalTDAC",
     "ObjectTDAC",
@@ -73,8 +64,6 @@ __all__ = [
     "explain_fact",
     "explain_partition",
     "extend_dataset",
-    "make_executor",
-    "ordered_map",
     "rand_index",
     "result_from_dict",
     "result_to_dict",

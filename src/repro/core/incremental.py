@@ -244,11 +244,7 @@ class IncrementalTDAC:
         # Stage 2 — Eq. 1 matrix, patched in place.
         store = self._vector_store
         if store is None:
-            store = TruthVectorStore(
-                new_dataset,
-                reference,
-                memmap_threshold=self.config.memmap_threshold,
-            )
+            store = TruthVectorStore(new_dataset, reference)
             self._vector_store = store
             delta = VectorDelta(
                 vectors=store.vectors,
@@ -312,9 +308,6 @@ class IncrementalTDAC:
             self.base,
             new_dataset,
             [partition.blocks[i] for i in refresh_idx],
-            n_jobs=tdac.n_jobs,
-            backend=tdac.backend,
-            policy=tdac.execution_policy,
             engine=engine,
         )
         for i, result in zip(refresh_idx, refreshed):
@@ -381,7 +374,7 @@ class IncrementalTDAC:
                 return self._engine.extended(new_dataset, fresh)
             except ValueError:
                 pass
-        return ClaimIndexEngine.shared(new_dataset, dtype=self.config.dtype_np)
+        return ClaimIndexEngine.shared(new_dataset)
 
     def _warm_probe(self, vectors, distances: np.ndarray) -> Partition | None:
         """Partition predicted by warm-starting from the previous sweep.
@@ -433,9 +426,7 @@ class IncrementalTDAC:
         if not self.base.supports_index:
             self._engine = None
         else:
-            self._engine = ClaimIndexEngine.shared(
-                self._dataset, dtype=self.config.dtype_np
-            )
+            self._engine = ClaimIndexEngine.shared(self._dataset)
 
     def _require_fitted(self) -> None:
         if self._dataset is None:

@@ -14,8 +14,7 @@ The pipeline of Section 3.4:
 The class exposes every knob the paper's ablations need: the base
 algorithm used for the per-block passes may differ from the one that
 built the reference truth, the pairwise distance may be the plain or the
-masked (missing-data-aware) Hamming, and the per-block passes can run in
-parallel (the paper's second research perspective).
+masked (missing-data-aware) Hamming.
 """
 
 from __future__ import annotations
@@ -28,12 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
-from repro.clustering.distance import (
-    pairwise_hamming,
-    pairwise_hamming_sparse,
-    pairwise_masked_hamming,
-    pairwise_masked_hamming_sparse,
-)
+from repro.clustering.distance import pairwise_hamming, pairwise_masked_hamming
 from repro.clustering.kselect import score_silhouette_sweep
 from repro.clustering.sweep import sweep_kmeans
 from repro.core.cache import PartitionCache
@@ -44,7 +38,6 @@ from repro.core.truth_vectors import TruthVectorMatrix, build_truth_vectors
 from repro.data.claim_engine import ClaimIndexEngine
 from repro.data.dataset import Dataset
 from repro.data.types import Fact, SourceId, Value
-from repro.execution import ExecutionPolicy
 from repro.observability import current_tracer
 
 
@@ -103,8 +96,8 @@ class TDAC(TruthDiscoveryAlgorithm):
         (ablation A-3); defaults to ``base``.
     config:
         A :class:`~repro.core.config.TDACConfig` carrying every tuning
-        knob (distance, sweep bounds, restarts/seed, parallelism,
-        sparsity, execution policy).  ``None`` means all defaults.
+        knob (distance, sweep bounds, restarts/seed).  ``None`` means
+        all defaults.
     partition_cache:
         Optional :class:`~repro.core.cache.PartitionCache`.  When given,
         :meth:`run` keys the partition-selection stage on the dataset's
@@ -149,26 +142,6 @@ class TDAC(TruthDiscoveryAlgorithm):
     def seed(self) -> int:
         return self.config.seed
 
-    @property
-    def n_jobs(self) -> int:
-        return self.config.n_jobs
-
-    @property
-    def backend(self) -> str:
-        return self.config.backend
-
-    @property
-    def sparse(self) -> bool | str:
-        return self.config.sparse
-
-    @property
-    def sparse_threshold(self) -> int:
-        return self.config.sparse_threshold
-
-    @property
-    def execution_policy(self) -> ExecutionPolicy | None:
-        return self.config.execution_policy
-
     #: TDAC's discover() runs the full pipeline over a raw Dataset; it
     #: cannot consume a pre-sliced DatasetIndex view.
     supports_index = False
@@ -198,21 +171,9 @@ class TDAC(TruthDiscoveryAlgorithm):
             engine = self._claim_engine(dataset)
             reference = self.reference_pass(dataset, engine)
         with tracer.span("truth_vectors"):
-            vectors = build_truth_vectors(
-                dataset,
-                reference,
-                memmap_threshold=self.config.memmap_threshold,
-            )
+            vectors = build_truth_vectors(dataset, reference)
         partition, silhouettes = self._select_with_cache(dataset, vectors)
-        block_results = run_blocks(
-            self.base,
-            dataset,
-            partition,
-            n_jobs=self.n_jobs,
-            backend=self.backend,
-            policy=self.execution_policy,
-            engine=engine,
-        )
+        block_results = run_blocks(self.base, dataset, partition, engine=engine)
         with tracer.span("merge"):
             merged = self._merge(dataset, partition, block_results, start)
         return TDACResult(
@@ -236,13 +197,7 @@ class TDAC(TruthDiscoveryAlgorithm):
         """
         start = time.perf_counter()
         block_results = run_blocks(
-            self.base,
-            dataset,
-            partition,
-            n_jobs=self.n_jobs,
-            backend=self.backend,
-            policy=self.execution_policy,
-            engine=self._claim_engine(dataset),
+            self.base, dataset, partition, engine=self._claim_engine(dataset)
         )
         with current_tracer().span("merge"):
             merged = self._merge(dataset, partition, block_results, start)
@@ -264,13 +219,13 @@ class TDAC(TruthDiscoveryAlgorithm):
         return self.reference_algorithm.discover(engine.full_index)
 
     def _claim_engine(self, dataset: Dataset) -> ClaimIndexEngine:
-        """The dataset's shared claim-index engine under this config.
+        """The dataset's shared claim-index engine.
 
-        One engine per (dataset, working dtype) serves both the
-        reference pass (its full index) and every per-block run (sliced
-        views), so the incidence structure is compiled exactly once.
+        One engine per dataset serves both the reference pass (its full
+        index) and every per-block run (sliced views), so the incidence
+        structure is compiled exactly once.
         """
-        return ClaimIndexEngine.shared(dataset, dtype=self.config.dtype_np)
+        return ClaimIndexEngine.shared(dataset)
 
     # ------------------------------------------------------------------
 
@@ -309,12 +264,9 @@ class TDAC(TruthDiscoveryAlgorithm):
     ) -> tuple[Partition, dict[int, float]]:
         """Steps 2–3: sweep ``k`` with k-means, keep the best silhouette.
 
-        The pairwise distance matrix is computed once (sparse or dense
-        per the ``sparse`` knob) and shared across every candidate
-        ``k``; the ``(k, init)`` restart grid runs on one executor
-        (``n_jobs``/``backend``), and the silhouette aggregations reuse
-        the matrix's row sums across candidates.  All of it is
-        bit-identical to the sequential dense pass.
+        The pairwise distance matrix is computed once and shared across
+        every candidate ``k``, and the silhouette aggregations reuse the
+        matrix's row sums across candidates.
 
         Datasets with fewer than 4 attributes have an empty sweep range
         ``[2, |A| - 1]``; they fall back to the trivial one-block
@@ -346,13 +298,7 @@ class TDAC(TruthDiscoveryAlgorithm):
         if distances is None:
             distances = self.pairwise_distances(vectors)
         fits = sweep_kmeans(
-            data,
-            range(self.k_min, upper + 1),
-            n_init=self.n_init,
-            seed=self.seed,
-            n_jobs=self.n_jobs,
-            backend=self.backend,
-            policy=self.execution_policy,
+            data, range(self.k_min, upper + 1), n_init=self.n_init, seed=self.seed
         )
         silhouettes = score_silhouette_sweep(distances, fits, average="macro")
         partition = self.pick_partition(
@@ -389,33 +335,12 @@ class TDAC(TruthDiscoveryAlgorithm):
         return best_partition
 
     def pairwise_distances(self, vectors: TruthVectorMatrix) -> np.ndarray:
-        """The attribute distance matrix under the configured mode.
-
-        Dispatches between the dense kernels and the CSR Gram kernels of
-        :mod:`repro.clustering.distance`; both return the same matrix,
-        so this only decides how the reduction is executed.
-        """
-        with current_tracer().span(
-            "distance_matrix",
-            mode=self.distance,
-            sparse=self.use_sparse(vectors),
-        ):
-            if self.use_sparse(vectors):
-                if self.distance == "masked":
-                    return pairwise_masked_hamming_sparse(
-                        vectors.matrix_csr(), vectors.mask_csr()
-                    )
-                return pairwise_hamming_sparse(vectors.matrix_csr())
+        """The attribute distance matrix under the configured mode."""
+        with current_tracer().span("distance_matrix", mode=self.distance):
             data = vectors.matrix.astype(float)
             if self.distance == "masked":
                 return pairwise_masked_hamming(data, vectors.mask)
             return pairwise_hamming(data)
-
-    def use_sparse(self, vectors: TruthVectorMatrix) -> bool:
-        """Whether the sparse distance path applies to ``vectors``."""
-        if self.sparse == "auto":
-            return vectors.matrix.size >= self.sparse_threshold
-        return bool(self.sparse)
 
     def _merge(
         self,

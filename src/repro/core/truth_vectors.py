@@ -15,20 +15,10 @@ correlation — which is what TD-AC clusters.
 :class:`TruthVectorMatrix` also carries the observation mask (which ranks
 were actually covered by a claim), enabling the missing-data-aware
 distance of the paper's first research perspective.
-
-Claims are *sparse* in the ``|O| * |S|`` rank space (``density()``
-reports how sparse), so the matrix and mask are additionally exposed as
-scipy CSR operands (:meth:`TruthVectorMatrix.matrix_csr`,
-:meth:`TruthVectorMatrix.mask_csr`); the pairwise-distance layer can
-then work in ``O(nnz)`` instead of ``O(|A| * |O| * |S|)``.  Both views
-are built from the same (row, column) index arrays in one pass over the
-claims, so they are always consistent.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,22 +26,6 @@ import numpy as np
 from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
 from repro.data.dataset import Dataset
 from repro.data.types import AttributeId, ObjectId, SourceId
-
-
-def _anonymous_memmap(shape: tuple[int, int], dtype) -> np.memmap:
-    """A zero-filled memory-mapped array backed by an unlinked temp file.
-
-    The file is deleted immediately after mapping (POSIX keeps the
-    mapping alive until the array is garbage collected), so out-of-core
-    truth-vector matrices never leak files even on hard crashes.
-    """
-    fd, path = tempfile.mkstemp(prefix="repro-truthvec-", suffix=".bin")
-    try:
-        os.close(fd)
-        array = np.memmap(path, dtype=dtype, mode="w+", shape=shape)
-    finally:
-        os.unlink(path)
-    return array
 
 
 @dataclass(frozen=True)
@@ -95,37 +69,10 @@ class TruthVectorMatrix:
         """Fraction of observed ranks (1 means no missing data)."""
         return float(self.mask.mean()) if self.mask.size else 0.0
 
-    # -- sparse views ---------------------------------------------------
-
-    def matrix_csr(self):
-        """The truth-vector matrix as a float64 scipy CSR matrix.
-
-        Built lazily and cached; float64 so Gram products count exactly
-        (int8 would overflow past 127 agreements).
-        """
-        cached = self.__dict__.get("_matrix_csr")
-        if cached is None:
-            from scipy import sparse as sp
-
-            cached = sp.csr_matrix(self.matrix.astype(np.float64))
-            object.__setattr__(self, "_matrix_csr", cached)
-        return cached
-
-    def mask_csr(self):
-        """The observation mask as a float64 scipy CSR matrix."""
-        cached = self.__dict__.get("_mask_csr")
-        if cached is None:
-            from scipy import sparse as sp
-
-            cached = sp.csr_matrix(self.mask.astype(np.float64))
-            object.__setattr__(self, "_mask_csr", cached)
-        return cached
-
 
 def build_truth_vectors(
     dataset: Dataset,
     reference: TruthDiscoveryResult | TruthDiscoveryAlgorithm,
-    memmap_threshold: int | None = None,
 ) -> TruthVectorMatrix:
     """Compute the matrix of attribute truth vectors (Eq. 1).
 
@@ -137,11 +84,6 @@ def build_truth_vectors(
     the dense matrix and mask are then filled with two fancy-indexed
     assignments instead of per-claim scalar writes, which is what keeps
     vector construction off the partition-selection critical path.
-
-    ``memmap_threshold`` (see ``TDACConfig.memmap_threshold``) switches
-    the matrix and mask to anonymous memory-mapped backing once the cell
-    count ``|A| * |O| * |S|`` reaches the threshold; the filled contents
-    are identical either way.
     """
     if isinstance(reference, TruthDiscoveryAlgorithm):
         reference = reference.discover(dataset)
@@ -175,13 +117,8 @@ def build_truth_vectors(
     hit = np.asarray(confirmed, dtype=bool)
 
     shape = (len(attributes), n_ranks)
-    cells = shape[0] * shape[1]
-    if memmap_threshold is not None and cells >= memmap_threshold:
-        matrix = _anonymous_memmap(shape, np.int8)
-        mask = _anonymous_memmap(shape, bool)
-    else:
-        matrix = np.zeros(shape, dtype=np.int8)
-        mask = np.zeros(shape, dtype=bool)
+    matrix = np.zeros(shape, dtype=np.int8)
+    mask = np.zeros(shape, dtype=bool)
     mask[row_idx, col_idx] = True
     matrix[row_idx[hit], col_idx[hit]] = 1
     ranks = tuple((o, s) for o in objects for s in sources)
@@ -225,9 +162,7 @@ class TruthVectorStore:
     reference prediction changed — plus facts receiving new claims — have
     their cells rewritten.  The used region is cell-for-cell identical to
     :func:`build_truth_vectors` over the same dataset and reference
-    (``tests/test_incremental_exact.py`` pins this); growth re-backs the
-    buffers onto anonymous memmaps once the capacity crosses
-    ``memmap_threshold``, mirroring the batch builder's behaviour.
+    (``tests/test_incremental_exact.py`` pins this).
 
     A batch that introduces a new *source* interleaves a column into
     every object's group (columns are object-major), so the store falls
@@ -235,12 +170,8 @@ class TruthVectorStore:
     """
 
     def __init__(
-        self,
-        dataset: Dataset,
-        reference: TruthDiscoveryResult,
-        memmap_threshold: int | None = None,
+        self, dataset: Dataset, reference: TruthDiscoveryResult
     ) -> None:
-        self.memmap_threshold = memmap_threshold
         self.rebuilds = 0
         self.patches = 0
         self._rebuild(dataset, reference)
@@ -260,9 +191,7 @@ class TruthVectorStore:
     def _rebuild(
         self, dataset: Dataset, reference: TruthDiscoveryResult
     ) -> VectorDelta:
-        built = build_truth_vectors(
-            dataset, reference, memmap_threshold=self.memmap_threshold
-        )
+        built = build_truth_vectors(dataset, reference)
         self._matrix = built.matrix
         self._mask = built.mask
         self._n_rows, self._n_cols = built.matrix.shape
@@ -291,13 +220,8 @@ class TruthVectorStore:
         new_rows = max(n_rows, 2 * cap_rows) if n_rows > cap_rows else cap_rows
         new_cols = max(n_cols, 2 * cap_cols) if n_cols > cap_cols else cap_cols
         shape = (new_rows, new_cols)
-        threshold = self.memmap_threshold
-        if threshold is not None and new_rows * new_cols >= threshold:
-            matrix = _anonymous_memmap(shape, np.int8)
-            mask = _anonymous_memmap(shape, bool)
-        else:
-            matrix = np.zeros(shape, dtype=np.int8)
-            mask = np.zeros(shape, dtype=bool)
+        matrix = np.zeros(shape, dtype=np.int8)
+        mask = np.zeros(shape, dtype=bool)
         used_r, used_c = self._n_rows, self._n_cols
         matrix[:used_r, :used_c] = self._matrix[:used_r, :used_c]
         mask[:used_r, :used_c] = self._mask[:used_r, :used_c]

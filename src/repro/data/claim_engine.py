@@ -44,7 +44,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.data.index import DatasetIndex, _validate_dtype
+from repro.data.index import DatasetIndex
 from repro.data.types import ATTRIBUTE_TYPES, Claim, DataError, Fact
 
 #: Fact keys pack (object rank, attribute rank) into one int64 as
@@ -54,7 +54,7 @@ from repro.data.types import ATTRIBUTE_TYPES, Claim, DataError, Fact
 _KEY_SHIFT = 32
 
 _SHARED_LOCK = threading.Lock()
-_SHARED: "WeakKeyDictionary[Dataset, dict]" = WeakKeyDictionary()
+_SHARED: "WeakKeyDictionary[Dataset, ClaimIndexEngine]" = WeakKeyDictionary()
 
 #: Per-engine cap on memoised block views.  Partition sweeps can probe
 #: many candidate blocks; the cap bounds memory while keeping every block
@@ -65,33 +65,27 @@ _BLOCK_CACHE_SIZE = 128
 class ClaimIndexEngine:
     """Per-dataset factory of shared full and per-block claim indexes."""
 
-    def __init__(self, dataset: Dataset, dtype=np.float64) -> None:
+    def __init__(self, dataset: Dataset) -> None:
         self._dataset = dataset
-        self._dtype = _validate_dtype(dtype)
         self._lock = threading.Lock()
         self._blocks: dict[tuple, DatasetIndex] = {}
 
     # ------------------------------------------------------------------
 
     @classmethod
-    def shared(cls, dataset: Dataset, dtype=np.float64) -> "ClaimIndexEngine":
+    def shared(cls, dataset: Dataset) -> "ClaimIndexEngine":
         """The process-wide engine of ``dataset`` (created on first use).
 
-        Engines are keyed weakly by dataset object and by dtype, so a
-        dataset's compiled structure is shared across the reference pass,
-        block runs and serving refreshes without pinning the dataset in
-        memory after its last strong reference drops.
+        Engines are keyed weakly by dataset object, so a dataset's
+        compiled structure is shared across the reference pass, block
+        runs and serving refreshes without pinning the dataset in memory
+        after its last strong reference drops.
         """
-        resolved = _validate_dtype(dtype)
         with _SHARED_LOCK:
-            per_dataset = _SHARED.get(dataset)
-            if per_dataset is None:
-                per_dataset = {}
-                _SHARED[dataset] = per_dataset
-            engine = per_dataset.get(resolved.name)
+            engine = _SHARED.get(dataset)
             if engine is None:
-                engine = cls(dataset, dtype=resolved)
-                per_dataset[resolved.name] = engine
+                engine = cls(dataset)
+                _SHARED[dataset] = engine
         return engine
 
     @property
@@ -99,15 +93,10 @@ class ClaimIndexEngine:
         """The dataset this engine compiles."""
         return self._dataset
 
-    @property
-    def dtype(self) -> np.dtype:
-        """Working dtype of every index the engine hands out."""
-        return self._dtype
-
     @cached_property
     def full_index(self) -> DatasetIndex:
         """The compiled index of the whole dataset."""
-        return DatasetIndex(self._dataset, dtype=self._dtype)
+        return DatasetIndex(self._dataset)
 
     @cached_property
     def _fact_attribute(self) -> np.ndarray:
@@ -431,9 +420,8 @@ class ClaimIndexEngine:
             claim_fact=claim_fact,
             claim_slot=claim_slot,
             true_slot=true_slot,
-            dtype=self._dtype,
         )
-        child = ClaimIndexEngine(dataset, dtype=self._dtype)
+        child = ClaimIndexEngine(dataset)
         child.full_index = index
         child._src_rank = src_rank
         child._obj_rank = obj_rank
@@ -443,11 +431,7 @@ class ClaimIndexEngine:
         child._facts_obj = facts_obj
         child._slot_values_obj = slot_values_obj
         with _SHARED_LOCK:
-            per_dataset = _SHARED.get(dataset)
-            if per_dataset is None:
-                per_dataset = {}
-                _SHARED[dataset] = per_dataset
-            per_dataset.setdefault(self._dtype.name, child)
+            _SHARED.setdefault(dataset, child)
         return child
 
     # ------------------------------------------------------------------
@@ -518,5 +502,4 @@ class ClaimIndexEngine:
             claim_fact=claim_fact,
             claim_slot=claim_slot,
             true_slot=true_slot,
-            dtype=self._dtype,
         )

@@ -73,34 +73,15 @@ def segment_mean(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return means
 
 
-#: Working dtypes an index may carry.  float64 is the bit-identical
-#: default; float32 halves the memory of every per-iteration array and
-#: routes the incidence reductions through CSR GEMV (see ``slot_scores``).
-SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-
-
-def _validate_dtype(dtype) -> np.dtype:
-    resolved = np.dtype(dtype)
-    if resolved not in SUPPORTED_DTYPES:
-        supported = ", ".join(d.name for d in SUPPORTED_DTYPES)
-        raise ValueError(
-            f"unsupported index dtype {resolved.name!r}; supported: {supported}"
-        )
-    return resolved
-
-
 class DatasetIndex:
     """Flat integer-array view of a dataset for vectorised algorithms.
 
-    ``dtype`` selects the working precision of the reductions: the
-    default ``float64`` keeps every output bit-identical to the original
-    per-claim loops, while ``float32`` is an opt-in reduced-precision
-    path for large datasets (see ``TDACConfig.dtype``).
+    Every reduction works in float64, which keeps each output
+    bit-identical to the original per-claim loops.
     """
 
-    def __init__(self, dataset: Dataset, dtype=np.float64) -> None:
+    def __init__(self, dataset: Dataset) -> None:
         self._dataset = dataset
-        self.dtype = _validate_dtype(dtype)
         facts = dataset.facts
         self.facts: tuple[Fact, ...] = facts
         self.n_sources = len(dataset.sources)
@@ -156,7 +137,6 @@ class DatasetIndex:
         claim_fact: np.ndarray,
         claim_slot: np.ndarray,
         true_slot: np.ndarray,
-        dtype=np.float64,
     ) -> "DatasetIndex":
         """Assemble an index directly from compiled arrays.
 
@@ -168,7 +148,6 @@ class DatasetIndex:
         """
         index = object.__new__(cls)
         index._dataset = dataset
-        index.dtype = _validate_dtype(dtype)
         index.facts = facts
         index.n_sources = len(dataset.sources)
         index.n_facts = len(facts)
@@ -193,51 +172,35 @@ class DatasetIndex:
     def claims_per_source(self) -> np.ndarray:
         """Number of claims made by every source (may contain zeros)."""
         counts = np.bincount(self.claim_source, minlength=self.n_sources)
-        return counts.astype(self.dtype)
+        return counts.astype(float)
 
     @cached_property
     def claims_per_fact(self) -> np.ndarray:
         """Number of claims received by every fact."""
         counts = np.bincount(self.claim_fact, minlength=self.n_facts)
-        return counts.astype(self.dtype)
+        return counts.astype(float)
 
     @cached_property
     def slots_per_fact(self) -> np.ndarray:
         """Number of distinct claimed values per fact."""
-        return np.diff(self.fact_slot_start).astype(self.dtype)
+        return np.diff(self.fact_slot_start).astype(float)
 
     @cached_property
     def votes_per_slot(self) -> np.ndarray:
         """Number of sources voting for every value slot."""
         counts = np.bincount(self.claim_slot, minlength=self.n_slots)
-        return counts.astype(self.dtype)
+        return counts.astype(float)
 
     # ------------------------------------------------------------------
     # Shared incidence structure (CSR views + slot segmentation)
     # ------------------------------------------------------------------
 
     @cached_property
-    def incidence_slot_source(self):
-        """CSR ``(n_slots, n_sources)`` claim incidence in ``dtype``.
-
-        ``incidence_slot_source @ w`` is the weighted vote total of every
-        slot — the GEMV form of :meth:`slot_scores`, used on the float32
-        path (``np.bincount`` always accumulates in float64).
-        """
-        from scipy import sparse
-
-        data = np.ones(self.n_claims, dtype=self.dtype)
-        return sparse.csr_matrix(
-            (data, (self.claim_slot, self.claim_source)),
-            shape=(self.n_slots, self.n_sources),
-        )
-
-    @cached_property
     def incidence_source_slot(self):
-        """CSR ``(n_sources, n_slots)`` claim incidence in ``dtype``."""
+        """CSR ``(n_sources, n_slots)`` claim incidence."""
         from scipy import sparse
 
-        data = np.ones(self.n_claims, dtype=self.dtype)
+        data = np.ones(self.n_claims)
         return sparse.csr_matrix(
             (data, (self.claim_source, self.claim_slot)),
             shape=(self.n_sources, self.n_slots),
@@ -248,7 +211,7 @@ class DatasetIndex:
         """CSR ``(n_sources, n_facts)`` fact-coverage incidence."""
         from scipy import sparse
 
-        data = np.ones(self.n_claims, dtype=self.dtype)
+        data = np.ones(self.n_claims)
         return sparse.csr_matrix(
             (data, (self.claim_source, self.claim_fact)),
             shape=(self.n_sources, self.n_facts),
@@ -294,41 +257,30 @@ class DatasetIndex:
     # ------------------------------------------------------------------
 
     def slot_scores(self, source_weight: np.ndarray) -> np.ndarray:
-        """Weighted vote total of every slot given per-source weights.
-
-        float64 accumulates through ``np.bincount`` (bit-identical to the
-        historical path); float32 routes through the CSR incidence GEMV,
-        which stays in single precision end to end.
-        """
-        if self.dtype == np.float64:
-            return np.bincount(
-                self.claim_slot,
-                weights=source_weight[self.claim_source],
-                minlength=self.n_slots,
-            )
-        weights = np.asarray(source_weight, dtype=self.dtype)
-        return self.incidence_slot_source @ weights
+        """Weighted vote total of every slot given per-source weights."""
+        return np.bincount(
+            self.claim_slot,
+            weights=source_weight[self.claim_source],
+            minlength=self.n_slots,
+        )
 
     def sum_per_slot(self, per_claim: np.ndarray) -> np.ndarray:
         """Sum an arbitrary per-claim quantity into its value slot."""
-        out = np.bincount(
+        return np.bincount(
             self.claim_slot, weights=per_claim, minlength=self.n_slots
         )
-        return out.astype(self.dtype, copy=False)
 
     def sum_per_fact(self, per_claim: np.ndarray) -> np.ndarray:
         """Sum an arbitrary per-claim quantity into its fact."""
-        out = np.bincount(
+        return np.bincount(
             self.claim_fact, weights=per_claim, minlength=self.n_facts
         )
-        return out.astype(self.dtype, copy=False)
 
     def sum_per_source(self, per_claim: np.ndarray) -> np.ndarray:
         """Sum an arbitrary per-claim quantity into its claiming source."""
-        out = np.bincount(
+        return np.bincount(
             self.claim_source, weights=per_claim, minlength=self.n_sources
         )
-        return out.astype(self.dtype, copy=False)
 
     def normalize_per_fact(self, slot_score: np.ndarray) -> np.ndarray:
         """Scale slot scores so they sum to one within every fact."""
@@ -360,15 +312,11 @@ class DatasetIndex:
         This is the generic "trustworthiness = average confidence of
         provided values" update.  Sources with no claims get 0.
         """
-        if self.dtype == np.float64:
-            sums = np.bincount(
-                self.claim_source,
-                weights=slot_value[self.claim_slot],
-                minlength=self.n_sources,
-            )
-        else:
-            values = np.asarray(slot_value, dtype=self.dtype)
-            sums = self.incidence_source_slot @ values
+        sums = np.bincount(
+            self.claim_source,
+            weights=slot_value[self.claim_slot],
+            minlength=self.n_sources,
+        )
         counts = self.claims_per_source
         return np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
 

@@ -4,7 +4,7 @@ Every stage of a TD-AC run — reference pass, truth-vector build,
 distance matrix, k-sweep, silhouette scoring, per-block solves, merge —
 is wrapped in a *span*: a named wall-clock interval with an optional
 parent.  A :class:`SpanTracer` collects the spans of one run plus a set
-of named counters (tasks submitted, retries, fallbacks), and can render
+of named counters (e.g. partition-cache hits), and can render
 both as a structured report (see :mod:`repro.observability.report`) or
 fold them into the evaluation harness's
 :class:`~repro.metrics.timing.Stopwatch`.
@@ -13,8 +13,8 @@ The tracer is *ambient*: pipeline stages call :func:`current_tracer`
 instead of threading a tracer argument through every signature.  When no
 tracer has been activated the module-level :data:`NULL_TRACER` absorbs
 all calls at near-zero cost, so instrumented code pays nothing in
-untraced runs.  This module is pure stdlib so every layer (including
-:mod:`repro.execution`) can import it without cycles.
+untraced runs.  This module is pure stdlib so every layer can import it
+without cycles.
 
 >>> tracer = SpanTracer()
 >>> with activate(tracer):

@@ -17,8 +17,8 @@ swaps them back in from the outside:
 
 The context yields the set of oracle names the enclosed code reached,
 so a test can check that its comparison is not vacuous.  The patches are
-process-global, so worker threads of the block executor see them too;
-the context is for tests and benchmarks, not for concurrent use.
+process-global; the context is for tests and benchmarks, not for
+concurrent use.
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ from repro import (
     TruthServer,
     TruthService,
 )
-from repro.core.config import RESULT_AFFECTING_FIELDS
+from repro.cli import main as cli_main
+from repro.core.config import RESULT_AFFECTING_FIELDS, config_from_dict
 from repro.datasets import make_synthetic
 from repro.serving import serve_network
 
@@ -52,7 +53,6 @@ class TestPublicSurface:
                             "result_from_dict", "config_from_dict"]),
             ("repro.store", ["TruthStore", "ClaimWAL", "SnapshotStore",
                              "WALCorruptionWarning", "StoreError"]),
-            ("repro.execution", ["ExecutionPolicy"]),
             ("repro.observability", ["SpanTracer"]),
             ("repro.serving", ["TruthService", "TruthSnapshot",
                                "ServiceOverloadedError", "run_smoke",
@@ -70,7 +70,7 @@ class TestPublicSurface:
         from repro import TruthService, TruthSnapshot  # noqa: F401
 
     def test_version_matches_package_metadata(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"
 
     def test_store_symbols_are_top_level(self):
         from repro import TruthStore, store  # noqa: F401
@@ -82,10 +82,14 @@ class TestTDACConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.seed = 1
 
-    def test_fingerprint_ignores_performance_knobs(self):
-        base = TDACConfig(seed=4)
-        tuned = TDACConfig(seed=4, n_jobs=8, backend="processes")
-        assert base.fingerprint() == tuned.fingerprint()
+    def test_fingerprints_are_pinned(self):
+        # Checkpoints and partition caches key on these digests; a change
+        # here orphans every stored checkpoint.
+        assert TDACConfig().fingerprint() == "bbd566bb65d39e1f"
+        assert (
+            TDACConfig(seed=1, distance="masked").fingerprint()
+            == "7d2f751449932bda"
+        )
 
     def test_fingerprint_tracks_result_affecting_knobs(self):
         fingerprints = {
@@ -97,8 +101,46 @@ class TestTDACConfig:
         assert len(fingerprints) == 4
 
     def test_result_affecting_fields_exist(self):
-        fields = {f.name for f in dataclasses.fields(TDACConfig)}
-        assert set(RESULT_AFFECTING_FIELDS) <= fields
+        fields = [f.name for f in dataclasses.fields(TDACConfig)]
+        assert fields == list(RESULT_AFFECTING_FIELDS)
+
+    def test_rejects_negative_seed(self):
+        # numpy's default_rng refuses a negative seed only deep inside a
+        # fit or a dataset generator; the config refuses it up front, by
+        # name, and the CLI builds its config before loading any corpus.
+        with pytest.raises(ValueError, match="seed"):
+            TDACConfig(seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            cli_main(["serve", "--seed", "-1"])
+
+
+class TestOldCheckpointConfigs:
+    """1.8.0 checkpoints store seven retired placement knobs beside the
+    five fields; they restore, and a float32 one is refused."""
+
+    LEGACY = {
+        "distance": "hamming", "k_min": 2, "k_max": None, "n_init": 10,
+        "seed": 0, "n_jobs": 1, "backend": "threads", "sparse": "auto",
+        "sparse_threshold": 500000, "dtype": "float64",
+        "memmap_threshold": None, "execution_policy": None,
+        "fingerprint": "bbd566bb65d39e1f",
+    }
+
+    def test_legacy_payload_restores(self):
+        config = config_from_dict(self.LEGACY)
+        assert config == TDACConfig()
+        assert config.fingerprint() == "bbd566bb65d39e1f"
+
+    def test_float32_payload_is_refused(self):
+        payload = dict(
+            self.LEGACY, dtype="float32", fingerprint="29e05815635d2f6e"
+        )
+        with pytest.raises(ValueError, match="fingerprint"):
+            config_from_dict(payload)
+
+    def test_round_trip(self):
+        config = TDACConfig(seed=1, distance="masked", k_max=4)
+        assert config_from_dict(config.to_dict()) == config
 
 
 class TestLegacyKwargShim:

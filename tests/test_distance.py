@@ -12,7 +12,6 @@ from repro.clustering import (
     pairwise_euclidean,
     pairwise_hamming,
     pairwise_masked_hamming,
-    pairwise_masked_hamming_sparse,
 )
 
 
@@ -159,16 +158,6 @@ class TestZeroOverlap:
         assert distances[0, 1] == float(length)
         assert distances[1, 0] == float(length)
 
-    def test_sparse_matches_dense_with_zero_overlap(self):
-        sp = pytest.importorskip("scipy.sparse")
-        matrix, mask = self._disjoint()
-        dense = pairwise_masked_hamming(matrix, mask)
-        sparse = pairwise_masked_hamming_sparse(
-            sp.csr_matrix(matrix), sp.csr_matrix(mask.astype(float))
-        )
-        assert np.isfinite(sparse).all()
-        np.testing.assert_array_equal(dense, sparse)
-
     def test_fully_unobserved_row_is_finite(self):
         matrix = np.zeros((3, 4))
         matrix[0, 0] = 1.0
@@ -219,67 +208,3 @@ class TestZeroOverlap:
         distances = pairwise_masked_hamming(matrix, mask)
         result = select_k_silhouette(matrix, distances=distances, seed=0)
         assert np.isfinite(list(result.scores.values())).all()
-
-
-class TestSparseGramMemory:
-    """The sparse Gram path must never densify in one full-matrix gulp."""
-
-    @staticmethod
-    def _truth_like(n_rows, n_cols, seed=0, density=0.05):
-        sp = pytest.importorskip("scipy.sparse")
-        rng = np.random.default_rng(seed)
-        mask = rng.random((n_rows, n_cols)) < density
-        matrix = np.where(mask & (rng.random((n_rows, n_cols)) < 0.5), 1.0, 0.0)
-        return (
-            sp.csr_matrix(matrix),
-            sp.csr_matrix(mask.astype(float)),
-            matrix,
-            mask,
-        )
-
-    def test_chunked_gram_matches_unchunked(self):
-        from repro.clustering.distance import (
-            pairwise_hamming_sparse,
-            pairwise_masked_hamming_sparse,
-        )
-
-        csr, mask_csr, matrix, mask = self._truth_like(30, 400, seed=1)
-        whole = pairwise_hamming_sparse(csr)
-        for chunk in (1, 7, 29, 10**9):
-            assert np.array_equal(
-                whole, pairwise_hamming_sparse(csr, chunk_elements=chunk)
-            )
-        whole_masked = pairwise_masked_hamming_sparse(csr, mask_csr)
-        for chunk in (1, 7, 29, 10**9):
-            assert np.array_equal(
-                whole_masked,
-                pairwise_masked_hamming_sparse(
-                    csr, mask_csr, chunk_elements=chunk
-                ),
-            )
-
-    def test_peak_allocation_subquadratic_in_rank_columns(self):
-        """Peak transient memory must track the n x n result + one chunk,
-        not the (columns = |O| * |S|) dense expansion of the operands."""
-        import tracemalloc
-
-        from repro.clustering.distance import pairwise_masked_hamming_sparse
-
-        n_rows, n_cols = 24, 60_000  # dense expansion would be ~11.5 MB
-        csr, mask_csr, _, _ = self._truth_like(
-            n_rows, n_cols, seed=2, density=0.01
-        )
-        result_bytes = n_rows * n_rows * 8
-        tracemalloc.start()
-        before, _ = tracemalloc.get_traced_memory()
-        pairwise_masked_hamming_sparse(csr, mask_csr, chunk_elements=4 * n_rows)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        overhead = peak - before
-        dense_expansion = n_rows * n_cols * 8
-        # Generous ceiling: a handful of n x n buffers plus slack, far
-        # below one dense operand copy.
-        assert overhead < max(20 * result_bytes, dense_expansion // 8), (
-            f"peak overhead {overhead} bytes suggests a dense-operand or "
-            f"full-Gram materialisation (dense expansion {dense_expansion})"
-        )

@@ -180,7 +180,7 @@ class TestTracedTDACRun:
         tracer = SpanTracer()
         with Timer() as timer:
             with activate(tracer):
-                TDAC(Accu(), config=TDACConfig(seed=0, n_jobs=2)).run(dataset)
+                TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
         report = trace_report(tracer, total_seconds=timer.elapsed)
         assert set(report["stage_seconds"]) == set(TDAC_STAGES)
         assert report["stage_coverage"] == pytest.approx(1.0, abs=0.05)

@@ -21,7 +21,6 @@ from repro.serving import ServiceConfig
 from repro.core import extend_dataset
 from repro.data import Claim
 from repro.datasets import make_synthetic
-from repro.execution import ExecutionPolicy, FailNth, KillWorker
 from repro.store import TruthStore, WALCorruptionWarning, decode_claim
 
 CONFIG = TDACConfig(seed=3)
@@ -256,65 +255,5 @@ class TestCrashRecovery:
             # the warning above is mandatory, and the replay never
             # skipped over the hole to reach it.
             assert_bit_identical(restored, dataset, batches[0] + batches[1])
-        finally:
-            restored.stop()
-
-
-class TestFaultInjectedService:
-    """PR 2's injectors under a durable service: faults during refits
-    neither corrupt the store nor break restore bit-identity."""
-
-    def test_failnth_worker_faults_leave_store_consistent(
-        self, tmp_path, dataset
-    ):
-        store_dir = tmp_path / "store"
-        config = CONFIG.replace(
-            n_jobs=2,
-            execution_policy=ExecutionPolicy(
-                max_retries=1, fault_injector=FailNth(index=1)
-            ),
-        )
-        applied = []
-        service = TruthService(
-            MajorityVote(), dataset, config=config,
-            store=store_dir,
-            service_config=ServiceConfig(max_wait_ms=1.0),
-        )
-        service.start()
-        for j in range(2):
-            batch = fresh_claims(dataset, f"f{j}", 3)
-            service.ingest(batch, wait=True)
-            applied.extend(batch)
-        service.stop()
-        restored = TruthService.restore(store_dir)
-        try:
-            assert_bit_identical(restored, dataset, applied)
-        finally:
-            restored.stop()
-
-    @pytest.mark.slow
-    def test_killed_worker_process_leaves_store_consistent(
-        self, tmp_path, dataset
-    ):
-        store_dir = tmp_path / "store"
-        config = CONFIG.replace(
-            n_jobs=2,
-            backend="processes",
-            execution_policy=ExecutionPolicy(
-                fault_injector=KillWorker(index=1)
-            ),
-        )
-        batch = fresh_claims(dataset, "k", 3)
-        service = TruthService(
-            MajorityVote(), dataset, config=config,
-            store=store_dir,
-            service_config=ServiceConfig(max_wait_ms=1.0),
-        )
-        service.start()
-        service.ingest(batch, wait=True)
-        service.stop()
-        restored = TruthService.restore(store_dir)
-        try:
-            assert_bit_identical(restored, dataset, batch)
         finally:
             restored.stop()

@@ -81,17 +81,6 @@ class TestInterface:
         ).run(small_ds1.dataset)
         assert outcome.partition.n_blocks >= 2
 
-    def test_parallel_matches_sequential(self, small_ds1):
-        dataset = small_ds1.dataset
-        sequential = TDAC(
-            MajorityVote(), config=TDACConfig(seed=0, n_jobs=1)
-        ).run(dataset)
-        parallel = TDAC(
-            MajorityVote(), config=TDACConfig(seed=0, n_jobs=4)
-        ).run(dataset)
-        assert sequential.predictions == parallel.predictions
-        assert sequential.partition == parallel.partition
-
     def test_few_attributes_degrades_to_whole(self):
         builder = DatasetBuilder()
         for s in ("s1", "s2", "s3"):
@@ -111,8 +100,8 @@ class TestInterface:
             TDAC(MajorityVote(), config=TDACConfig(distance="cosine"))
         with pytest.raises(ValueError, match="k_min"):
             TDAC(MajorityVote(), config=TDACConfig(k_min=1))
-        with pytest.raises(ValueError, match="n_jobs"):
-            TDAC(MajorityVote(), config=TDACConfig(n_jobs=0))
+        with pytest.raises(ValueError, match="n_init"):
+            TDAC(MajorityVote(), config=TDACConfig(n_init=0))
 
     def test_name_embeds_base(self):
         assert TDAC(Accu()).name == "TD-AC (F=Accu)"

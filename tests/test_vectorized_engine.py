@@ -2,14 +2,10 @@
 
 The engine (``repro.data.claim_engine.ClaimIndexEngine`` plus the
 vectorized kernels inside the base algorithms) must be *bitwise*
-indistinguishable from the historical per-claim loops under the default
-float64 working dtype.  ``tests.oracles.reference_kernels()`` patches the
-loops (and the per-block recompiles) back in from the outside, which is
-what every identity test here compares against.
-
-The float32 opt-in is explicitly *not* bit-identical; its contract —
-identical winning predictions on the small suites, confidences within a
-documented tolerance — is pinned by the float32 tests below.
+indistinguishable from the historical per-claim loops.
+``tests.oracles.reference_kernels()`` patches the loops (and the
+per-block recompiles) back in from the outside, which is what every
+identity test here compares against.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from repro.algorithms import (
     TruthFinder,
     TwoEstimates,
 )
-from repro.core.config import TDACConfig, config_from_dict
+from repro.core.config import TDACConfig
 from repro.core.parallel import run_blocks
 from repro.core.tdac import TDAC
 from repro.data import ClaimIndexEngine, DataError, DatasetIndex
@@ -133,26 +129,13 @@ def test_block_index_memoised_and_validated():
         engine.block_index(("no-such-attribute",))
 
 
-def test_shared_engine_cached_per_dataset_and_dtype():
+def test_shared_engine_cached_per_dataset():
     dataset = load("DS2", seed=0, scale=0.05)
     a = ClaimIndexEngine.shared(dataset)
     b = ClaimIndexEngine.shared(dataset)
     assert a is b
-    c = ClaimIndexEngine.shared(dataset, dtype=np.float32)
-    assert c is not a
-    assert c.full_index.dtype == np.float32
     other = load("DS2", seed=1, scale=0.05)
     assert ClaimIndexEngine.shared(other) is not a
-
-
-def test_index_rejects_unsupported_dtype():
-    dataset = load("DS2", seed=0, scale=0.05)
-    with pytest.raises(ValueError):
-        DatasetIndex(dataset, dtype=np.int32)
-    with pytest.raises(ValueError):
-        ClaimIndexEngine(dataset, dtype=np.float16)
-    with pytest.raises(ValueError):
-        TDACConfig(dtype="float16")
 
 
 def test_full_tdac_pipeline_bit_identical():
@@ -166,56 +149,6 @@ def test_full_tdac_pipeline_bit_identical():
     assert fast.partition == reference.partition
     assert fast.silhouette_by_k == reference.silhouette_by_k
     _assert_results_equal(fast.result, reference.result, "pipeline")
-
-
-def test_memmap_truth_vectors_bit_identical():
-    """memmap_threshold=0 forces mapped matrices; results are unchanged."""
-    dataset = load("DS2", seed=0, scale=0.1)
-    plain = TDAC(Accu(), config=TDACConfig()).run(dataset)
-    mapped = TDAC(Accu(), config=TDACConfig(memmap_threshold=0)).run(dataset)
-    assert plain.partition == mapped.partition
-    _assert_results_equal(plain.result, mapped.result, "memmap")
-    assert np.array_equal(
-        plain.truth_vectors.matrix, np.asarray(mapped.truth_vectors.matrix)
-    )
-    assert isinstance(mapped.truth_vectors.matrix, np.memmap)
-
-
-# ---------------------------------------------------------------------------
-# float32 tolerance contract
-# ---------------------------------------------------------------------------
-
-#: The float32 path may drift from float64 in confidence values; this is
-#: the documented ceiling on that drift for the small test suites.  The
-#: winning predictions themselves must not change there.
-FLOAT32_CONFIDENCE_TOLERANCE = 1e-4
-
-
-@pytest.mark.parametrize("algorithm_cls", [MajorityVote, TruthFinder, Sums, CRH])
-def test_float32_contract(algorithm_cls):
-    dataset = load("DS2", seed=0, scale=0.1)
-    engine64 = ClaimIndexEngine.shared(dataset)
-    engine32 = ClaimIndexEngine.shared(dataset, dtype=np.float32)
-    full = algorithm_cls().discover(engine64.full_index)
-    half = algorithm_cls().discover(engine32.full_index)
-    assert half.predictions == full.predictions
-    for fact, value in full.confidence.items():
-        assert half.confidence[fact] == pytest.approx(
-            value, abs=FLOAT32_CONFIDENCE_TOLERANCE
-        )
-
-
-def test_float32_config_changes_fingerprint_but_float64_is_legacy():
-    """dtype feeds the fingerprint only when it deviates from float64."""
-    base = TDACConfig()
-    f32 = TDACConfig(dtype="float32")
-    assert base.fingerprint() != f32.fingerprint()
-    # A payload without the new knobs (an old checkpoint) still validates.
-    legacy = base.to_dict()
-    legacy.pop("dtype")
-    legacy.pop("memmap_threshold")
-    assert config_from_dict(legacy).fingerprint() == base.fingerprint()
-    assert f32.dtype_np == np.float32
 
 
 def test_run_blocks_engine_reuse_matches_default():
