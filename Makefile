@@ -1,9 +1,9 @@
-.PHONY: install lint test test-fast test-serving test-incremental test-store test-net test-scenarios bench bench-base bench-serving-smoke bench-incremental-smoke bench-scenarios-smoke report examples clean
+.PHONY: install lint test test-fast test-serving test-incremental test-store test-net test-scenarios bench bench-base bench-serving-smoke bench-scenarios-smoke report examples clean
 
 install:
 	pip install -e . --no-build-isolation
 
-test: lint bench-base test-serving test-incremental test-store test-net test-scenarios bench-serving-smoke bench-incremental-smoke bench-scenarios-smoke
+test: lint bench-base test-serving test-incremental test-store test-net test-scenarios bench-serving-smoke bench-scenarios-smoke
 	pytest tests/
 
 # Static checks: ruff when the container ships it, plus a bytecode
@@ -82,17 +82,6 @@ bench-serving-smoke:
 	    --output benchmarks/output/BENCH_serving_smoke.json
 	test -s benchmarks/output/BENCH_serving_smoke.json
 
-# CI-sized run of the exact-delta refit/restore harness.  The harness
-# asserts the delta path is bit-identical to the full-refit baseline at
-# every watermark (and actually faster) before writing its artefact, so
-# incremental exactness and its perf win are gated in the test flow.
-bench-incremental-smoke:
-	mkdir -p benchmarks/output
-	PYTHONPATH=src python benchmarks/bench_incremental.py \
-	    --config smoke \
-	    --output benchmarks/output/BENCH_incremental_smoke.json
-	test -s benchmarks/output/BENCH_incremental_smoke.json
-
 # Small-grid run of the degradation-leaderboard harness.  The harness
 # asserts severity-0 metric parity (every scenario curve starts exactly
 # at the clean-corpus numbers) before reporting, so the scenario axis is
@@ -114,7 +103,6 @@ examples:
 clean:
 	rm -rf benchmarks/output/BENCH_base_algorithms_smoke.json \
 	    benchmarks/output/BENCH_serving_smoke.json \
-	    benchmarks/output/BENCH_incremental_smoke.json \
 	    benchmarks/output/BENCH_scenarios_smoke.json \
 	    .pytest_cache .benchmarks
 	find . -name __pycache__ -type d -exec rm -rf {} +

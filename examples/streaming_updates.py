@@ -5,9 +5,8 @@ A fusion service does not get its corpus at once — claims trickle in.
 the claim index and Eq. 1 truth-vector matrix are patched in place, the
 certified partition is reused (or re-certified) and only the blocks a
 batch touches are re-solved — and the published state is bit-identical
-to rerunning offline ``TDAC.run`` on the grown corpus.  A full refit
-happens only when enough new data has accumulated that recomputing from
-scratch is cheaper than certifying the reuse.
+to rerunning offline ``TDAC.run`` on the grown corpus.  The delta path
+is exact at any batch size, so even a flood never needs a full refit.
 
 The second half makes the stream *durable*: a ``TruthService`` with a
 ``store=`` directory WAL-logs every admission before acknowledging it,
@@ -27,9 +26,7 @@ from repro.datasets import make_synthetic
 generated = make_synthetic("DS1", n_objects=40, seed=1)
 dataset = generated.dataset
 
-incremental = IncrementalTDAC(
-    MajorityVote(), repartition_fraction=0.2, config=TDACConfig(seed=0)
-)
+incremental = IncrementalTDAC(MajorityVote(), config=TDACConfig(seed=0))
 outcome = incremental.fit(dataset)
 print(f"initial fit: partition {outcome.partition}")
 print(f"stats: {incremental.stats}\n")
@@ -53,9 +50,8 @@ batch = [
 result = incremental.update(batch)
 print(f"after new attribute 'sentiment': partition {incremental.partition}")
 
-# Batch 3: a flood of claims — exceeds the drift budget
-# (repartition_fraction of the corpus size at the last full fit) and
-# triggers a full refit.
+# Batch 3: a flood of claims (a quarter of the corpus) — still one
+# exact delta update; no full refit runs.
 flood = [
     Claim(dataset.sources[i % 10], f"flood-{i}", "sentiment",
           "positive" if i % 4 else "negative")

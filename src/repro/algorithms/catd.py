@@ -14,7 +14,6 @@ the one algorithm in the library exercising the scipy.stats substrate.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.algorithms.base import EngineState, TruthDiscoveryAlgorithm
 from repro.algorithms.convergence import ConvergenceCriterion
@@ -52,6 +51,8 @@ class CATD(TruthDiscoveryAlgorithm):
         self.max_iterations = max_iterations
 
     def _solve(self, index: DatasetIndex) -> EngineState:
+        from scipy import stats  # lazy: keeps scipy.stats out of `import repro`
+
         counts = np.maximum(index.claims_per_source, 1.0)
         # chi2.ppf(alpha/2, n): the lower quantile of a chi-squared with
         # one degree of freedom per observation — the numerator of the

@@ -25,7 +25,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import stats
 
 from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
 from repro.algorithms.convergence import ConvergenceCriterion
@@ -227,6 +226,8 @@ class ContinuousCATD(_ContinuousEstimator):
         self.max_iterations = max_iterations
 
     def _estimate(self, index: DatasetIndex, claim_value: np.ndarray):
+        from scipy import stats  # lazy: keeps scipy.stats out of `import repro`
+
         scale = self._fact_scale(index, claim_value)
         counts = np.maximum(index.claims_per_source.astype(np.float64), 1.0)
         interval = stats.chi2.ppf(self.significance / 2.0, df=counts)

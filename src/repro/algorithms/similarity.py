@@ -20,7 +20,6 @@ from __future__ import annotations
 import numbers
 import threading
 from functools import lru_cache
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -135,11 +134,8 @@ class SlotSimilarity:
     touched by similarity-aware algorithms (facts with a single slot).
     """
 
-    #: Shared instances, weakly keyed by index (see :meth:`shared`).
-    _SHARED: "WeakKeyDictionary[DatasetIndex, SlotSimilarity]" = (
-        WeakKeyDictionary()
-    )
-    _SHARED_LOCK = threading.Lock()
+    #: Guards first-use creation of an index's instance (see :meth:`shared`).
+    _CREATE_LOCK = threading.Lock()
 
     def __init__(self, index: DatasetIndex) -> None:
         self._index = index
@@ -153,14 +149,17 @@ class SlotSimilarity:
 
         Similarity matrices depend only on the index's slot values, so
         every solve over the same index (repeated runs, serving
-        refreshes) can share one instance and its cached matrices.
+        refreshes) can share one instance and its cached matrices.  The
+        instance is cached on the index itself, so it is freed with it.
         """
-        with cls._SHARED_LOCK:
-            instance = cls._SHARED.get(index)
-            if instance is None:
-                instance = cls(index)
-                cls._SHARED[index] = instance
-            return instance
+        instance = getattr(index, "_slot_similarity", None)
+        if instance is None:
+            with cls._CREATE_LOCK:
+                instance = getattr(index, "_slot_similarity", None)
+                if instance is None:
+                    instance = cls(index)
+                    index._slot_similarity = instance
+        return instance
 
     def _compute_matrix(self, fact_id: int) -> np.ndarray:
         start = self._index.fact_slot_start[fact_id]

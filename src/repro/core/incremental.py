@@ -22,12 +22,8 @@ at delta cost while keeping a proof that the published result equals
   exact change flags.  When nothing selection-relevant changed (appended
   all-zero columns provably leave every pairwise attribute distance,
   k-means labelling and silhouette untouched), the previous certified
-  partition and silhouettes are reused; otherwise a cold sweep re-
-  certifies.  A warm-started probe (k-means seeded with the previous
-  sweep's centroids over a bounded ``k`` window) predicts the outcome
-  first — if the certified partition disagrees with the warm
-  prediction, partition structure drifted and *every* block is
-  refreshed;
+  partition and silhouettes are reused; otherwise the cold sweep of
+  :meth:`TDAC.select_partition` re-certifies;
 * blocks are recomputed only when their result could differ: their
   membership changed, a batch claim touched one of their attributes, or
   the source universe grew (per-block trust vectors span all sources).
@@ -37,10 +33,8 @@ at delta cost while keeping a proof that the published result equals
   weighting — and therefore the merged trust arithmetic — matches the
   offline pipeline bit for bit.
 
-Once the claims added since the last full fit exceed
-``repartition_fraction`` of the dataset size *at that fit*, the next
-:meth:`update` runs a full re-fit (reliability structure may have
-drifted far enough that delta refits stop paying off).
+Every :meth:`IncrementalTDAC.update` takes this one path, whatever the
+batch size: it is exact at any size, so there is nothing to tune.
 """
 
 from __future__ import annotations
@@ -49,11 +43,10 @@ import dataclasses
 import time
 from typing import Iterable
 
-import numpy as np
-
 from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
-from repro.clustering.kmeans import lloyd
-from repro.clustering.kselect import score_silhouette_sweep
+# Unused here, but kept: profilers wrap these two names on this module.
+from repro.clustering.kmeans import lloyd  # noqa: F401
+from repro.clustering.kselect import score_silhouette_sweep  # noqa: F401
 from repro.core.cache import PartitionCache
 from repro.core.config import TDACConfig
 from repro.core.parallel import run_blocks
@@ -72,17 +65,6 @@ class IncrementalTDAC:
     ----------
     base:
         Base algorithm for both the initial fit and block refreshes.
-    repartition_fraction:
-        When the claims added since the last full fit exceed this
-        fraction of the dataset size *at that fit*, the partition is
-        deemed stale and the next update runs a full re-fit.
-    warm_window:
-        Half-width of the ``k`` window around the previously chosen
-        ``k`` in which the warm-started stability probe re-fits k-means
-        from the previous centroids.  The probe never decides the
-        published partition (the cold sweep does); it only detects
-        partition drift, which forces an all-block refresh.  ``0``
-        probes only the previous ``k`` itself.
     config:
         :class:`~repro.core.config.TDACConfig` for the underlying
         :class:`TDAC` (``None`` means all defaults).
@@ -95,36 +77,22 @@ class IncrementalTDAC:
     def __init__(
         self,
         base: TruthDiscoveryAlgorithm,
-        repartition_fraction: float = 0.2,
-        warm_window: int = 1,
         config: TDACConfig | None = None,
         partition_cache: PartitionCache | None = None,
     ) -> None:
-        if not 0.0 < repartition_fraction <= 1.0:
-            raise ValueError("repartition_fraction must be in (0, 1]")
-        if warm_window < 0:
-            raise ValueError("warm_window must be >= 0")
         self.base = base
-        self.repartition_fraction = repartition_fraction
-        self.warm_window = warm_window
         self._tdac = TDAC(base, config=config, partition_cache=partition_cache)
         self._dataset: Dataset | None = None
         self._partition: Partition | None = None
         self._block_results: dict[tuple, TruthDiscoveryResult] = {}
-        self._engine: ClaimIndexEngine | None = None
         self._last_outcome: TDACResult | None = None
         self._vector_store: TruthVectorStore | None = None
-        self._prev_fits: dict | None = None
         self._prev_silhouettes: dict[int, float] | None = None
-        self._n_claims_at_fit = 0
-        self._claims_since_fit = 0
         self._n_full_fits = 0
         self._n_block_refreshes = 0
         self._n_blocks_reused = 0
         self._n_delta_updates = 0
         self._n_selection_reuses = 0
-        self._n_warm_hits = 0
-        self._n_warm_misses = 0
 
     # ------------------------------------------------------------------
 
@@ -158,12 +126,9 @@ class IncrementalTDAC:
         return {
             "full_fits": self._n_full_fits,
             "block_refreshes": self._n_block_refreshes,
-            "claims_since_fit": self._claims_since_fit,
             "delta_updates": self._n_delta_updates,
             "blocks_reused": self._n_blocks_reused,
             "selection_reuses": self._n_selection_reuses,
-            "warm_hits": self._n_warm_hits,
-            "warm_misses": self._n_warm_misses,
             "vector_rebuilds": store.rebuilds if store is not None else 0,
             "vector_patches": store.patches if store is not None else 0,
         }
@@ -171,7 +136,7 @@ class IncrementalTDAC:
     # ------------------------------------------------------------------
 
     def fit(self, dataset: Dataset) -> TDACResult:
-        """Initial (or staleness-triggered) full TD-AC fit."""
+        """Full TD-AC fit: the initial corpus, or a full-mode refit."""
         outcome = self._tdac.run(dataset)
         self._dataset = dataset
         self._partition = outcome.partition
@@ -179,17 +144,12 @@ class IncrementalTDAC:
             zip(outcome.partition.blocks, outcome.block_results)
         )
         self._last_outcome = outcome
-        # TDAC.run does not expose its k-means fits and the batch-built
-        # matrix is not patchable in place, so the first delta update
-        # after a full fit seeds the store and cold-sweeps; later deltas
-        # then reuse or warm-probe.
+        # The batch-built matrix is not patchable in place, so the first
+        # delta update after a full fit seeds the store and cold-sweeps;
+        # later deltas then patch it and may reuse the selection.
         self._vector_store = None
-        self._prev_fits = None
         self._prev_silhouettes = None
-        self._n_claims_at_fit = dataset.n_claims
-        self._claims_since_fit = 0
         self._n_full_fits += 1
-        self._pin_engine()
         return outcome
 
     def update(self, claims: Iterable[Claim]) -> TDACResult:
@@ -214,15 +174,9 @@ class IncrementalTDAC:
         new_dataset = self._dataset.extended(batch)
         if new_dataset is self._dataset:
             return self._last_outcome
-        fresh = self._fresh_claims(batch)
-        self._claims_since_fit += len(fresh)
-
-        stale = self._claims_since_fit > (
-            self.repartition_fraction * self._n_claims_at_fit
+        return self._delta_update(
+            new_dataset, self._fresh_claims(batch), started
         )
-        if stale:
-            return self.fit(new_dataset)
-        return self._delta_update(new_dataset, fresh, started)
 
     # ------------------------------------------------------------------
     # The exact delta path
@@ -259,31 +213,16 @@ class IncrementalTDAC:
 
         # Stage 3 — partition selection.  Reuse is admissible only when
         # every selection input is provably unchanged; otherwise a cold
-        # sweep certifies, with the warm probe watching for drift.
-        force_all = new_source
+        # sweep certifies.
         dirty = delta.selection_dirty or (
             tdac.distance == "masked" and delta.mask_changed
         )
         if not dirty and self._prev_silhouettes is not None:
             partition = self._partition
             silhouettes = dict(self._prev_silhouettes)
-            fits = self._prev_fits
             self._n_selection_reuses += 1
         else:
-            distances = tdac.pairwise_distances(vectors)
-            warm = self._warm_probe(vectors, distances)
-            partition, silhouettes, fits = tdac.sweep_partition(
-                vectors, distances=distances
-            )
-            if warm is not None:
-                if warm == partition:
-                    self._n_warm_hits += 1
-                else:
-                    # Partition structure drifted: the warm probe and
-                    # the certified sweep disagree, so no previous block
-                    # result is trusted (ISSUE's fallback-to-full).
-                    self._n_warm_misses += 1
-                    force_all = True
+            partition, silhouettes = tdac.select_partition(vectors)
 
         # Stage 4 — per-block runs, reusing every block whose result
         # provably cannot have changed: same membership, no batch claim
@@ -294,7 +233,7 @@ class IncrementalTDAC:
         refresh_idx: list[int] = []
         for i, block in enumerate(partition.blocks):
             reusable = (
-                not force_all
+                not new_source
                 and block in prev_results
                 and not (touched & set(block))
             )
@@ -334,10 +273,8 @@ class IncrementalTDAC:
             truth_vectors=vectors,
         )
         self._dataset = new_dataset
-        self._engine = engine
         self._partition = partition
         self._block_results = dict(zip(partition.blocks, results))
-        self._prev_fits = fits
         self._prev_silhouettes = dict(silhouettes)
         self._last_outcome = outcome
         self._n_delta_updates += 1
@@ -361,72 +298,23 @@ class IncrementalTDAC:
     ) -> ClaimIndexEngine | None:
         """Delta-compile the claim engine for the extended dataset.
 
-        Registers the child in the shared registry, so a later full fit
-        over the same dataset object also rides the spliced compile.
-        Falls back to a cold shared compile when the previous engine
-        cannot splice (and to ``None`` when the base algorithm does not
-        consume index views).
+        The current dataset owns its engine (:meth:`ClaimIndexEngine.
+        shared`), and the spliced child becomes the extended dataset's
+        own engine, so a later full fit over the same dataset object
+        also rides the spliced compile.  Falls back to a cold compile
+        when the engine cannot splice (and to ``None`` when the base
+        algorithm does not consume index views).
         """
         if not self.base.supports_index:
             return None
-        if self._engine is not None:
-            try:
-                return self._engine.extended(new_dataset, fresh)
-            except ValueError:
-                pass
-        return ClaimIndexEngine.shared(new_dataset)
-
-    def _warm_probe(self, vectors, distances: np.ndarray) -> Partition | None:
-        """Partition predicted by warm-starting from the previous sweep.
-
-        Re-runs Lloyd iterations seeded with the previous winning
-        centroids (zero-padded to any appended columns) for every ``k``
-        within ``warm_window`` of the previously chosen ``k``, scores
-        the probe fits with the same silhouette reduction, and applies
-        TDAC's tie-break.  Returns ``None`` when no previous sweep fits
-        exist (right after a full fit, or a degenerate sweep range).
-        """
-        prev_fits = self._prev_fits
-        if not prev_fits or self._partition is None:
-            return None
-        data = vectors.matrix.astype(float)
-        k_prev = self._partition.n_blocks
-        window = range(k_prev - self.warm_window, k_prev + self.warm_window + 1)
-        warm_fits = {}
-        for k in window:
-            prev = prev_fits.get(k)
-            if prev is None:
-                continue
-            centroids = prev.centroids.astype(float)
-            if centroids.shape[1] < data.shape[1]:
-                pad = np.zeros(
-                    (centroids.shape[0], data.shape[1] - centroids.shape[1])
-                )
-                centroids = np.hstack([centroids, pad])
-            warm_fits[k] = lloyd(data, centroids)
-        if not warm_fits:
-            return None
-        warm_sils = score_silhouette_sweep(
-            distances, warm_fits, average="macro"
-        )
-        return TDAC.pick_partition(vectors.attributes, warm_fits, warm_sils)
+        try:
+            return ClaimIndexEngine.shared(self._dataset).extended(
+                new_dataset, fresh
+            )
+        except ValueError:
+            return ClaimIndexEngine.shared(new_dataset)
 
     # ------------------------------------------------------------------
-
-    def _pin_engine(self) -> None:
-        """Hold a strong reference to the current dataset's claim engine.
-
-        The shared-engine registry is weak-keyed on the dataset, so
-        without a pin the compiled incidence structure would be garbage
-        collected between batches; pinning keeps it warm across
-        snapshots for as long as the dataset stays current.  The serving
-        layer's refits (both full and incremental mode) run through this
-        object, so they inherit the warm state automatically.
-        """
-        if not self.base.supports_index:
-            self._engine = None
-        else:
-            self._engine = ClaimIndexEngine.shared(self._dataset)
 
     def _require_fitted(self) -> None:
         if self._dataset is None:

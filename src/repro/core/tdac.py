@@ -268,59 +268,27 @@ class TDAC(TruthDiscoveryAlgorithm):
         every candidate ``k``, and the silhouette aggregations reuse the
         matrix's row sums across candidates.
 
+        Candidates are scanned in ascending ``k``, degenerate single-
+        cluster labellings are skipped, and only a strict silhouette
+        improvement replaces the incumbent, so the first ``k`` wins ties.
+
         Datasets with fewer than 4 attributes have an empty sweep range
         ``[2, |A| - 1]``; they fall back to the trivial one-block
         partition, which makes TD-AC degrade gracefully to plain ``F``.
-        """
-        partition, silhouettes, _ = self.sweep_partition(vectors)
-        return partition, silhouettes
-
-    def sweep_partition(
-        self,
-        vectors: TruthVectorMatrix,
-        distances: np.ndarray | None = None,
-    ) -> tuple[Partition, dict[int, float], dict]:
-        """:meth:`select_partition` plus the per-``k`` k-means fits.
-
-        The fits carry the winning centroids of every swept ``k``; the
-        exact incremental engine keeps them so the next update can
-        warm-start its stability probe from the previous sweep.
-        ``distances`` optionally reuses an already-computed pairwise
-        distance matrix (it depends only on ``vectors``).
         """
         n_attributes = vectors.n_attributes
         upper = n_attributes - 1 if self.k_max is None else min(
             self.k_max, n_attributes - 1
         )
         if upper < self.k_min:
-            return Partition.whole(vectors.attributes), {}, {}
+            return Partition.whole(vectors.attributes), {}
         data = vectors.matrix.astype(float)
-        if distances is None:
-            distances = self.pairwise_distances(vectors)
+        distances = self.pairwise_distances(vectors)
         fits = sweep_kmeans(
             data, range(self.k_min, upper + 1), n_init=self.n_init, seed=self.seed
         )
         silhouettes = score_silhouette_sweep(distances, fits, average="macro")
-        partition = self.pick_partition(
-            vectors.attributes, fits, silhouettes
-        )
-        return partition, silhouettes, fits
-
-    @staticmethod
-    def pick_partition(
-        attributes: tuple,
-        fits: Mapping[int, object],
-        silhouettes: Mapping[int, float],
-    ) -> Partition:
-        """Algorithm 1's argmax over swept fits (first ``k`` wins ties).
-
-        Shared by the cold sweep and the incremental engine's
-        warm-started probe so both apply the identical tie-break:
-        candidates are scanned in ascending ``k``, degenerate single-
-        cluster labellings are skipped, and only a strict silhouette
-        improvement replaces the incumbent.
-        """
-        best_partition: Partition | None = None
+        best_partition = Partition.whole(vectors.attributes)
         best_score = -np.inf
         for k in sorted(fits):
             labels = fits[k].labels
@@ -329,10 +297,10 @@ class TDAC(TruthDiscoveryAlgorithm):
             # Algorithm 1 keeps the first k on ties (strict improvement).
             if silhouettes[k] > best_score:
                 best_score = silhouettes[k]
-                best_partition = Partition.from_labels(attributes, labels)
-        if best_partition is None:
-            best_partition = Partition.whole(attributes)
-        return best_partition
+                best_partition = Partition.from_labels(
+                    vectors.attributes, labels
+                )
+        return best_partition, silhouettes
 
     def pairwise_distances(self, vectors: TruthVectorMatrix) -> np.ndarray:
         """The attribute distance matrix under the configured mode."""

@@ -27,10 +27,10 @@ costing a few fancy-indexing passes instead of a dict rebuild plus a
 Python compile loop.  ``tests/test_vectorized_engine.py`` pins this
 equivalence.
 
-:meth:`ClaimIndexEngine.shared` memoises engines per dataset in a weak
-dictionary, so the reference pass, the block runs, repeated partition
-sweeps and the serving refit path all reuse one structure for as long as
-the dataset object is alive.
+:meth:`ClaimIndexEngine.shared` caches the engine on the dataset
+itself, so the reference pass, the block runs, repeated partition sweeps
+and the serving refit path all reuse one structure for as long as the
+dataset object is alive — and the engine is freed with it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import threading
 from functools import cached_property
 from itertools import compress
 from typing import Hashable, Iterable, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -53,8 +52,12 @@ from repro.data.types import ATTRIBUTE_TYPES, Claim, DataError, Fact
 #: canonical fact order (object-major, then attribute order).
 _KEY_SHIFT = 32
 
-_SHARED_LOCK = threading.Lock()
-_SHARED: "WeakKeyDictionary[Dataset, ClaimIndexEngine]" = WeakKeyDictionary()
+#: Instance attribute under which a dataset holds its own engine.  The
+#: dataset <-> engine cycle is plain garbage once the caller drops the
+#: dataset (a process-wide registry would have to hold one side
+#: strongly, and so would never free either).
+_ENGINE_ATTR = "_claim_engine"
+_CREATE_LOCK = threading.Lock()
 
 #: Per-engine cap on memoised block views.  Partition sweeps can probe
 #: many candidate blocks; the cap bounds memory while keeping every block
@@ -74,18 +77,21 @@ class ClaimIndexEngine:
 
     @classmethod
     def shared(cls, dataset: Dataset) -> "ClaimIndexEngine":
-        """The process-wide engine of ``dataset`` (created on first use).
+        """The engine ``dataset`` owns (created on first use).
 
-        Engines are keyed weakly by dataset object, so a dataset's
-        compiled structure is shared across the reference pass, block
-        runs and serving refreshes without pinning the dataset in memory
-        after its last strong reference drops.
+        The engine is cached on the dataset instance, so a live dataset
+        always gets the same engine — its compiled structure is shared
+        across the reference pass, block runs and serving refreshes —
+        and both become unreachable together once the caller drops the
+        dataset.
         """
-        with _SHARED_LOCK:
-            engine = _SHARED.get(dataset)
-            if engine is None:
-                engine = cls(dataset)
-                _SHARED[dataset] = engine
+        engine = getattr(dataset, _ENGINE_ATTR, None)
+        if engine is None:
+            with _CREATE_LOCK:
+                engine = getattr(dataset, _ENGINE_ATTR, None)
+                if engine is None:
+                    engine = cls(dataset)
+                    setattr(dataset, _ENGINE_ATTR, engine)
         return engine
 
     @property
@@ -221,8 +227,8 @@ class ClaimIndexEngine:
         segments are bulk-copied — so the result is byte-identical to
         ``DatasetIndex(dataset)`` (``tests/test_incremental_exact.py``
         pins this) at O(batch + corpus memcpy) instead of a full Python
-        compile loop.  The child engine is registered in the shared
-        per-dataset registry, so any later ``ClaimIndexEngine.shared(
+        compile loop.  Unless ``dataset`` already owns an engine, the
+        child becomes its engine, so any later ``ClaimIndexEngine.shared(
         dataset)`` — e.g. a full refit over the extended corpus — reuses
         the spliced compile.
 
@@ -430,8 +436,9 @@ class ClaimIndexEngine:
         child._fact_claim_start = fact_claim_start
         child._facts_obj = facts_obj
         child._slot_values_obj = slot_values_obj
-        with _SHARED_LOCK:
-            _SHARED.setdefault(dataset, child)
+        with _CREATE_LOCK:
+            if getattr(dataset, _ENGINE_ATTR, None) is None:
+                setattr(dataset, _ENGINE_ATTR, child)
         return child
 
     # ------------------------------------------------------------------

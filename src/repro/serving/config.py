@@ -6,7 +6,7 @@ immutable, validated, fingerprintable value holding every serving knob
 that used to sprawl across the :class:`~repro.serving.service.TruthService`,
 :class:`~repro.serving.net.TruthServer` and
 :func:`~repro.serving.net.serve_network` constructors — batch sizing,
-queue bounds, refit modes, checkpoint cadence, and the network framing /
+queue bounds, refit mode, checkpoint cadence, and the network framing /
 timeout / backpressure limits.
 
 Every constructor takes it as ``service_config=ServiceConfig(...)``.
@@ -42,15 +42,8 @@ class ServiceConfig:
         ``"full"`` (default) re-runs the whole pipeline per batch;
         ``"incremental"`` applies the exact delta path of
         :meth:`IncrementalTDAC.update`.  Snapshots are bit-identical to
-        offline ``TDAC.run`` either way.
-    replay_refit:
-        Refit mode used while :meth:`TruthService.restore` replays the
-        WAL tail; defaults to ``"incremental"``.
-    repartition_fraction:
-        Forwarded to :class:`~repro.core.incremental.IncrementalTDAC`.
-    warm_window:
-        Half-width of the ``k`` window of the warm-started
-        partition-drift probe.
+        offline ``TDAC.run`` either way.  A restore always replays the
+        WAL tail through the delta path.
     max_batch_size / max_wait_ms:
         Micro-batch claim target and straggler linger.
     queue_capacity:
@@ -70,9 +63,6 @@ class ServiceConfig:
     """
 
     refit: str = "full"
-    replay_refit: str = "incremental"
-    repartition_fraction: float = 0.2
-    warm_window: int = 1
     max_batch_size: int = 64
     max_wait_ms: float = 10.0
     queue_capacity: int = 1024
@@ -89,15 +79,6 @@ class ServiceConfig:
             raise ValueError(
                 f"refit must be one of {REFIT_MODES}, got {self.refit!r}"
             )
-        if self.replay_refit not in REFIT_MODES:
-            raise ValueError(
-                f"replay_refit must be one of {REFIT_MODES}, "
-                f"got {self.replay_refit!r}"
-            )
-        if not 0.0 < self.repartition_fraction <= 1.0:
-            raise ValueError("repartition_fraction must be in (0, 1]")
-        if self.warm_window < 0:
-            raise ValueError("warm_window must be >= 0")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
         if self.max_wait_ms < 0:

@@ -25,8 +25,8 @@ pipeline into a serving engine:
   :meth:`IncrementalTDAC.update` — spliced index compile, patched
   truth-vector matrix, certified partition reuse and touched-block-only
   base runs — so its snapshots are also ``exact=True`` with a populated
-  ``silhouette_by_k``.  Restores replay the WAL tail through the same
-  delta path by default (``replay_refit``), cutting restart downtime.
+  ``silhouette_by_k``.  Restores always replay the WAL tail through the
+  same delta path, cutting restart downtime.
 * **Partition reuse** — an optional shared
   :class:`~repro.core.cache.PartitionCache` lets repeated cold starts
   (and full refits over an unchanged corpus) replay the selected
@@ -223,11 +223,7 @@ class TruthService:
         self._config = config if config is not None else TDACConfig()
         self._initial_dataset = dataset
         self._incremental = IncrementalTDAC(
-            base,
-            repartition_fraction=service_config.repartition_fraction,
-            warm_window=service_config.warm_window,
-            config=self._config,
-            partition_cache=partition_cache,
+            base, config=self._config, partition_cache=partition_cache
         )
         self._tracer = tracer
         self._cond = threading.Condition()
@@ -276,10 +272,6 @@ class TruthService:
     @property
     def refit(self) -> str:
         return self.service_config.refit
-
-    @property
-    def replay_refit(self) -> str:
-        return self.service_config.replay_refit
 
     @property
     def max_batch_size(self) -> int:
@@ -421,9 +413,10 @@ class TruthService:
         record made it to disk stay rejected) — and returns a running
         service whose published snapshot is bit-identical to an
         uninterrupted run over the same claim prefix.  The tail replays
-        under ``replay_refit`` (default ``"incremental"``): one full fit
-        on the checkpointed dataset, then exact delta refits per batch,
-        instead of a full ``TDAC.run`` per replayed batch.  Finishes by
+        through the delta path: one full fit on the checkpointed
+        dataset, then one exact :meth:`IncrementalTDAC.update` per
+        batch, instead of a full ``TDAC.run`` per replayed batch.
+        Finishes by
         cutting a fresh checkpoint so the next restore replays nothing.
 
         ``base`` and ``config`` default to what the checkpoint recorded
@@ -777,14 +770,13 @@ class TruthService:
         Both refit modes publish ``exact=True`` snapshots: the delta
         path is bit-identical to the full pipeline by construction (see
         :mod:`repro.core.incremental`).  During a :meth:`restore`, the
-        WAL tail replays under ``replay_refit`` regardless of the
+        WAL tail always replays through the delta path, whatever the
         steady-state ``refit`` mode.
         """
         tracer = current_tracer()
         previous = self._snapshot
         assert previous is not None
-        mode = self.replay_refit if self._resuming else self.refit
-        if mode == "full":
+        if self.refit == "full" and not self._resuming:
             # Extend on a local first: a conflicting batch raises here
             # and leaves the engine (and the published state) untouched.
             dataset = extend_dataset(self._incremental.dataset, claims)

@@ -12,6 +12,7 @@ Two contracts are pinned here:
 
 import dataclasses
 import importlib
+import inspect
 import warnings
 
 import pytest
@@ -70,7 +71,7 @@ class TestPublicSurface:
         from repro import TruthService, TruthSnapshot  # noqa: F401
 
     def test_version_matches_package_metadata(self):
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "1.10.0"
 
     def test_store_symbols_are_top_level(self):
         from repro import TruthStore, store  # noqa: F401
@@ -196,6 +197,15 @@ class TestRemovedSpellings:
     def test_old_spelling_raises_type_error(self, dataset, construct):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             construct(dataset)
+
+
+class TestIncrementalSurface:
+    """1.10.0 removed the delta path's tuning knobs."""
+
+    def test_incremental_takes_three_parameters(self):
+        assert list(inspect.signature(IncrementalTDAC).parameters) == [
+            "base", "config", "partition_cache",
+        ]
 
 
 class TestResultSchema:

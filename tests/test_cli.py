@@ -1,8 +1,27 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats is the slowest import in the tree; only CATD and
+    # ContinuousCATD need it, and they import it on first solve.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestListing:

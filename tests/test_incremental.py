@@ -84,16 +84,28 @@ class TestUpdate:
         assert incremental.partition == offline.partition
         assert result.predictions[Fact("o1", "brand-new-attr")] == 1
 
-    def test_large_batch_triggers_repartition(self, fitted):
+    def test_flood_batch_rides_delta_path(self, fitted):
+        # A batch of over 30% of the corpus is still one exact delta
+        # update: no staleness threshold forces a full fit.
+        from repro.core import TDAC
+
         incremental, dataset, _ = fitted
         attribute = dataset.attributes[0]
-        big_batch = [
+        flood = [
             Claim(dataset.sources[0], f"bulk-{i}", attribute, f"v{i}")
-            for i in range(int(dataset.n_claims * 0.3))
+            for i in range(int(dataset.n_claims * 0.3) + 1)
         ]
-        incremental.update(big_batch)
-        assert incremental.stats["full_fits"] == 2
-        assert incremental.stats["claims_since_fit"] == 0
+        assert len(flood) > 0.3 * dataset.n_claims
+        result = incremental.update(flood)
+        assert incremental.stats["full_fits"] == 1
+        assert incremental.stats["delta_updates"] == 1
+        offline = TDAC(MajorityVote(), config=TDACConfig(seed=0)).run(
+            incremental.dataset
+        )
+        assert dict(result.predictions) == dict(offline.predictions)
+        assert dict(result.source_trust) == dict(offline.source_trust)
+        assert result.partition == offline.partition
+        assert dict(result.silhouette_by_k) == dict(offline.silhouette_by_k)
 
     def test_conflicting_claim_rejected(self, fitted):
         incremental, dataset, _ = fitted
@@ -106,7 +118,3 @@ class TestUpdate:
         )
         with pytest.raises(DataError):
             incremental.update([conflicting])
-
-    def test_repartition_fraction_validated(self):
-        with pytest.raises(ValueError):
-            IncrementalTDAC(MajorityVote(), repartition_fraction=0.0)

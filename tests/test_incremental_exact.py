@@ -10,10 +10,9 @@ counterpart; this module pins each promise:
   identical to ``build_truth_vectors``;
 * ``IncrementalTDAC.update`` returns results bit-identical to an offline
   ``TDAC.run`` over the accumulated dataset at every watermark — through
-  new objects, new attributes, new sources, the warm-probe fallback and
-  the staleness-triggered full refit;
+  new objects, new attributes, new sources and batches of any size;
 * ``TruthService.restore`` replaying the WAL tail through the delta path
-  publishes the same snapshot as a full-refit replay.
+  publishes the snapshot the crashed service last published.
 """
 
 import random
@@ -25,7 +24,6 @@ import pytest
 from repro.algorithms import MajorityVote, TruthFinder
 from repro.core import IncrementalTDAC, TDAC, TDACConfig
 from repro.core.incremental import extend_dataset
-from repro.core.partition import Partition
 from repro.core.truth_vectors import TruthVectorStore, build_truth_vectors
 from repro.data import Claim, DataError
 from repro.data.builder import DatasetBuilder
@@ -192,16 +190,15 @@ class TestStreamBitIdentity:
         assert dict(outcome.silhouette_by_k) == dict(offline.silhouette_by_k)
 
     @pytest.mark.parametrize("distance", ["hamming", "masked"])
+    @pytest.mark.parametrize("stream_seed", [4, 5, 6, 7])
     def test_randomized_stream_matches_offline_at_every_watermark(
-        self, distance
+        self, stream_seed, distance
     ):
         config = TDACConfig(seed=0, distance=distance)
         dataset = make_synthetic("DS1", n_objects=25, seed=11).dataset
-        incremental = IncrementalTDAC(
-            MajorityVote(), config=config, repartition_fraction=1.0
-        )
+        incremental = IncrementalTDAC(MajorityVote(), config=config)
         incremental.fit(dataset)
-        rng = random.Random(4)
+        rng = random.Random(stream_seed)
         delta_updates = 0
         for step in range(6):
             batch = random_batch(
@@ -219,33 +216,6 @@ class TestStreamBitIdentity:
         assert incremental.stats["full_fits"] == 1
         assert incremental.stats["delta_updates"] == delta_updates
         assert incremental.stats["blocks_reused"] > 0
-
-    def test_warm_probe_disagreement_forces_all_blocks(self, monkeypatch):
-        # The fallback-to-full path: when the warm-started probe and the
-        # certified cold sweep disagree, no previous block result is
-        # reused — and the outcome still matches offline exactly.
-        config = TDACConfig(seed=0)
-        dataset = make_synthetic("DS1", n_objects=20, seed=13).dataset
-        incremental = IncrementalTDAC(MajorityVote(), config=config)
-        incremental.fit(dataset)
-        # Prime the delta path so _prev_fits exists for the probe.
-        incremental.update(
-            [Claim(dataset.sources[0], "warm-seed", dataset.attributes[0], 1)]
-        )
-        monkeypatch.setattr(
-            IncrementalTDAC,
-            "_warm_probe",
-            lambda self, vectors, distances: Partition.whole(
-                vectors.attributes
-            ),
-        )
-        before = incremental.stats["blocks_reused"]
-        outcome = incremental.update(
-            [Claim(dataset.sources[1], "warm-2", dataset.attributes[0], 2)]
-        )
-        assert incremental.stats["warm_misses"] == 1
-        assert incremental.stats["blocks_reused"] == before  # none reused
-        self.assert_matches_offline(outcome, incremental.dataset, config)
 
     def test_new_source_refreshes_every_block_exactly(self):
         config = TDACConfig(seed=0)
@@ -276,30 +246,6 @@ class TestStreamBitIdentity:
         assert incremental.dataset is dataset
         assert incremental.last_outcome is before_outcome
         assert incremental.stats == before_stats
-
-    def test_repartition_boundary_at_fraction_one(self):
-        # Regression: the threshold used to compare against the already-
-        # extended dataset size, so repartition_fraction=1.0 could never
-        # trigger a full refit.  It must compare against the size at the
-        # last full fit.
-        dataset = make_synthetic("DS1", n_objects=6, seed=23).dataset
-        incremental = IncrementalTDAC(
-            MajorityVote(), config=CONFIG, repartition_fraction=1.0
-        )
-        incremental.fit(dataset)
-        at_fit = dataset.n_claims
-        attribute = dataset.attributes[0]
-        exactly_at = [
-            Claim(dataset.sources[0], f"bulk-{i}", attribute, f"v{i}")
-            for i in range(at_fit)
-        ]
-        incremental.update(exactly_at)
-        assert incremental.stats["full_fits"] == 1  # == threshold: no refit
-        incremental.update(
-            [Claim(dataset.sources[0], "over-the-line", attribute, "v")]
-        )
-        assert incremental.stats["full_fits"] == 2  # > threshold: refit
-        assert incremental.stats["claims_since_fit"] == 0
 
     def test_update_metadata_reports_real_work(self):
         # Regression: the merged result used to hard-code iterations=1
@@ -333,9 +279,15 @@ class TestRestoreDeltaReplay:
         service.start()
         for batch in batches:
             service.ingest(batch, wait=True)
+        last = service.snapshot()
         service.stop(checkpoint=False)  # crash-shaped store: tail unfolded
+        return last
 
-    def test_delta_replay_matches_full_refit_replay(self, tmp_path, dataset=None):
+    def test_delta_replay_matches_full_refit_replay(self, tmp_path):
+        # The crashed service published every snapshot through a full
+        # refit (the default ``refit="full"``); its restore replays the
+        # WAL tail through the delta path and must land on the same
+        # snapshot, which also equals offline TDAC.run at that watermark.
         from repro.observability import SpanTracer
         from repro.serving import TruthService
 
@@ -345,34 +297,31 @@ class TestRestoreDeltaReplay:
              for i in range(3)]
             for j in range(3)
         ]
-        for sub in ("delta", "full"):
-            self.run_service(tmp_path / sub, dataset, batches)
+        crashed = self.run_service(tmp_path, dataset, batches)
         tracer = SpanTracer()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no WAL mismatch warnings
-            via_delta = TruthService.restore(tmp_path / "delta", tracer=tracer)
-            via_full = TruthService.restore(
-                tmp_path / "full",
-                service_config=ServiceConfig(replay_refit="full"),
-            )
+            restored = TruthService.restore(tmp_path, tracer=tracer)
         try:
-            a, b = via_delta.snapshot(), via_full.snapshot()
-            assert a.version == b.version
-            assert a.watermark == b.watermark
-            assert a.dataset_fingerprint == b.dataset_fingerprint
-            assert dict(a.predictions) == dict(b.predictions)
-            assert dict(a.source_trust) == dict(b.source_trust)
-            assert a.partition == b.partition
-            assert dict(a.silhouette_by_k) == dict(b.silhouette_by_k)
-            assert a.exact and b.exact
-            # The default replay actually rode the delta path.
+            snap = restored.snapshot()
+            assert snap.version == crashed.version
+            assert snap.watermark == crashed.watermark
+            assert snap.dataset_fingerprint == crashed.dataset_fingerprint
+            assert dict(snap.predictions) == dict(crashed.predictions)
+            assert dict(snap.source_trust) == dict(crashed.source_trust)
+            assert snap.partition == crashed.partition
+            assert dict(snap.silhouette_by_k) == dict(crashed.silhouette_by_k)
+            assert snap.exact and crashed.exact
+            # The replay rode the delta path, one update per batch.
             assert tracer.counters["serve.refit.incremental"] == len(batches)
-            # And both match the offline pipeline at the watermark.
             offline = TDAC(MajorityVote(), config=CONFIG).run(
-                via_delta.replay_dataset(a.watermark)
+                restored.replay_dataset(snap.watermark)
             )
-            assert dict(a.predictions) == dict(offline.result.predictions)
-            assert a.partition == offline.partition
+            assert dict(snap.predictions) == dict(offline.result.predictions)
+            assert dict(snap.source_trust) == dict(
+                offline.result.source_trust
+            )
+            assert snap.partition == offline.partition
+            assert dict(snap.silhouette_by_k) == dict(offline.silhouette_by_k)
         finally:
-            via_delta.stop()
-            via_full.stop()
+            restored.stop()

@@ -10,6 +10,11 @@ identity test here compares against.
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -32,7 +37,7 @@ from repro.algorithms import (
 from repro.core.config import TDACConfig
 from repro.core.parallel import run_blocks
 from repro.core.tdac import TDAC
-from repro.data import ClaimIndexEngine, DataError, DatasetIndex
+from repro.data import Claim, ClaimIndexEngine, DataError, DatasetIndex
 from repro.datasets.exam import make_exam
 from repro.datasets.registry import load
 from repro.datasets.stocks import make_stocks
@@ -136,6 +141,55 @@ def test_shared_engine_cached_per_dataset():
     assert a is b
     other = load("DS2", seed=1, scale=0.05)
     assert ClaimIndexEngine.shared(other) is not a
+
+
+def test_shared_engine_is_one_per_dataset_under_contention():
+    # Creation is check-then-act on the dataset; every racing caller
+    # must still get the one engine the dataset keeps.
+    datasets = [load("DS2", seed=s, scale=0.05) for s in range(4)]
+    seen: list = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def grab():
+            for dataset in datasets:
+                seen.append((id(dataset), ClaimIndexEngine.shared(dataset)))
+
+        threads = [threading.Thread(target=grab) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert len(seen) == 8 * len(datasets)
+    for dataset in datasets:
+        engines = {id(e) for key, e in seen if key == id(dataset)}
+        assert engines == {id(ClaimIndexEngine.shared(dataset))}
+
+
+@pytest.mark.parametrize(
+    "base", [MajorityVote, TruthFinder], ids=lambda b: b.__name__
+)
+def test_shared_engine_is_freed_with_its_dataset(base):
+    # Regression: a process-wide registry weak-keyed on the dataset held
+    # its engine (which holds the dataset) strongly, so no entry ever
+    # died.  Cover a full pass (block views, slot similarity) and a
+    # spliced child engine from ``extended``.
+    dataset = load("DS2", seed=0, scale=0.05)
+    TDAC(base(), config=TDACConfig(seed=0)).run(dataset)
+    engine = ClaimIndexEngine.shared(dataset)
+    claim = next(dataset.iter_claims())
+    fresh = [Claim(claim.source, "leak-probe", claim.attribute, "v")]
+    child_dataset = dataset.extended(fresh)
+    child = engine.extended(child_dataset, fresh)
+    assert ClaimIndexEngine.shared(child_dataset) is child
+    owned = (dataset, engine, child_dataset, child)
+    refs = [weakref.ref(obj) for obj in owned]
+    del dataset, engine, child_dataset, child, owned
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_full_tdac_pipeline_bit_identical():
