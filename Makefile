@@ -1,9 +1,9 @@
-.PHONY: install lint test test-fast test-serving test-incremental test-store test-net test-scenarios bench bench-base bench-serving-smoke bench-scenarios-smoke report examples clean
+.PHONY: install lint test test-fast test-serving test-incremental test-store test-net test-scenarios bench bench-scenarios-smoke report examples clean
 
 install:
 	pip install -e . --no-build-isolation
 
-test: lint bench-base test-serving test-incremental test-store test-net test-scenarios bench-serving-smoke bench-scenarios-smoke
+test: lint test-serving test-incremental test-store test-net test-scenarios bench-scenarios-smoke
 	pytest tests/
 
 # Static checks: ruff when the container ships it, plus a bytecode
@@ -39,7 +39,9 @@ test-store:
 
 # Network front-end suites: TCP round trips over the JSON-lines
 # protocol, framing/backpressure edges, client reconnect behaviour,
-# graceful drain bit-identity, and the stdin front-end's error paths.
+# graceful drain bit-identity, a SIGKILL of a live `repro serve
+# --listen --store-dir` under concurrent writers (no acked claim lost),
+# and the stdin front-end's error paths.
 test-net:
 	PYTHONPATH=src python -m pytest tests/test_serving_net.py tests/test_serving_frontend.py -q
 
@@ -56,31 +58,6 @@ test-fast:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-# Reduced-scale run of the claim-index engine harness.  The harness
-# itself asserts the vectorized kernels match the loop oracles of
-# tests/oracles bit for bit before reporting any speedup, so this
-# doubles as a regression gate on engine correctness in the ordinary
-# test flow.  The repository root is on the path for tests.oracles.
-bench-base:
-	mkdir -p benchmarks/output
-	PYTHONPATH=src:. python benchmarks/bench_base_algorithms.py \
-	    --config smoke --repeat 1 \
-	    --output benchmarks/output/BENCH_base_algorithms_smoke.json
-	test -s benchmarks/output/BENCH_base_algorithms_smoke.json
-
-# ~30-second scaled-down load/soak against a live `repro serve
-# --listen` subprocess: Poisson open-loop traffic, fault injection
-# (torn frames, truncated writes, slow-loris) and a SIGKILL-and-restore
-# mid-soak.  The harness exits non-zero if any acked claim is lost or
-# the recovered snapshot diverges from an offline replay, so serving
-# durability is gated in the ordinary test flow.
-bench-serving-smoke:
-	mkdir -p benchmarks/output
-	PYTHONPATH=src python benchmarks/bench_serving.py \
-	    --config smoke \
-	    --output benchmarks/output/BENCH_serving_smoke.json
-	test -s benchmarks/output/BENCH_serving_smoke.json
 
 # Small-grid run of the degradation-leaderboard harness.  The harness
 # asserts severity-0 metric parity (every scenario curve starts exactly
@@ -101,8 +78,6 @@ examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f; echo; done
 
 clean:
-	rm -rf benchmarks/output/BENCH_base_algorithms_smoke.json \
-	    benchmarks/output/BENCH_serving_smoke.json \
-	    benchmarks/output/BENCH_scenarios_smoke.json \
+	rm -rf benchmarks/output/BENCH_scenarios_smoke.json \
 	    .pytest_cache .benchmarks
 	find . -name __pycache__ -type d -exec rm -rf {} +

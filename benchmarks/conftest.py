@@ -8,15 +8,11 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import pytest
 
 OUTPUT_DIR = Path(__file__).parent / "output"
-
-# The engine bench compares against the loop oracles in ``tests/oracles``.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,13 @@
 """Retrying asyncio client for the :mod:`repro.serving.net` protocol.
 
 :class:`AsyncTruthClient` is the client half of the network serving
-contract, and the one the load/soak harness
-(``benchmarks/bench_serving.py``) drives by the hundred:
+contract:
 
 * **Reconnect with capped exponential backoff.**  Connection refusals,
   resets, timeouts and torn responses tear the socket down and retry
   after ``base_backoff_seconds * multiplier**attempt`` (capped), so a
-  server restart mid-soak costs clients a burst of reconnects, not
-  their workload.
+  server restart costs clients a burst of reconnects, not their
+  workload.
 * **Overload honoured.**  An ``{"ok": false, "error": "overloaded"}``
   response makes the client sleep the server's ``retry_after_seconds``
   hint (capped by the policy) before retrying; ``"draining"`` responses
@@ -84,8 +83,8 @@ class AsyncTruthClient:
     """One persistent connection with reconnect/backoff/retry-after.
 
     Requests are serialized per client instance (one in flight at a
-    time); concurrency comes from running many clients, as the soak
-    harness does.  Safe to use as an async context manager.
+    time); concurrency comes from running many clients.  Safe to use as
+    an async context manager.
     """
 
     def __init__(

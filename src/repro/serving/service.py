@@ -348,7 +348,10 @@ class TruthService:
 
         ``stop`` is idempotent: repeated calls (e.g. the network
         front-end's drain followed by the CLI's ``finally``) return
-        immediately once the first completed.
+        immediately once the first completed.  If the batcher is still
+        applying a batch when ``timeout`` elapses, ``stop`` raises
+        :class:`TimeoutError` and leaves the store open; call it again
+        to finish.
         """
         with self._cond:
             if self._stop_complete:
@@ -357,6 +360,10 @@ class TruthService:
             self._cond.notify_all()
         if self._thread is not None:
             self._thread.join(timeout)
+            if self._thread.is_alive():
+                raise TimeoutError(
+                    f"batcher still applying a batch after {timeout}s"
+                )
         if self.store is not None:
             if checkpoint and self._snapshot is not None:
                 self.checkpoint()

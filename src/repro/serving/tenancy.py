@@ -460,8 +460,6 @@ class TenantRegistry:
     ) -> None:
         """Stop every engine (idempotent); the registry stops admitting."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
             engines = list(self._engines.values())
         for engine in engines:

@@ -3,8 +3,9 @@
 Docs drift silently; these tests pin the claims that are cheap to
 verify mechanically — referenced files exist, the algorithm list in the
 docs matches the registry, the bench mapping in the README points at
-real bench files, and the examples table lists exactly the scripts in
-``examples/``.
+real bench files, every ``make`` target and ``BENCH_*.json`` artefact
+the docs name exists, and the examples table lists exactly the scripts
+in ``examples/``.
 """
 
 import re
@@ -21,6 +22,10 @@ def read(name: str) -> str:
     return (ROOT / name).read_text()
 
 
+def make_targets() -> set[str]:
+    return set(re.findall(r"^([\w-]+):", read("Makefile"), re.MULTILINE))
+
+
 class TestReadme:
     def test_referenced_docs_exist(self):
         readme = read("README.md")
@@ -30,8 +35,20 @@ class TestReadme:
 
     def test_bench_table_points_at_real_files(self):
         readme = read("README.md")
-        for match in re.findall(r"`(bench_\w+\.py)`", readme):
+        for match in re.findall(r"`(?:benchmarks/)?(bench_\w+\.py)`", readme):
             assert (ROOT / "benchmarks" / match).is_file(), match
+
+    @pytest.mark.parametrize(
+        "doc", ["README.md", "DESIGN.md", "CONTRIBUTING.md"]
+    )
+    def test_make_targets_exist(self, doc):
+        targets = make_targets()
+        for match in re.findall(r"`make ([\w-]+)[^`]*`", read(doc)):
+            assert match in targets, f"{doc}: make {match}"
+
+    def test_bench_artefacts_exist(self):
+        for match in re.findall(r"BENCH_\w+\.json", read("README.md")):
+            assert (ROOT / match).is_file(), match
 
     def test_examples_table_matches_directory(self):
         readme = read("README.md")

@@ -5,17 +5,22 @@ pipelined multiplexing, framing violations (oversized lines, torn
 frames), backpressure mapping at both the service queue and the
 per-connection cap, client reconnect/backoff, idle timeouts, and the
 graceful-drain contract (drained snapshot bit-identical to an offline
-``TDAC.run`` replay, WAL committed, restore replays nothing).
+``TDAC.run`` replay, WAL committed, restore replays nothing), and a
+SIGKILL of a live ``repro serve --listen --store-dir`` under concurrent
+writers that must lose no acked claim.
 """
 
 import asyncio
 import contextlib
 import json
 import os
+import select
 import signal
+import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +36,8 @@ from repro.serving import (
     TruthServer,
 )
 from repro.serving.net import parse_listen
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -505,14 +512,80 @@ class TestParseListen:
             parse_listen(bad)
 
 
+def free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def launch_server(port, store_dir, stderr):
+    """``repro serve --listen`` over ``store_dir``; returns once it listens."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "MajorityVote", "DS1",
+            "--scale", "0.05", "--listen", f"127.0.0.1:{port}",
+            "--store-dir", str(store_dir), "--max-wait-ms", "1",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=stderr,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        text=True,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+        assert ready, "server never announced its listening port"
+        event = json.loads(proc.stdout.readline())
+        assert event["event"] == "listening", event
+    except BaseException:
+        proc.kill()
+        proc.communicate()
+        raise
+    return proc
+
+
+async def stream_writer(k, port, count, acked):
+    """``count`` distinct single-claim ingests of new objects, retried
+    through reconnects; appends every claim answered ``{"ok": true}``."""
+    retry = RetryPolicy(
+        max_attempts=60, base_backoff_seconds=0.05, max_backoff_seconds=0.5
+    )
+    async with AsyncTruthClient(
+        "127.0.0.1", port, connect_timeout=2.0, retry=retry
+    ) as client:
+        for i in range(count):
+            claim = {
+                "source": f"stream/writer-{k}",
+                "object": f"stream/{k}-{i}",
+                "attribute": "stream/a",
+                "value": f"v-{k}-{i}",
+            }
+            response = await client.ingest([claim])
+            assert response["ok"] is True, response
+            acked.append(claim)
+    return client.stats
+
+
+async def torn_frame(port):
+    _, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(b'{"op": "ingest", "claims": [{"sou')
+    await writer.drain()
+    writer.transport.abort()
+
+
+async def truncated_line(port):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    line = json.dumps(
+        {"op": "ingest", "claims": [{"source": "stream/fault"}]}
+    ).encode()
+    writer.write(line[: len(line) // 2] + b"\n")
+    await writer.drain()
+    response = await read_response(reader)
+    writer.close()
+    return response
+
+
 class TestCliEndToEnd:
     def test_listen_sigterm_drains_cleanly(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(
-            (tmp_path / "..").resolve()
-        )  # overwritten below
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = os.path.join(root, "src")
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -532,7 +605,7 @@ class TestCliEndToEnd:
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             text=True,
         )
         try:
@@ -557,3 +630,80 @@ class TestCliEndToEnd:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
+
+    @pytest.mark.slow
+    def test_sigkill_under_live_writers_loses_no_acked_claim(self, tmp_path):
+        store_dir = tmp_path / "store"
+        port = free_port()
+        n_writers, per_writer = 6, 15
+        total = n_writers * per_writer
+        acked: list[dict] = []
+        procs = []
+
+        def relaunch(stderr):
+            procs[-1].kill()  # no drain, no final checkpoint
+            procs[-1].wait(timeout=30)
+            procs.append(launch_server(port, store_dir, stderr))
+
+        async def kill_and_relaunch(stderr):
+            while len(acked) < total // 3:
+                await asyncio.sleep(0.005)
+            await asyncio.to_thread(relaunch, stderr)
+
+        async def scenario(stderr):
+            return await asyncio.gather(
+                torn_frame(port),
+                truncated_line(port),
+                kill_and_relaunch(stderr),
+                *(
+                    stream_writer(k, port, per_writer, acked)
+                    for k in range(n_writers)
+                ),
+            )
+
+        with open(tmp_path / "server-stderr.log", "a") as stderr:
+            try:
+                procs.append(launch_server(port, store_dir, stderr))
+                _, malformed, _, *writer_stats = asyncio.run(
+                    scenario(stderr)
+                )
+                procs[-1].send_signal(signal.SIGTERM)
+                out, _ = procs[-1].communicate(timeout=30)
+            finally:
+                for proc in procs:
+                    if proc.poll() is None:
+                        proc.kill()
+                        proc.communicate()
+        assert procs[-1].returncode == 0
+        assert json.loads(out.splitlines()[-1])["event"] == "drained"
+        assert len(procs) == 2
+        assert malformed["ok"] is False
+        assert len(acked) == total
+        # Every writer reconnected to the relaunched server.
+        assert all(stats["reconnects"] >= 2 for stats in writer_stats)
+
+        service = TruthService.restore(str(store_dir))
+        try:
+            snapshot = service.snapshot()
+            corpus = {
+                (c.source, c.object, c.attribute): c.value
+                for c in service.replay_dataset().iter_claims()
+            }
+            for claim in acked:
+                key = (claim["source"], claim["object"], claim["attribute"])
+                assert corpus.get(key) == claim["value"], claim
+            offline = TDAC(MajorityVote(), config=service.config).run(
+                service.replay_dataset(snapshot.watermark)
+            )
+            assert dict(snapshot.predictions) == dict(
+                offline.result.predictions
+            )
+            assert dict(snapshot.source_trust) == dict(
+                offline.result.source_trust
+            )
+            assert snapshot.partition == offline.partition
+            assert dict(snapshot.silhouette_by_k) == dict(
+                offline.silhouette_by_k
+            )
+        finally:
+            service.stop()

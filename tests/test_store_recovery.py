@@ -11,6 +11,8 @@ loud :class:`WALCorruptionWarning`, never a silent interior skip.
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -142,6 +144,45 @@ class TestCleanRestore:
             assert {"store.recover"} <= {s.name for s in tracer.spans}
         finally:
             restored.stop()
+
+
+class SlowMajorityVote(MajorityVote):
+    """MajorityVote whose solves sleep once ``slow`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.slow = threading.Event()
+
+    def _solve(self, index):
+        if self.slow.is_set():
+            time.sleep(0.4)
+        return super()._solve(index)
+
+
+class TestStop:
+    def test_timed_out_stop_keeps_the_store_open_for_a_later_stop(
+        self, tmp_path, dataset
+    ):
+        store_dir = tmp_path / "store"
+        base = SlowMajorityVote()
+        service = TruthService(
+            base, dataset, config=CONFIG, store=store_dir,
+            service_config=ServiceConfig(max_wait_ms=1.0),
+        )
+        service.start()
+        base.slow.set()
+        ticket = service.ingest(fresh_claims(dataset, "s", 2))
+        with pytest.raises(TimeoutError):
+            service.stop(timeout=0.05)
+        # The batch still lands, and nothing was closed under it.
+        applied = ticket.wait(30.0)
+        assert applied.watermark == 2
+        service.stop()
+        assert not service._thread.is_alive()
+        assert service.store.wal._handle is None
+        latest = service.store.snapshots.entries()[0]
+        assert latest.version == service.snapshot().version == applied.version
+        assert len(service.store.wal.segments()) == 1
 
 
 CRASH_CHILD = """\

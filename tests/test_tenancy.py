@@ -29,6 +29,7 @@ from repro.serving import (
     handle_request,
 )
 from repro.store import StoreError
+from tests.test_store_recovery import SlowMajorityVote
 
 CONFIG = TDACConfig(seed=13)
 FAST = ServiceConfig(max_wait_ms=1.0)
@@ -317,6 +318,24 @@ class TestLifecycle:
         with pytest.raises(Exception):
             registry.register("bob", MajorityVote(), dataset,
                               config=CONFIG)
+
+    def test_stop_after_a_timed_out_stop_stops_every_engine(
+        self, dataset, tmp_path
+    ):
+        base = SlowMajorityVote()
+        registry = TenantRegistry(store_root=tmp_path, service_config=FAST)
+        alice = registry.register("alice", base, dataset, config=CONFIG)
+        base.slow.set()
+        ticket = alice.ingest(fresh_claims(dataset, "s", 2))
+        with pytest.raises(TimeoutError):
+            registry.stop(timeout=0.05)
+        ticket.wait(30.0)
+        registry.stop()
+        assert alice.engine.store.wal._handle is None
+        assert (
+            alice.engine.store.snapshots.entries()[0].version
+            == alice.snapshot().version
+        )
 
     def test_registry_stats_aggregate(self, dataset):
         with TenantRegistry(service_config=FAST) as registry:
