@@ -8,16 +8,25 @@ the best inertia, and deterministic behaviour through an explicit random
 generator.
 
 The module exposes its internals at three altitudes so the k-sweep of
-Algorithm 1 (:mod:`repro.clustering.sweep`) can share row norms across
-fits:
+Algorithm 1 (:mod:`repro.clustering.sweep`) can share work across fits:
 
 * :class:`KMeans` — the classic fit-and-restart front end;
-* :func:`initial_centroid_sequence` — draw the restart seeds of one fit
-  up front, consuming the generator in exactly the order ``fit`` would;
+* :func:`initial_centroid_sequence` — draw the restart seedings of one
+  fit, consuming the generator in exactly the order ``fit`` would;
 * :func:`lloyd` — the deterministic iteration from a given seeding.
 
-Because ``lloyd`` draws no randomness, splitting a fit into "draw all
-seeds, then iterate each" is bit-identical to the classic restart loop.
+Because ``lloyd`` draws no randomness, splitting a fit into "draw the
+seedings, then iterate each" is bit-identical to the classic restart
+loop.
+
+Every k-means++ seed is a data row, so seeding works from a
+:class:`RowDistances` memo: the squared-distance vector of row ``i`` to
+every row, ``np.sum((data - data[i]) ** 2, axis=1)``, is computed the
+first time row ``i`` is picked and reused by every later draw, restart
+and (in a sweep) every ``k``.  Each pick is drawn by the inverse-CDF
+step that ``Generator.choice(n, p=p)`` runs internally, so the seedings
+and the generator state are those of the per-draw ``rng.choice`` loop
+(pinned against ``tests/oracles/kmeans.py`` in ``tests/test_kmeans.py``).
 
 For the binary attribute truth vectors the squared Euclidean objective
 coincides with the paper's Hamming-distance objective (Eq. 2), see
@@ -26,6 +35,7 @@ coincides with the paper's Hamming-distance objective (Eq. 2), see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,9 +126,7 @@ class KMeans:
 
     def fit(self, data: np.ndarray) -> KMeansResult:
         """Cluster the rows of ``data`` into ``n_clusters`` groups."""
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 2:
-            raise ValueError("expected a 2-D matrix of row vectors")
+        data = check_rows(data)
         n_rows = len(data)
         if self.n_clusters > n_rows:
             raise ValueError(
@@ -148,21 +156,56 @@ class KMeans:
 # ----------------------------------------------------------------------
 
 
+def check_rows(data: np.ndarray) -> np.ndarray:
+    """``data`` as a finite 2-D float matrix of row vectors."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise ValueError("expected a 2-D matrix of row vectors")
+    if not np.isfinite(data).all():
+        raise ValueError("data contains NaN or infinite values")
+    return data
+
+
+class RowDistances:
+    """Lazy memo of each row's squared distances to every row.
+
+    ``memo[i]`` is ``np.sum((data - data[i]) ** 2, axis=1)``, computed on
+    first use and kept, so memory is (distinct rows asked for) × n and
+    never a full n × n table.  Callers must not write into a row.
+    """
+
+    def __init__(self, data: np.ndarray) -> None:
+        self.data = data
+        self._rows: dict[int, np.ndarray] = {}
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        distances = self._rows.get(row)
+        if distances is None:
+            distances = np.sum((self.data - self.data[row]) ** 2, axis=1)
+            self._rows[row] = distances
+        return distances
+
+
 def initial_centroid_sequence(
     data: np.ndarray,
     n_clusters: int,
     n_init: int,
     rng: np.random.Generator,
     init: str = "k-means++",
+    row_distances: RowDistances | None = None,
 ) -> list[np.ndarray]:
     """The restart seedings of one fit, drawn up front.
 
     Consumes ``rng`` in exactly the order :meth:`KMeans.fit` would (one
     seeding per restart, back to back), so running the returned seedings
-    through :func:`lloyd` reproduces the fit bit for bit.
+    through :func:`lloyd` reproduces the fit bit for bit.  One
+    ``row_distances`` memo of ``data`` serves every restart; pass one in
+    to share it across calls as well.
     """
+    if row_distances is None:
+        row_distances = RowDistances(data)
     return [
-        initial_centroids(data, n_clusters, rng, init=init)
+        initial_centroids(data, n_clusters, rng, init, row_distances)
         for _ in range(n_init)
     ]
 
@@ -172,6 +215,7 @@ def initial_centroids(
     n_clusters: int,
     rng: np.random.Generator,
     init: str = "k-means++",
+    row_distances: RowDistances | None = None,
 ) -> np.ndarray:
     """One seeding: k-means++ spreading or uniform row sampling."""
     n_rows = len(data)
@@ -180,13 +224,16 @@ def initial_centroids(
         return data[chosen].copy()
     if init != "k-means++":
         raise ValueError(f"unknown init strategy {init!r}")
+    if row_distances is None:
+        row_distances = RowDistances(data)
     # k-means++: spread seeds proportionally to squared distance from
     # the nearest already-chosen seed.
-    first = int(rng.integers(n_rows))
-    centroids = [data[first]]
-    closest = np.sum((data - centroids[0]) ** 2, axis=1)
+    picks = [int(rng.integers(n_rows))]
+    closest = row_distances[picks[0]].copy()
     for _ in range(1, n_clusters):
         total = float(closest.sum())
+        if not math.isfinite(total):
+            raise ValueError("squared distances between rows are not finite")
         if total <= 0.0:
             # All remaining points coincide with a seed; pick any
             # distinct row to keep the requested k.
@@ -195,13 +242,21 @@ def initial_centroids(
             )
             pick = int(rng.choice(remaining))
         else:
-            probabilities = closest / total
-            pick = int(rng.choice(n_rows, p=probabilities))
-        centroids.append(data[pick])
-        closest = np.minimum(
-            closest, np.sum((data - centroids[-1]) ** 2, axis=1)
-        )
-    return np.asarray(centroids)
+            pick = draw_weighted(closest / total, rng)
+        picks.append(pick)
+        np.minimum(closest, row_distances[pick], out=closest)
+    return data[picks]
+
+
+def draw_weighted(probabilities: np.ndarray, rng: np.random.Generator) -> int:
+    """``int(rng.choice(len(p), p=p))`` without ``choice``'s checks.
+
+    The inverse-CDF steps ``Generator.choice`` runs for one weighted
+    draw with replacement: the same pick and the same generator state.
+    """
+    cdf = np.cumsum(probabilities)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 # ----------------------------------------------------------------------
@@ -307,13 +362,11 @@ def _compact_labels(
     labels: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Renumber labels to remove empty clusters, keeping first-seen order."""
-    seen: dict[int, int] = {}
-    compacted = np.empty_like(labels)
-    for i, label in enumerate(labels):
-        new = seen.setdefault(int(label), len(seen))
-        compacted[i] = new
-    kept = [old for old in seen]
-    return compacted, centroids[kept]
+    present, first_seen = np.unique(labels, return_index=True)
+    kept = present[np.argsort(first_seen)]
+    remap = np.empty(len(centroids), dtype=labels.dtype)
+    remap[kept] = np.arange(len(kept))
+    return remap[labels], centroids[kept]
 
 
 def inertia_of(data: np.ndarray, labels: np.ndarray) -> float:

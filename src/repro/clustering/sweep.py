@@ -8,8 +8,11 @@ module draws the restart seedings from a fresh generator seeded like
 from each, and keeps the first restart that strictly improves the
 inertia, the same tie-break as the classic restart loop.  The result is
 bit-identical to calling ``KMeans(n_clusters=k, n_init=n_init,
-seed=seed).fit(data)`` for every ``k``; the per-row squared norms are
-computed once and shared by every solve.
+seed=seed).fit(data)`` for every ``k``.  Two things are computed once
+and shared by every solve of the sweep: the per-row squared norms that
+Lloyd uses, and the :class:`~repro.clustering.kmeans.RowDistances` memo
+that k-means++ seeds from, which evaluates each picked row's distance
+vector once instead of once per draw.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import numpy as np
 
 from repro.clustering.kmeans import (
     KMeansResult,
+    RowDistances,
+    check_rows,
     initial_centroid_sequence,
     lloyd,
 )
@@ -39,11 +44,14 @@ def sweep_kmeans(
 
     Equivalent to ``{k: KMeans(n_clusters=k, n_init=n_init, seed=seed,
     init=init).fit(data) for k in k_values}`` — bit for bit — with the
-    data row norms computed once for the whole sweep.
+    data row norms and the seeding's row distances computed once for
+    the whole sweep.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise ValueError("expected a 2-D matrix of row vectors")
+    if n_init < 1:
+        raise ValueError("n_init must be at least 1")
+    if init not in ("k-means++", "random"):
+        raise ValueError(f"unknown init strategy {init!r}")
+    data = check_rows(data)
     k_values = list(k_values)
     if not k_values:
         return {}
@@ -57,11 +65,12 @@ def sweep_kmeans(
         "k_sweep", n_candidates=len(k_values), n_init=n_init
     ):
         data_norms = np.einsum("ij,ij->i", data, data)
+        row_distances = RowDistances(data)
         best: dict[int, KMeansResult] = {}
         for k in k_values:
             rng = np.random.default_rng(seed)
             for seeding in initial_centroid_sequence(
-                data, k, n_init, rng, init=init
+                data, k, n_init, rng, init, row_distances
             ):
                 result = lloyd(
                     data, seeding, max_iterations, tolerance, data_norms

@@ -19,6 +19,9 @@ The context yields the set of oracle names the enclosed code reached,
 so a test can check that its comparison is not vacuous.  The patches are
 process-global; the context is for tests and benchmarks, not for
 concurrent use.
+
+:mod:`tests.oracles.kmeans` holds the per-draw k-means++ seeding loop
+and the per-row label compaction that the clustering code replaced.
 """
 
 from __future__ import annotations

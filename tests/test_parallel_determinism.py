@@ -1,8 +1,10 @@
 """The k sweep must be bit-identical to the classic k-means fits.
 
-:func:`repro.clustering.sweep_kmeans` shares row norms across fits and
-draws every restart seeding up front; the fits it returns — and so the
-k-selectors built on it — must match ``KMeans(...).fit`` exactly.
+:func:`repro.clustering.sweep_kmeans` runs one sequential loop over
+``k``, drawing each ``k``'s restart seedings from a fresh generator and
+sharing the row norms and the seeding's row-distance memo across every
+solve; the fits it returns — and so the k-selectors built on it — must
+match ``KMeans(...).fit`` exactly.
 """
 
 import numpy as np
