@@ -89,7 +89,6 @@ from repro.core import (
     TDAC,
     IncrementalTDAC,
     Partition,
-    PartitionCache,
     TDACConfig,
     TDACResult,
     build_truth_vectors,
@@ -123,7 +122,7 @@ from repro.serving import (
 )
 from repro.store import TruthStore
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 #: The stable public surface: every name here imports from ``repro``
 #: directly and is covered by the API-stability tests.  Additions are
@@ -152,7 +151,6 @@ __all__ = [
     "MULTI",
     "MajorityVote",
     "Partition",
-    "PartitionCache",
     "PooledInvestment",
     "RESULT_SCHEMA",
     "SERVE_SCHEMA",

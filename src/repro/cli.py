@@ -458,7 +458,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     elif args.command == "serve":
         from repro.serving import (
-            PartitionCache,
             ServiceConfig,
             TruthService,
             run_smoke,
@@ -501,7 +500,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             service = TruthService.restore(
                 store,
-                partition_cache=PartitionCache(),
                 tracer=tracer,
                 service_config=service_config,
             )
@@ -532,7 +530,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 dataset,
                 config=config,
                 service_config=service_config,
-                partition_cache=PartitionCache(),
                 tracer=tracer,
                 store=store,
             )

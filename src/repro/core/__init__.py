@@ -7,7 +7,6 @@
 * :func:`~repro.core.parallel.run_blocks` — per-block execution.
 """
 
-from repro.core.cache import PartitionCache
 from repro.core.config import (
     RESULT_AFFECTING_FIELDS,
     TDACConfig,
@@ -48,7 +47,6 @@ __all__ = [
     "ObjectTDAC",
     "ObjectTDACResult",
     "Partition",
-    "PartitionCache",
     "PartitionExplanation",
     "RESULT_AFFECTING_FIELDS",
     "RESULT_SCHEMA",

@@ -7,9 +7,10 @@ value, passed as ``TDAC(base, config=...)``.  Every field changes what
 TD-AC computes.
 
 A config also knows its :meth:`~TDACConfig.fingerprint`: a short stable
-digest over those knobs.  The serving layer keys its partition cache on
-(dataset fingerprint, config fingerprint), which is exactly the pair
-that determines the selected partition.
+digest over those knobs.  Together with the dataset fingerprint it is
+exactly the pair that determines the selected partition: the store
+content-addresses checkpoints by it, snapshots carry it, and the
+tenant registry keys its shared engines on it.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
 # Unused here, but kept: profilers wrap these two names on this module.
 from repro.clustering.kmeans import lloyd  # noqa: F401
 from repro.clustering.kselect import score_silhouette_sweep  # noqa: F401
-from repro.core.cache import PartitionCache
 from repro.core.config import TDACConfig
 from repro.core.parallel import run_blocks
 from repro.core.partition import Partition
@@ -68,20 +67,15 @@ class IncrementalTDAC:
     config:
         :class:`~repro.core.config.TDACConfig` for the underlying
         :class:`TDAC` (``None`` means all defaults).
-    partition_cache:
-        Optional :class:`~repro.core.cache.PartitionCache` shared with
-        the underlying :class:`TDAC`, so repeated full fits over the
-        same accumulated dataset replay their partition.
     """
 
     def __init__(
         self,
         base: TruthDiscoveryAlgorithm,
         config: TDACConfig | None = None,
-        partition_cache: PartitionCache | None = None,
     ) -> None:
         self.base = base
-        self._tdac = TDAC(base, config=config, partition_cache=partition_cache)
+        self._tdac = TDAC(base, config=config)
         self._dataset: Dataset | None = None
         self._partition: Partition | None = None
         self._block_results: dict[tuple, TruthDiscoveryResult] = {}
@@ -215,7 +209,7 @@ class IncrementalTDAC:
         # every selection input is provably unchanged; otherwise a cold
         # sweep certifies.
         dirty = delta.selection_dirty or (
-            tdac.distance == "masked" and delta.mask_changed
+            tdac.config.distance == "masked" and delta.mask_changed
         )
         if not dirty and self._prev_silhouettes is not None:
             partition = self._partition

@@ -30,7 +30,6 @@ from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
 from repro.clustering.distance import pairwise_hamming, pairwise_masked_hamming
 from repro.clustering.kselect import score_silhouette_sweep
 from repro.clustering.sweep import sweep_kmeans
-from repro.core.cache import PartitionCache
 from repro.core.config import TDACConfig
 from repro.core.parallel import run_blocks
 from repro.core.partition import Partition
@@ -98,13 +97,6 @@ class TDAC(TruthDiscoveryAlgorithm):
         A :class:`~repro.core.config.TDACConfig` carrying every tuning
         knob (distance, sweep bounds, restarts/seed).  ``None`` means
         all defaults.
-    partition_cache:
-        Optional :class:`~repro.core.cache.PartitionCache`.  When given,
-        :meth:`run` keys the partition-selection stage on the dataset's
-        content fingerprint, the reference algorithm's name and the
-        config fingerprint; a hit skips the distance matrix, the
-        ``(k, init)`` sweep and the silhouette scoring while staying
-        bit-identical (selection is deterministic in that key).
     """
 
     def __init__(
@@ -112,35 +104,10 @@ class TDAC(TruthDiscoveryAlgorithm):
         base: TruthDiscoveryAlgorithm,
         reference: TruthDiscoveryAlgorithm | None = None,
         config: TDACConfig | None = None,
-        partition_cache: PartitionCache | None = None,
     ) -> None:
         self.config = config if config is not None else TDACConfig()
         self.base = base
         self.reference_algorithm = reference if reference is not None else base
-        self.partition_cache = partition_cache
-
-    # Read-only per-knob views, kept so call sites (and the method bodies
-    # below) written against the pre-config API keep working unchanged.
-
-    @property
-    def distance(self) -> str:
-        return self.config.distance
-
-    @property
-    def k_min(self) -> int:
-        return self.config.k_min
-
-    @property
-    def k_max(self) -> int | None:
-        return self.config.k_max
-
-    @property
-    def n_init(self) -> int:
-        return self.config.n_init
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
 
     #: TDAC's discover() runs the full pipeline over a raw Dataset; it
     #: cannot consume a pre-sliced DatasetIndex view.
@@ -172,7 +139,7 @@ class TDAC(TruthDiscoveryAlgorithm):
             reference = self.reference_pass(dataset, engine)
         with tracer.span("truth_vectors"):
             vectors = build_truth_vectors(dataset, reference)
-        partition, silhouettes = self._select_with_cache(dataset, vectors)
+        partition, silhouettes = self.select_partition(vectors)
         block_results = run_blocks(self.base, dataset, partition, engine=engine)
         with tracer.span("merge"):
             merged = self._merge(dataset, partition, block_results, start)
@@ -184,24 +151,6 @@ class TDAC(TruthDiscoveryAlgorithm):
             block_results=tuple(block_results),
             truth_vectors=vectors,
         )
-
-    def run_partitioned(
-        self, dataset: Dataset, partition: Partition
-    ) -> tuple[TruthDiscoveryResult, tuple[TruthDiscoveryResult, ...]]:
-        """Step 4 only: solve every block of a known ``partition`` and merge.
-
-        Used by callers that already hold a partition (the serving layer
-        on a warm cache, ablations with forced partitions).  Produces
-        exactly the merged result :meth:`run` would emit for the same
-        partition — :meth:`_merge` does not read the reference pass.
-        """
-        start = time.perf_counter()
-        block_results = run_blocks(
-            self.base, dataset, partition, engine=self._claim_engine(dataset)
-        )
-        with current_tracer().span("merge"):
-            merged = self._merge(dataset, partition, block_results, start)
-        return merged, tuple(block_results)
 
     def reference_pass(
         self, dataset: Dataset, engine: ClaimIndexEngine | None
@@ -229,36 +178,6 @@ class TDAC(TruthDiscoveryAlgorithm):
 
     # ------------------------------------------------------------------
 
-    def _select_with_cache(
-        self, dataset: Dataset, vectors: TruthVectorMatrix
-    ) -> tuple[Partition, dict[int, float]]:
-        """Partition selection, memoized through ``partition_cache``.
-
-        The key pins everything the selection depends on: the dataset
-        content, the reference algorithm that shaped the truth vectors,
-        and the result-affecting config knobs.  Selection is
-        deterministic in that key, so replaying a cached partition is
-        bit-identical to recomputing it.
-        """
-        cache = self.partition_cache
-        if cache is None:
-            return self.select_partition(vectors)
-        tracer = current_tracer()
-        key = (
-            dataset.fingerprint,
-            self.reference_algorithm.name,
-            self.config.fingerprint(),
-        )
-        hit = cache.get(key)
-        if hit is not None:
-            tracer.count("partition_cache.hits")
-            partition, silhouettes = hit
-            return partition, dict(silhouettes)
-        tracer.count("partition_cache.misses")
-        partition, silhouettes = self.select_partition(vectors)
-        cache.put(key, partition, silhouettes)
-        return partition, silhouettes
-
     def select_partition(
         self, vectors: TruthVectorMatrix
     ) -> tuple[Partition, dict[int, float]]:
@@ -276,16 +195,20 @@ class TDAC(TruthDiscoveryAlgorithm):
         ``[2, |A| - 1]``; they fall back to the trivial one-block
         partition, which makes TD-AC degrade gracefully to plain ``F``.
         """
+        config = self.config
         n_attributes = vectors.n_attributes
-        upper = n_attributes - 1 if self.k_max is None else min(
-            self.k_max, n_attributes - 1
+        upper = n_attributes - 1 if config.k_max is None else min(
+            config.k_max, n_attributes - 1
         )
-        if upper < self.k_min:
+        if upper < config.k_min:
             return Partition.whole(vectors.attributes), {}
         data = vectors.matrix.astype(float)
         distances = self.pairwise_distances(vectors)
         fits = sweep_kmeans(
-            data, range(self.k_min, upper + 1), n_init=self.n_init, seed=self.seed
+            data,
+            range(config.k_min, upper + 1),
+            n_init=config.n_init,
+            seed=config.seed,
         )
         silhouettes = score_silhouette_sweep(distances, fits, average="macro")
         best_partition = Partition.whole(vectors.attributes)
@@ -304,9 +227,10 @@ class TDAC(TruthDiscoveryAlgorithm):
 
     def pairwise_distances(self, vectors: TruthVectorMatrix) -> np.ndarray:
         """The attribute distance matrix under the configured mode."""
-        with current_tracer().span("distance_matrix", mode=self.distance):
+        mode = self.config.distance
+        with current_tracer().span("distance_matrix", mode=mode):
             data = vectors.matrix.astype(float)
-            if self.distance == "masked":
+            if mode == "masked":
                 return pairwise_masked_hamming(data, vectors.mask)
             return pairwise_hamming(data)
 

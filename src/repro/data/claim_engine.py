@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.index import DatasetIndex
-from repro.data.types import ATTRIBUTE_TYPES, Claim, DataError, Fact
+from repro.data.types import Claim, DataError, Fact
 
 #: Fact keys pack (object rank, attribute rank) into one int64 as
 #: ``obj_rank << _KEY_SHIFT | attr_rank``.  Ranks only ever append, so a
@@ -108,28 +108,6 @@ class ClaimIndexEngine:
     def _fact_attribute(self) -> np.ndarray:
         """Attribute rank (dataset attribute order) of every fact."""
         return (self._fact_keys & ((1 << _KEY_SHIFT) - 1)).astype(np.int64)
-
-    @cached_property
-    def attribute_type_masks(self) -> dict:
-        """Boolean mask over attribute ranks for every value family.
-
-        ``masks["continuous"][rank]`` is True when the attribute at
-        ``rank`` is tagged continuous; an untyped dataset yields an
-        all-True categorical mask.  The estimator router and typed
-        metrics use these to split compiled structures without touching
-        identifier dicts.
-        """
-        attrs = self._dataset.attributes
-        masks = {
-            kind: np.zeros(len(attrs), dtype=bool) for kind in ATTRIBUTE_TYPES
-        }
-        for rank, attribute in enumerate(attrs):
-            masks[self._dataset.attribute_type(attribute)][rank] = True
-        return masks
-
-    def fact_type_mask(self, kind: str) -> np.ndarray:
-        """Boolean mask over full-index facts whose attribute is ``kind``."""
-        return self.attribute_type_masks[kind][self._fact_attribute]
 
     # -- delta-compile support structures ------------------------------
     #

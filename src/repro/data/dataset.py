@@ -173,8 +173,8 @@ class Dataset:
         included — attribute order shapes truth vectors) and every claim;
         the display name and the evaluation-only ground truth are
         excluded, so renaming or re-annotating a dataset does not change
-        its identity.  Used as the dataset half of partition-cache and
-        serving-snapshot keys.
+        its identity.  Used as the dataset half of checkpoint addresses,
+        serving-snapshot stamps and tenant engine keys.
         """
         hasher = hashlib.sha256()
         for part in (self._sources, self._objects, self._attributes):

@@ -3,7 +3,7 @@
 The report is the artefact behind the CLI's ``--trace out.json`` flag
 and the bench harness's per-stage records: a stable, versioned schema
 (see :data:`TRACE_SCHEMA`) with the per-stage wall times, the full span
-list, the named counters (e.g. partition-cache hits) and a coverage
+list, the named counters (e.g. WAL appends) and a coverage
 ratio stating how much of the measured wall time the stages account
 for.  Schema stability is pinned by a golden test.
 """

@@ -4,7 +4,7 @@ Every stage of a TD-AC run — reference pass, truth-vector build,
 distance matrix, k-sweep, silhouette scoring, per-block solves, merge —
 is wrapped in a *span*: a named wall-clock interval with an optional
 parent.  A :class:`SpanTracer` collects the spans of one run plus a set
-of named counters (e.g. partition-cache hits), and can render
+of named counters (e.g. applied batches, WAL appends), and can render
 both as a structured report (see :mod:`repro.observability.report`) or
 fold them into the evaluation harness's
 :class:`~repro.metrics.timing.Stopwatch`.

@@ -10,11 +10,8 @@ provides it:
   ``serve.*`` span/counter/gauge instrumentation;
 * :class:`~repro.serving.snapshot.TruthSnapshot` — immutable,
   monotonically versioned read views with a claims-seen watermark and
-  staleness metadata, each (in the default full-refit mode)
-  bit-identical to an offline ``TDAC.run`` over the claims at its
-  watermark;
-* :class:`~repro.core.cache.PartitionCache` (re-exported) — the shared
-  LRU that lets repeated cold starts replay selected partitions;
+  staleness metadata, each (in either refit mode) bit-identical to an
+  offline ``TDAC.run`` over the claims at its watermark;
 * :mod:`~repro.serving.frontend` — the JSON-lines driver behind the
   ``repro serve`` CLI subcommand and its ``--smoke`` round trip;
 * :mod:`~repro.serving.net` / :mod:`~repro.serving.client` — the
@@ -39,7 +36,6 @@ ticket returns, checkpoints are cut periodically, and
 a crash.
 """
 
-from repro.core.cache import PartitionCache
 from repro.serving.client import (
     AsyncTruthClient,
     RetryPolicy,
@@ -72,7 +68,6 @@ from repro.serving.tenancy import (
 __all__ = [
     "AsyncTruthClient",
     "IngestTicket",
-    "PartitionCache",
     "QueryAnswer",
     "REFIT_MODES",
     "RetryPolicy",

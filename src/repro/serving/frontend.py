@@ -180,7 +180,7 @@ def run_smoke(
     import sys
 
     from repro.algorithms import create
-    from repro.core import TDAC, PartitionCache, TDACConfig
+    from repro.core import TDAC, TDACConfig
     from repro.datasets import make_synthetic
     from repro.observability import SpanTracer
     from repro.serving.config import ServiceConfig
@@ -194,7 +194,6 @@ def run_smoke(
         dataset,
         config=config,
         service_config=ServiceConfig(max_wait_ms=1.0),
-        partition_cache=PartitionCache(),
         tracer=tracer,
     )
     with service:

@@ -27,10 +27,6 @@ pipeline into a serving engine:
   base runs — so its snapshots are also ``exact=True`` with a populated
   ``silhouette_by_k``.  Restores always replay the WAL tail through the
   same delta path, cutting restart downtime.
-* **Partition reuse** — an optional shared
-  :class:`~repro.core.cache.PartitionCache` lets repeated cold starts
-  (and full refits over an unchanged corpus) replay the selected
-  partition instead of re-running the sweep.
 * **Observability** — refits and batches run under the service's
   :class:`~repro.observability.SpanTracer` (``serve.start``,
   ``serve.batch``, ``serve.refit`` spans; ingest/batch/refit counters;
@@ -50,7 +46,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.algorithms.base import TruthDiscoveryAlgorithm
-from repro.core.cache import PartitionCache
 from repro.core.config import TDACConfig, config_from_dict
 from repro.core.incremental import IncrementalTDAC, extend_dataset
 from repro.data.dataset import Dataset
@@ -181,14 +176,12 @@ class TruthService:
         The initial corpus served at watermark 0.
     config:
         :class:`~repro.core.config.TDACConfig` shared by every refit
-        (``None`` means defaults).  Its fingerprint keys the partition
-        cache and stamps every snapshot.
+        (``None`` means defaults).  Its fingerprint stamps every
+        snapshot.
     service_config:
         :class:`~repro.serving.config.ServiceConfig` holding every
         serving knob — refit modes, micro-batch sizing, queue bounds,
         checkpoint cadence (``None`` means defaults).
-    partition_cache:
-        Optional shared :class:`~repro.core.cache.PartitionCache`.
     tracer:
         Optional :class:`~repro.observability.SpanTracer`; the worker
         thread activates it so ``serve.*`` spans, counters and gauges
@@ -210,21 +203,17 @@ class TruthService:
         *,
         config: TDACConfig | None = None,
         service_config: ServiceConfig | None = None,
-        partition_cache: PartitionCache | None = None,
         tracer: SpanTracer | None = None,
         store: TruthStore | str | Path | None = None,
     ) -> None:
         if service_config is None:
             service_config = ServiceConfig()
         self.service_config = service_config
-        self.partition_cache = partition_cache
         self.store = None if store is None else open_store(store)
         self._base = base
         self._config = config if config is not None else TDACConfig()
         self._initial_dataset = dataset
-        self._incremental = IncrementalTDAC(
-            base, config=self._config, partition_cache=partition_cache
-        )
+        self._incremental = IncrementalTDAC(base, config=self._config)
         self._tracer = tracer
         self._cond = threading.Condition()
         self._pending: deque[IngestTicket] = deque()
@@ -266,28 +255,6 @@ class TruthService:
     def config(self) -> TDACConfig:
         """The config every refit runs under."""
         return self._config
-
-    # Per-knob views over ``service_config`` — existing callers (and the
-    # network layer) read these as plain attributes.
-    @property
-    def refit(self) -> str:
-        return self.service_config.refit
-
-    @property
-    def max_batch_size(self) -> int:
-        return self.service_config.max_batch_size
-
-    @property
-    def max_wait_ms(self) -> float:
-        return self.service_config.max_wait_ms
-
-    @property
-    def queue_capacity(self) -> int:
-        return self.service_config.queue_capacity
-
-    @property
-    def snapshot_every(self) -> int:
-        return self.service_config.snapshot_every
 
     def start(self) -> TruthSnapshot:
         """Run the initial fit, publish the first snapshot, start the batcher.
@@ -409,7 +376,6 @@ class TruthService:
         *,
         config: TDACConfig | None = None,
         service_config: ServiceConfig | None = None,
-        partition_cache: PartitionCache | None = None,
         tracer: SpanTracer | None = None,
     ) -> "TruthService":
         """Resume a service from a store directory after a crash or stop.
@@ -454,13 +420,9 @@ class TruthService:
             dataset,
             config=config,
             service_config=service_config,
-            partition_cache=partition_cache,
             tracer=tracer,
             store=store,
         )
-        if partition_cache is not None:
-            # Warm-start the sweep before the initial fit runs.
-            store.snapshots.seed_partition_cache(partition_cache)
         service._version_base = int(serving.get("version", 1)) - 1
         service._watermark_base = int(serving.get("watermark", 0))
         service._resuming = True
@@ -534,9 +496,10 @@ class TruthService:
                 raise ServiceStoppedError(
                     "service is not running; call start() first"
                 )
+            knobs = self.service_config
             backlog = self._pending_claims + self._in_flight
-            if backlog + len(batch) > self.queue_capacity:
-                batches_ahead = max(1, -(-backlog // self.max_batch_size))
+            if backlog + len(batch) > knobs.queue_capacity:
+                batches_ahead = max(1, -(-backlog // knobs.max_batch_size))
                 retry_after = self._last_batch_seconds * batches_ahead
                 self._stats["rejected_claims"] += len(batch)
                 self._stats["overloaded_tickets"] += 1
@@ -544,7 +507,7 @@ class TruthService:
                 self._trace_count("serve.ingest.rejected")
                 self._trace_count("serve.overloaded")
                 raise ServiceOverloadedError(
-                    backlog, self.queue_capacity, retry_after
+                    backlog, knobs.queue_capacity, retry_after
                 )
             ticket = IngestTicket(batch, offset=self._next_sequence)
             if self.store is not None:
@@ -603,7 +566,7 @@ class TruthService:
 
     @property
     def stats(self) -> dict:
-        """Serving counters plus engine and cache bookkeeping.
+        """Serving counters plus engine and store bookkeeping.
 
         Counters, queue depth and the published snapshot's version and
         watermark are all read in one hold of the snapshot lock, so a
@@ -617,8 +580,6 @@ class TruthService:
         out["version"] = snapshot.version if snapshot else 0
         out["watermark"] = snapshot.watermark if snapshot else 0
         out["engine"] = self._incremental.stats
-        if self.partition_cache is not None:
-            out["partition_cache"] = self.partition_cache.stats
         if self.store is not None:
             out["store"] = self.store.stats
         return out
@@ -688,6 +649,7 @@ class TruthService:
         ``max_wait_ms`` coalescing further tickets while the batch stays
         under ``max_batch_size`` claims.
         """
+        knobs = self.service_config
         with self._cond:
             while not self._pending:
                 if self._closed:
@@ -695,11 +657,11 @@ class TruthService:
                 self._cond.wait()
             tickets = [self._pending.popleft()]
             count = len(tickets[0].claims)
-            deadline = time.monotonic() + self.max_wait_ms / 1000.0
-            while count < self.max_batch_size:
+            deadline = time.monotonic() + knobs.max_wait_ms / 1000.0
+            while count < knobs.max_batch_size:
                 if self._pending:
                     head = self._pending[0]
-                    if count + len(head.claims) > self.max_batch_size:
+                    if count + len(head.claims) > knobs.max_batch_size:
                         break
                     self._pending.popleft()
                     tickets.append(head)
@@ -745,7 +707,7 @@ class TruthService:
                 tracer.count("serve.batch.claims", len(claims))
                 tracer.gauge(
                     "serve.batch.occupancy",
-                    len(claims) / self.max_batch_size,
+                    len(claims) / self.service_config.max_batch_size,
                 )
                 applied = [(t.offset, len(t.claims)) for t in tickets]
                 if error is not None:
@@ -768,7 +730,8 @@ class TruthService:
                     ticket._resolve(snapshot)
                 if self.store is not None:
                     self._batches_since_checkpoint += 1
-                    if self._batches_since_checkpoint >= self.snapshot_every:
+                    every = self.service_config.snapshot_every
+                    if self._batches_since_checkpoint >= every:
                         self.checkpoint()
 
     def _apply(self, claims: list[Claim]) -> TruthSnapshot:
@@ -783,7 +746,7 @@ class TruthService:
         tracer = current_tracer()
         previous = self._snapshot
         assert previous is not None
-        if self.refit == "full" and not self._resuming:
+        if self.service_config.refit == "full" and not self._resuming:
             # Extend on a local first: a conflicting batch raises here
             # and leaves the engine (and the published state) untouched.
             dataset = extend_dataset(self._incremental.dataset, claims)

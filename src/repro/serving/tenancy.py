@@ -3,7 +3,7 @@
 A :class:`TenantRegistry` multiplexes named tenants over shared serving
 engines.  The unit of sharing is the **engine key**
 ``(dataset fingerprint, config fingerprint)`` — the same pair that
-content-addresses checkpoints and partition-cache entries — so two
+content-addresses checkpoints — so two
 tenants registered over the same corpus and config get handles onto the
 *same* :class:`~repro.serving.service.TruthService` (same batcher, same
 WAL, same exact snapshots), while tenants with different keys get
@@ -12,8 +12,6 @@ disjoint engines under disjoint store namespaces.
 What is shared and what is isolated:
 
 * **Shared across every engine**: one
-  :class:`~repro.core.cache.PartitionCache` (a sweep certified for one
-  tenant warm-starts any other tenant on the same key) and one
   :class:`~repro.observability.SpanTracer`.
 * **Isolated per engine**: the store namespace.  Each engine's WAL and
   checkpoints live under ``<store_root>/tenants/<owner>/`` (the first
@@ -39,7 +37,6 @@ import threading
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.core.cache import PartitionCache
 from repro.core.config import TDACConfig
 from repro.data.dataset import Dataset
 from repro.data.types import AttributeId, Claim, ObjectId
@@ -237,8 +234,6 @@ class TenantRegistry:
         stores under ``<store_root>/tenants/<t>/`` and resumes from it
         when ``t`` registers again over a non-empty namespace.
         ``None`` keeps every engine in memory.
-    partition_cache:
-        Shared across all engines (defaults to a fresh cache).
     tracer:
         Shared :class:`SpanTracer`; per-tenant counters land here under
         ``tenant.<name>.*``.
@@ -257,14 +252,10 @@ class TenantRegistry:
         self,
         *,
         store_root: str | Path | None = None,
-        partition_cache: PartitionCache | None = None,
         tracer: SpanTracer | None = None,
         service_config: ServiceConfig | None = None,
     ) -> None:
         self.store_root = None if store_root is None else Path(store_root)
-        self.partition_cache = (
-            partition_cache if partition_cache is not None else PartitionCache()
-        )
         self.tracer = tracer
         self.default_service_config = (
             service_config if service_config is not None else ServiceConfig()
@@ -341,7 +332,6 @@ class TenantRegistry:
         options = dict(
             config=config,
             service_config=service_config,
-            partition_cache=self.partition_cache,
             tracer=self.tracer,
         )
         store = None

@@ -17,12 +17,9 @@ carries:
   the base/reference algorithm names and the full config) plus a
   SHA-256 checksum over the rest of the payload.
 
-Snapshots double as an on-disk warm start for
-:class:`~repro.core.cache.PartitionCache`:
-:meth:`SnapshotStore.seed_partition_cache` replays every valid
-snapshot's selected partition into a cache under the exact key
-``TDAC.run`` consults, so a recovered service (or a fresh one on the
-same corpus) skips the partition sweep entirely.
+Recovery parses exactly one file: the newest snapshot that loads
+(:meth:`SnapshotStore.latest_valid`).  Older files are read only as the
+fallback when a newer one is corrupt.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from repro.store.records import StoreError
 from repro.store.wal import WALCorruptionWarning
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.cache import PartitionCache
     from repro.core.config import TDACConfig
     from repro.data.dataset import Dataset
     from repro.serving.snapshot import TruthSnapshot
@@ -190,45 +186,3 @@ class SnapshotStore:
                     stacklevel=2,
                 )
         return None
-
-    # ------------------------------------------------------------------
-
-    def seed_partition_cache(self, cache: "PartitionCache") -> int:
-        """Warm ``cache`` with every valid snapshot's selected partition.
-
-        Keys match :meth:`TDAC._select_with_cache` exactly — (dataset
-        fingerprint, reference algorithm name, config fingerprint) — so
-        a subsequent ``TDAC.run`` over the same corpus replays the
-        partition instead of re-running the sweep.  Returns the number
-        of entries inserted.
-        """
-        from repro.core.partition import Partition
-
-        seeded = 0
-        seen: set[tuple[str, str, str]] = set()
-        for entry in self.entries():
-            try:
-                payload = self.load(entry.path)
-            except StoreError:
-                continue
-            result = payload.get("result", {})
-            serving = result.get("serving", {})
-            blocks = result.get("partition")
-            reference = payload.get("store", {}).get("reference_algorithm")
-            if not blocks or not reference:
-                continue
-            key = (
-                serving.get("dataset_fingerprint", ""),
-                reference,
-                serving.get("config_fingerprint", ""),
-            )
-            if not all(key) or key in seen:
-                continue
-            seen.add(key)
-            silhouettes = {
-                int(k): float(v)
-                for k, v in (result.get("silhouette_by_k") or {}).items()
-            }
-            cache.put(key, Partition.from_blocks(blocks), silhouettes)
-            seeded += 1
-        return seeded

@@ -7,7 +7,8 @@ Two contracts are pinned here:
 * the per-knob keyword spellings whose deprecation windows closed
   (``TDAC(base, seed=...)``, ``TruthService(..., max_batch_size=...)``,
   ...) are rejected with :class:`TypeError`; knobs travel only through
-  ``TDACConfig`` / ``ServiceConfig``.
+  ``TDACConfig`` / ``ServiceConfig``, and ``partition_cache=`` is
+  rejected the same way.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from repro import (
     MajorityVote,
     TDAC,
     TDACConfig,
+    TenantRegistry,
     TruthServer,
     TruthService,
 )
@@ -49,8 +51,7 @@ class TestPublicSurface:
         "module, names",
         [
             ("repro.core", ["TDAC", "TDACConfig", "TDACResult",
-                            "IncrementalTDAC", "PartitionCache",
-                            "RESULT_SCHEMA", "result_to_dict",
+                            "IncrementalTDAC", "RESULT_SCHEMA", "result_to_dict",
                             "result_from_dict", "config_from_dict"]),
             ("repro.store", ["TruthStore", "ClaimWAL", "SnapshotStore",
                              "WALCorruptionWarning", "StoreError"]),
@@ -71,7 +72,7 @@ class TestPublicSurface:
         from repro import TruthService, TruthSnapshot  # noqa: F401
 
     def test_version_matches_package_metadata(self):
-        assert repro.__version__ == "1.12.0"
+        assert repro.__version__ == "1.13.0"
 
     def test_store_symbols_are_top_level(self):
         from repro import TruthStore, store  # noqa: F401
@@ -84,7 +85,7 @@ class TestTDACConfig:
             config.seed = 1
 
     def test_fingerprints_are_pinned(self):
-        # Checkpoints and partition caches key on these digests; a change
+        # Checkpoints are content-addressed by these digests; a change
         # here orphans every stored checkpoint.
         assert TDACConfig().fingerprint() == "bbd566bb65d39e1f"
         assert (
@@ -164,7 +165,8 @@ class TestLegacyKwargShim:
 
 
 class TestRemovedSpellings:
-    """The per-knob keyword spellings removed in 1.7.0 raise, not fold."""
+    """The per-knob keyword spellings removed in 1.7.0 raise, not fold,
+    and so does ``partition_cache=``, removed with the cache in 1.13.0."""
 
     @pytest.mark.parametrize(
         "construct",
@@ -181,6 +183,32 @@ class TestRemovedSpellings:
             pytest.param(
                 lambda ds: TruthService.restore("store", refit="full"),
                 id="TruthService.restore",
+            ),
+            pytest.param(
+                lambda ds: TDAC(MajorityVote(), partition_cache=None),
+                id="TDAC-partition_cache",
+            ),
+            pytest.param(
+                lambda ds: IncrementalTDAC(
+                    MajorityVote(), partition_cache=None
+                ),
+                id="IncrementalTDAC-partition_cache",
+            ),
+            pytest.param(
+                lambda ds: TruthService(
+                    MajorityVote(), ds, partition_cache=None
+                ),
+                id="TruthService-partition_cache",
+            ),
+            pytest.param(
+                lambda ds: TruthService.restore(
+                    "store", partition_cache=None
+                ),
+                id="TruthService.restore-partition_cache",
+            ),
+            pytest.param(
+                lambda ds: TenantRegistry(partition_cache=None),
+                id="TenantRegistry-partition_cache",
             ),
             pytest.param(
                 lambda ds: TruthServer(object(), max_line_bytes=4096),
@@ -200,11 +228,11 @@ class TestRemovedSpellings:
 
 
 class TestIncrementalSurface:
-    """1.10.0 removed the delta path's tuning knobs."""
+    """1.10.0 removed the delta path's tuning knobs; 1.13.0 its cache."""
 
-    def test_incremental_takes_three_parameters(self):
+    def test_incremental_takes_two_parameters(self):
         assert list(inspect.signature(IncrementalTDAC).parameters) == [
-            "base", "config", "partition_cache",
+            "base", "config",
         ]
 
 

@@ -105,3 +105,40 @@ class TestLeaderboard:
         out = capsys.readouterr().out
         assert "Rank" in out
         assert "MajorityVote" in out
+
+
+class TestServeResume:
+    def test_resume_parses_one_checkpoint(self, tmp_path, monkeypatch):
+        import io
+        import json
+
+        from repro.store import SnapshotStore
+
+        argv = [
+            "serve", "MajorityVote", "DS1", "--scale", "0.05",
+            "--store-dir", str(tmp_path),
+        ]
+
+        def serve_one_claim(run):
+            claim = {"source": "alpha-1", "object": f"resume-{run}",
+                     "attribute": "a1", "value": "v"}
+            line = json.dumps({"op": "ingest", "claims": [claim]})
+            monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+            assert main(argv) == 0
+
+        serve_one_claim(0)
+        serve_one_claim(1)
+        # Each ingest moves the watermark, and checkpoint names are
+        # content-addressed by it, so every run leaves a new file.
+        assert len(SnapshotStore(tmp_path / "snapshots").entries()) >= 3
+
+        calls = []
+        original = SnapshotStore.load
+
+        def counting_load(self, path):
+            calls.append(path)
+            return original(self, path)
+
+        monkeypatch.setattr(SnapshotStore, "load", counting_load)
+        serve_one_claim(2)
+        assert len(calls) == 1

@@ -4,10 +4,13 @@ Docs drift silently; these tests pin the claims that are cheap to
 verify mechanically — referenced files exist, the algorithm list in the
 docs matches the registry, the bench mapping in the README points at
 real bench files, every ``make`` target and ``BENCH_*.json`` artefact
-the docs name exists, and the examples table lists exactly the scripts
-in ``examples/``.
+the docs name exists, the examples table lists exactly the scripts
+in ``examples/``, and every ``repro`` import in a python code block
+resolves.
 """
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -106,3 +109,42 @@ class TestAlgorithmDocs:
                 "DEPEN": "DEPEN",
             }.get(name, name)
             assert token in documented, name
+
+
+DOCS_WITH_CODE = ["README.md", "DESIGN.md", "CONTRIBUTING.md"] + sorted(
+    f"docs/{p.name}" for p in (ROOT / "docs").glob("*.md")
+)
+
+
+def python_blocks(doc: str) -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", read(doc), re.M | re.S)
+
+
+def repro_imports(tree: ast.AST) -> list[tuple[str, str | None]]:
+    """``(module, name)`` per imported ``repro`` name; ``name`` is None
+    for a plain ``import repro...``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(a.name, None) for a in node.names
+                      if a.name.split(".")[0] == "repro"]
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+            node.module.split(".")[0] == "repro"
+        ):
+            found += [(node.module, a.name) for a in node.names]
+    return found
+
+
+class TestCodeBlockImports:
+    @pytest.mark.parametrize("doc", DOCS_WITH_CODE)
+    def test_repro_imports_resolve(self, doc):
+        for block in python_blocks(doc):
+            for module, name in repro_imports(ast.parse(block)):
+                mod = importlib.import_module(module)
+                if name is None or hasattr(mod, name):
+                    continue
+                # ``from repro import store`` names a submodule.
+                try:
+                    importlib.import_module(f"{module}.{name}")
+                except ImportError:
+                    pytest.fail(f"{doc}: from {module} import {name}")

@@ -11,7 +11,6 @@ import threading
 import pytest
 
 from repro import TDAC, MajorityVote, SpanTracer, TDACConfig, TruthService
-from repro.core import PartitionCache
 from repro.data import Claim, DataError
 from repro.datasets import make_synthetic
 from repro.serving import (
@@ -331,24 +330,6 @@ class TestFailureIsolation:
             assert after.version == before.version + 1
             assert after.watermark == 1  # the bad claim was never applied
             assert service.stats["batch_errors"] == 1
-
-
-class TestPartitionCacheReuse:
-    def test_shared_cache_hits_on_second_cold_start(self, dataset):
-        config = TDACConfig(seed=6)
-        cache = PartitionCache()
-        with TruthService(
-            MajorityVote(), dataset, config=config, partition_cache=cache
-        ) as first:
-            one = first.snapshot()
-        assert cache.stats["misses"] >= 1
-        with TruthService(
-            MajorityVote(), dataset, config=config, partition_cache=cache
-        ) as second:
-            two = second.snapshot()
-        assert cache.stats["hits"] >= 1
-        assert one.partition == two.partition
-        assert dict(one.predictions) == dict(two.predictions)
 
 
 class TestSnapshotSerialization:

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro import MajorityVote, TDACConfig, TruthService
-from repro.core import PartitionCache, TDAC
 from repro.data import Claim
 from repro.datasets import make_synthetic
 from repro.serving import ServiceConfig
@@ -226,20 +225,6 @@ class TestSnapshotStore:
             fallback, path = snapshots.latest_valid()
         assert path != newest
         assert fallback["store"]["checksum"]
-
-    def test_seed_partition_cache_matches_tdac_key(self, tmp_path, dataset):
-        store_dir = _stopped_service(tmp_path, dataset)
-        cache = PartitionCache()
-        seeded = TruthStore(store_dir).snapshots.seed_partition_cache(cache)
-        assert seeded >= 1
-        # A cold TDAC.run over the same corpus must hit the seeded entry.
-        outcome = TDAC(
-            MajorityVote(),
-            config=TDACConfig(seed=3),
-            partition_cache=cache,
-        ).run(dataset)
-        assert cache.stats["hits"] >= 1
-        assert outcome.partition.blocks  # partition replayed, not re-swept
 
 
 class TestTruthStore:
