@@ -1,18 +1,21 @@
 """The k-means restart sweep of Algorithm 1.
 
 TD-AC (and the alternative k-selectors) refit k-means for every
-``k in [2, |A|-1]`` with ``n_init`` restarts each.  For every ``k`` this
-module draws the restart seedings from a fresh generator seeded like
-``KMeans(seed=seed)`` — consuming it in exactly the order
-:meth:`KMeans.fit` would — runs :func:`repro.clustering.kmeans.lloyd`
-from each, and keeps the first restart that strictly improves the
-inertia, the same tie-break as the classic restart loop.  The result is
-bit-identical to calling ``KMeans(n_clusters=k, n_init=n_init,
-seed=seed).fit(data)`` for every ``k``.  Two things are computed once
-and shared by every solve of the sweep: the per-row squared norms that
-Lloyd uses, and the :class:`~repro.clustering.kmeans.RowDistances` memo
-that k-means++ seeds from, which evaluates each picked row's distance
-vector once instead of once per draw.
+``k in [2, |A|-1]`` with ``n_init`` restarts each.  Each ``k`` is one
+stream of :func:`repro.clustering.kmeans.fit_streams`: it draws its
+restart seedings from a fresh generator seeded like ``KMeans(seed=seed)``
+— consuming it in exactly the order :meth:`KMeans.fit` would — and keeps
+the first restart that strictly improves the inertia, the same
+tie-break as the classic restart loop.  The result is bit-identical to
+calling ``KMeans(n_clusters=k, n_init=n_init, seed=seed).fit(data)``
+for every ``k``.
+
+All streams advance in lockstep, in the manner of FINEX's one structure
+for a whole parameter sweep: every seeding draws one pick per step as
+one stacked array over a shared row-distance slot buffer, and the
+``(k, restart)`` Lloyd solves iterate together in one pool, each
+retiring when it converges.  The ``k_sweep`` span records the number of Lloyd
+``solves`` and ``iterations``.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.clustering.kmeans import (
+# ``lloyd`` is unused here, but kept: profilers wrap this module's name.
+from repro.clustering.kmeans import (  # noqa: F401
     KMeansResult,
-    RowDistances,
     check_rows,
-    initial_centroid_sequence,
+    fit_streams,
     lloyd,
 )
 from repro.observability import current_tracer
@@ -43,16 +46,15 @@ def sweep_kmeans(
     """Best-of-``n_init`` k-means fit for every ``k`` in ``k_values``.
 
     Equivalent to ``{k: KMeans(n_clusters=k, n_init=n_init, seed=seed,
-    init=init).fit(data) for k in k_values}`` — bit for bit — with the
-    data row norms and the seeding's row distances computed once for
-    the whole sweep.
+    init=init).fit(data) for k in k_values}`` — bit for bit — with every
+    ``(k, restart)`` solve advanced in lockstep.
     """
     if n_init < 1:
         raise ValueError("n_init must be at least 1")
     if init not in ("k-means++", "random"):
         raise ValueError(f"unknown init strategy {init!r}")
     data = check_rows(data)
-    k_values = list(k_values)
+    k_values = list(dict.fromkeys(k_values))
     if not k_values:
         return {}
     n_rows = len(data)
@@ -63,19 +65,11 @@ def sweep_kmeans(
             raise ValueError(f"cannot fit {k} clusters to {n_rows} rows")
     with current_tracer().span(
         "k_sweep", n_candidates=len(k_values), n_init=n_init
-    ):
-        data_norms = np.einsum("ij,ij->i", data, data)
-        row_distances = RowDistances(data)
-        best: dict[int, KMeansResult] = {}
-        for k in k_values:
-            rng = np.random.default_rng(seed)
-            for seeding in initial_centroid_sequence(
-                data, k, n_init, rng, init, row_distances
-            ):
-                result = lloyd(
-                    data, seeding, max_iterations, tolerance, data_norms
-                )
-                incumbent = best.get(k)
-                if incumbent is None or result.inertia < incumbent.inertia:
-                    best[k] = result
-        return best
+    ) as meta:
+        streams = [(k, np.random.default_rng(seed)) for k in k_values]
+        fits, iterations = fit_streams(
+            data, streams, n_init, init, max_iterations, tolerance
+        )
+        meta["solves"] = len(streams) * n_init
+        meta["iterations"] = iterations
+        return dict(zip(k_values, fits))

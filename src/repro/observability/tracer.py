@@ -74,20 +74,22 @@ class SpanTracer:
         self._stopwatch = stopwatch
 
     @contextlib.contextmanager
-    def span(self, name: str, **meta: Any) -> Iterator[None]:
+    def span(self, name: str, **meta: Any) -> Iterator[dict[str, Any]]:
         """Context manager recording one named interval.
 
         Spans nest: a span opened while another is running records the
         enclosing span's name as its parent and its nesting depth, so
         reports can distinguish top-level pipeline stages (depth 0) from
-        their internals.
+        their internals.  The context yields the span's ``meta`` dict;
+        entries added inside the block (e.g. work counts known only at
+        the end) are recorded with the span.
         """
         parent = self._stack[-1] if self._stack else None
         depth = len(self._stack)
         self._stack.append(name)
         start = time.perf_counter()
         try:
-            yield
+            yield meta
         finally:
             seconds = time.perf_counter() - start
             self._stack.pop()
@@ -157,8 +159,8 @@ class NullTracer(SpanTracer):
         super().__init__()
 
     @contextlib.contextmanager
-    def span(self, name: str, **meta: Any) -> Iterator[None]:
-        yield
+    def span(self, name: str, **meta: Any) -> Iterator[dict[str, Any]]:
+        yield meta
 
     def count(self, name: str, n: int = 1) -> None:
         pass

@@ -394,7 +394,10 @@ class TruthService:
 
         ``base`` and ``config`` default to what the checkpoint recorded
         (the base algorithm is resolved through the
-        :mod:`repro.algorithms` registry by its stored name).
+        :mod:`repro.algorithms` registry by its stored name).  A
+        ``config`` whose fingerprint differs from the checkpoint's is
+        refused with :class:`StoreError`: the stored state was computed
+        under another config.
         """
         from repro.data.io import dataset_from_dict
 
@@ -412,8 +415,15 @@ class TruthService:
             from repro.algorithms import create
 
             base = create(meta["base_algorithm"])
+        recorded = serving.get("config_fingerprint")
         if config is None:
             config = config_from_dict(meta["config"])
+        elif config.fingerprint() != recorded:
+            raise StoreError(
+                f"{store.root} was checkpointed under config {recorded}, "
+                f"not {config.fingerprint()}; refusing to serve another "
+                "key's state"
+            )
         dataset = dataset_from_dict(recovery.checkpoint["dataset"])
         service = cls(
             base,

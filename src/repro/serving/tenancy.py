@@ -341,18 +341,13 @@ class TenantRegistry:
             engine = TruthService(base, dataset, store=store, **options)
             engine.start()
             return engine
-        latest = store.snapshots.latest_valid()
-        if latest is not None:
-            serving = latest[0]["result"].get("serving", {})
-            recorded = serving.get("config_fingerprint")
-            if recorded != config.fingerprint():
-                store.close()
-                raise StoreError(
-                    f"tenant namespace {store.root} was checkpointed under "
-                    f"config {recorded}, not {config.fingerprint()}; "
-                    "refusing to serve another key's state"
-                )
-        return TruthService.restore(store, base, **options)
+        try:
+            # ``restore`` parses the newest checkpoint once and refuses
+            # one cut under another config.
+            return TruthService.restore(store, base, **options)
+        except StoreError:
+            store.close()
+            raise
 
     # -- lookup ----------------------------------------------------------
 

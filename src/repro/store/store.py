@@ -292,7 +292,11 @@ class TruthStore:
         uninterrupted service applied.  Corruption (torn tail, bad
         checksum, sequence gap) recovers to the last valid record with
         a :class:`WALCorruptionWarning`; interior records past a
-        corruption are reported, never silently dropped.
+        corruption are reported, never silently dropped.  Raises
+        :class:`StoreError` when a replayed batch does not continue the
+        watermark before it (the first one, the checkpoint's): committed
+        batches in between are gone, and replaying around the hole would
+        serve a corpus that is no acknowledged prefix.
         """
         import warnings as _warnings
 
@@ -358,6 +362,19 @@ class TruthStore:
                             message, WALCorruptionWarning, stacklevel=2
                         )
                         break
+                    previous = (
+                        recovery.batches[-1].watermark
+                        if recovery.batches
+                        else base_watermark
+                    )
+                    if watermark != previous + len(batch_claims):
+                        raise StoreError(
+                            f"commit at lsn {record.lsn} (watermark "
+                            f"{watermark}, {len(batch_claims)} claims) does "
+                            f"not continue watermark {previous}; the WAL "
+                            "lost committed batches after the checkpoint, "
+                            "so no replay can rebuild an acknowledged prefix"
+                        )
                     recovery.batches.append(
                         ReplayBatch(
                             version=int(record.body.get("version", 0)),

@@ -100,8 +100,15 @@ class TestAmbientActivation:
         with activate(None) as tracer:
             assert tracer is current_tracer()
 
+    def test_span_meta_set_inside_is_recorded(self):
+        tracer = SpanTracer()
+        with tracer.span("stage", fixed=1) as meta:
+            meta["late"] = 2
+        assert tracer.spans[0].meta == {"fixed": 1, "late": 2}
+
     def test_null_tracer_absorbs_everything(self):
-        with NULL_TRACER.span("ignored"):
+        with NULL_TRACER.span("ignored") as meta:
+            meta["ignored"] = 1
             NULL_TRACER.count("ignored")
         assert NULL_TRACER.spans == []
         assert NULL_TRACER.counters == {}
@@ -219,6 +226,18 @@ class TestCliTraceFlag:
         assert report["context"]["dataset"] == "DS1"
         # Acceptance: per-stage times sum to within 5% of wall time.
         assert report["stage_coverage"] == pytest.approx(1.0, abs=0.05)
+
+    def test_k_sweep_span_counts_lloyd_work(self, tmp_path):
+        out = tmp_path / "trace.json"
+        rc = cli_main(
+            ["run", "TDAC+MajorityVote", "Exam 62", "--trace", str(out)]
+        )
+        assert rc == 0
+        report = json.loads(out.read_text())
+        (sweep,) = [s for s in report["spans"] if s["name"] == "k_sweep"]
+        assert sweep["meta"]["n_candidates"] == 60
+        assert sweep["meta"]["solves"] == 600
+        assert sweep["meta"]["iterations"] == 1575
 
     def test_plain_algorithm_gets_discover_span(self, tmp_path):
         out = tmp_path / "trace.json"

@@ -23,7 +23,12 @@ from repro.serving import ServiceConfig
 from repro.core import extend_dataset
 from repro.data import Claim
 from repro.datasets import make_synthetic
-from repro.store import TruthStore, WALCorruptionWarning, decode_claim
+from repro.store import (
+    StoreError,
+    TruthStore,
+    WALCorruptionWarning,
+    decode_claim,
+)
 
 CONFIG = TDACConfig(seed=3)
 
@@ -219,6 +224,30 @@ os._exit(7)  # hard crash: no stop(), no final checkpoint
 
 
 class TestCrashRecovery:
+    def test_restore_refuses_a_corpus_with_a_hole(self, tmp_path, dataset):
+        """Compaction follows the newest checkpoint; if that one is then
+        corrupt, the fallback checkpoint's WAL tail has lost batch t4.
+        Replaying t5 on top of t0-t3 would serve a state that is no
+        acked prefix, so restore must refuse."""
+        store_dir = tmp_path / "store"
+        store = TruthStore(store_dir, segment_max_records=2, sync="never")
+        service = TruthService(
+            MajorityVote(), dataset, config=CONFIG, store=store,
+            service_config=ServiceConfig(snapshot_every=2, max_wait_ms=1.0),
+        )
+        service.start()
+        for j in range(6):
+            service.ingest(fresh_claims(dataset, f"t{j}", 2), wait=True)
+        service.stop()
+        store.compact()
+        newest = store.snapshots.entries()[0].path
+        newest.write_text(
+            newest.read_text().replace('"checksum": "', '"checksum": "0')
+        )
+        with pytest.warns(WALCorruptionWarning, match="falling back"):
+            with pytest.raises(StoreError, match="does not continue"):
+                TruthService.restore(store_dir)
+
     def test_kill_mid_ingest_restores_bit_identically(
         self, tmp_path, dataset
     ):

@@ -294,6 +294,36 @@ class TestDurableNamespaces:
             alice.ingest(post, wait=True)
             assert assert_matches_offline(alice).watermark == 4
 
+    def test_resume_parses_one_checkpoint(self, dataset, tmp_path,
+                                          monkeypatch):
+        from repro.store import SnapshotStore
+
+        for tag in ("a", "b"):
+            with TenantRegistry(
+                store_root=tmp_path, service_config=FAST
+            ) as registry:
+                alice = registry.register("alice", MajorityVote(), dataset,
+                                          config=CONFIG)
+                alice.ingest(fresh_claims(dataset, tag, 1), wait=True)
+        snapshots = SnapshotStore(tmp_path / "tenants" / "alice" / "snapshots")
+        assert len(snapshots.entries()) >= 3
+
+        calls = []
+        original = SnapshotStore.load
+
+        def counting_load(self, path):
+            calls.append(path)
+            return original(self, path)
+
+        monkeypatch.setattr(SnapshotStore, "load", counting_load)
+        with TenantRegistry(
+            store_root=tmp_path, service_config=FAST
+        ) as reopened:
+            alice = reopened.register("alice", MajorityVote(), dataset,
+                                      config=CONFIG)
+            assert alice.snapshot().watermark == 2
+        assert len(calls) == 1
+
     def test_namespace_of_another_config_is_refused(self, dataset,
                                                     tmp_path):
         with TenantRegistry(
