@@ -264,7 +264,11 @@ class IncrementalTDAC:
             silhouette_by_k=silhouettes,
             reference=reference,
             block_results=tuple(results),
-            truth_vectors=vectors,
+            # The store patches its buffers in place on the next update;
+            # a published result must not change under its holder.
+            truth_vectors=dataclasses.replace(
+                vectors, matrix=vectors.matrix.copy(), mask=vectors.mask.copy()
+            ),
         )
         self._dataset = new_dataset
         self._partition = partition

@@ -27,8 +27,9 @@ import numpy as np
 
 from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
 from repro.clustering.distance import pairwise_hamming
-from repro.clustering.kmeans import KMeans
-from repro.clustering.silhouette import silhouette_score
+from repro.clustering.kselect import score_silhouette_sweep
+from repro.clustering.sweep import sweep_kmeans
+from repro.core.truth_vectors import build_truth_vectors
 from repro.data.dataset import Dataset
 from repro.data.types import Fact, ObjectId, SourceId, Value
 
@@ -60,31 +61,29 @@ def build_object_truth_vectors(
     dataset: Dataset,
     reference: TruthDiscoveryResult | TruthDiscoveryAlgorithm,
 ) -> ObjectTruthVectors:
-    """Object-major variant of the paper's Eq. 1."""
-    if isinstance(reference, TruthDiscoveryAlgorithm):
-        reference = reference.discover(dataset)
-    attributes = dataset.attributes
-    sources = dataset.sources
-    rank_of = {
-        (a, s): i
-        for i, (a, s) in enumerate(
-            (a, s) for a in attributes for s in sources
+    """Object-major variant of the paper's Eq. 1.
+
+    The same cells as :func:`build_truth_vectors`, regrouped: the
+    attribute matrix's ``(attribute, object, source)`` cells become
+    ``(object, attribute, source)`` ones, so object ``o``'s row has one
+    rank per (attribute, source) pair, attribute-major.
+    """
+    vectors = build_truth_vectors(dataset, reference)
+    shape = (
+        len(dataset.attributes),
+        len(dataset.objects),
+        len(dataset.sources),
+    )
+
+    def regroup(cells: np.ndarray) -> np.ndarray:
+        return cells.reshape(shape).transpose(1, 0, 2).reshape(
+            shape[1], shape[0] * shape[2]
         )
-    }
-    row_of = {o: i for i, o in enumerate(dataset.objects)}
-    n_ranks = len(attributes) * len(sources)
-    matrix = np.zeros((len(dataset.objects), n_ranks), dtype=np.int8)
-    mask = np.zeros_like(matrix, dtype=bool)
-    predictions = reference.predictions
-    for claim in dataset.iter_claims():
-        row = row_of[claim.object]
-        column = rank_of[(claim.attribute, claim.source)]
-        mask[row, column] = True
-        truth = predictions.get(Fact(claim.object, claim.attribute))
-        if truth is not None and claim.value == truth:
-            matrix[row, column] = 1
+
     return ObjectTruthVectors(
-        matrix=matrix, mask=mask, objects=dataset.objects
+        matrix=regroup(vectors.matrix),
+        mask=regroup(vectors.mask),
+        objects=dataset.objects,
     )
 
 
@@ -156,21 +155,19 @@ class ObjectTDAC:
             return (tuple(vectors.objects),), {}
         data = vectors.matrix.astype(float)
         distances = pairwise_hamming(data)
+        fits = sweep_kmeans(
+            data, range(self.k_min, upper + 1), n_init=self.n_init,
+            seed=self.seed,
+        )
+        silhouettes = score_silhouette_sweep(distances, fits, average="macro")
         best_labels: np.ndarray | None = None
         best_score = -np.inf
-        silhouettes: dict[int, float] = {}
-        for k in range(self.k_min, upper + 1):
-            fit = KMeans(n_clusters=k, n_init=self.n_init, seed=self.seed).fit(
-                data
-            )
-            if len(np.unique(fit.labels)) < 2:
-                silhouettes[k] = -1.0
-                continue
-            score = silhouette_score(distances, fit.labels, average="macro")
-            silhouettes[k] = score
-            if score > best_score:
-                best_score = score
-                best_labels = fit.labels
+        for k in sorted(fits):
+            labels = fits[k].labels
+            # Degenerate fits score -1 and never win; ties keep the first k.
+            if len(np.unique(labels)) >= 2 and silhouettes[k] > best_score:
+                best_score = silhouettes[k]
+                best_labels = labels
         if best_labels is None:
             return (tuple(vectors.objects),), silhouettes
         groups: dict[int, list[ObjectId]] = {}

@@ -37,22 +37,20 @@ class SkippedAlgorithm:
     reason: str
 
 
-def leaderboard(
+def suite_records(
     dataset: Dataset,
     include_tdac: bool = True,
     algorithms: Sequence[str] | None = None,
     seed: int = 0,
     config: TDACConfig | None = None,
     skipped: list[SkippedAlgorithm] | None = None,
-) -> list[LeaderboardEntry]:
-    """Run the registry on ``dataset`` and rank by accuracy.
+) -> list[PerformanceRecord]:
+    """Run the registry on ``dataset``, in roster order, unranked.
 
     ``algorithms`` restricts to a subset of registry names; by default
     every registered algorithm runs, each optionally also wrapped in
-    TD-AC.  ``config`` carries the TD-AC knobs (parallelism, policy,
-    ...) for the wrapped rows; ``seed`` is honored only when no config
-    is given.  Ties rank by precision, then by wall time (faster
-    first).
+    TD-AC under ``config`` (``seed`` is honored only when no config is
+    given).
 
     Algorithms whose declared value types do not cover the dataset's
     attribute types are skipped, never run: a continuous estimator on a
@@ -75,6 +73,26 @@ def leaderboard(
             records.append(
                 run_algorithm(TDAC(create(name), config=tdac_config), dataset)
             )
+    return records
+
+
+def leaderboard(
+    dataset: Dataset,
+    include_tdac: bool = True,
+    algorithms: Sequence[str] | None = None,
+    seed: int = 0,
+    config: TDACConfig | None = None,
+    skipped: list[SkippedAlgorithm] | None = None,
+) -> list[LeaderboardEntry]:
+    """:func:`suite_records` ranked by accuracy.
+
+    Ties rank by precision, then by wall time (faster first).  The
+    arguments, including the capability skip, are
+    :func:`suite_records`'.
+    """
+    records = suite_records(
+        dataset, include_tdac, algorithms, seed, config, skipped
+    )
     ranked = sorted(
         records,
         key=lambda r: (-r.accuracy, -r.precision, r.elapsed_seconds),

@@ -19,7 +19,9 @@ provides it:
   multiplexed connections, per-connection backpressure, graceful
   drain) and the matching reconnect/backoff/retry-after client;
 * :class:`~repro.serving.config.ServiceConfig` — one frozen,
-  fingerprintable config object holding every serving knob;
+  fingerprintable config object holding every serving limit, the only
+  one a serving stack has (the network front-end reads the served
+  service's);
 * :mod:`~repro.serving.schema` — the versioned ``tdac-serve/v1`` wire
   envelope every front-end response carries, with
   :class:`ServeEnvelope` / :func:`serve_envelope_from_dict` as the
@@ -41,7 +43,7 @@ from repro.serving.client import (
     RetryPolicy,
     TruthClientError,
 )
-from repro.serving.config import ServiceConfig, service_config_from_dict
+from repro.serving.config import ServiceConfig
 from repro.serving.frontend import handle_request, run_smoke, serve_jsonl
 from repro.serving.net import TruthServer, serve_network
 from repro.serving.schema import (
@@ -89,5 +91,4 @@ __all__ = [
     "serve_envelope_from_dict",
     "serve_jsonl",
     "serve_network",
-    "service_config_from_dict",
 ]

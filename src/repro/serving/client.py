@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.data.types import Claim
-
-from repro.serving.net import DEFAULT_MAX_LINE_BYTES
+from repro.serving.config import DEFAULT_MAX_LINE_BYTES
 
 
 class TruthClientError(RuntimeError):

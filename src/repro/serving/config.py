@@ -2,18 +2,18 @@
 
 :class:`ServiceConfig` is to the serving layer what
 :class:`~repro.core.config.TDACConfig` is to the pipeline: one
-immutable, validated, fingerprintable value holding every serving knob
-that used to sprawl across the :class:`~repro.serving.service.TruthService`,
-:class:`~repro.serving.net.TruthServer` and
-:func:`~repro.serving.net.serve_network` constructors — batch sizing,
-queue bounds, refit mode, checkpoint cadence, and the network framing /
-timeout / backpressure limits.
+immutable, validated, fingerprintable value holding every serving limit
+— batch sizing, queue bounds, refit mode, checkpoint cadence, and the
+network framing / timeout / backpressure limits.
 
-Every constructor takes it as ``service_config=ServiceConfig(...)``.
-None of these knobs affects *what* a snapshot contains — every refit
-mode is bit-identical to offline ``TDAC.run`` — so the
-:meth:`fingerprint` is an operational identity (used by the tenant
-registry and the admin surface), not a result key.
+A :class:`~repro.serving.service.TruthService` (or a
+:class:`~repro.serving.tenancy.TenantRegistry`, for all of its engines)
+takes it as ``service_config=ServiceConfig(...)``; the network
+front-end reads its limits from the service it serves, so each serving
+stack has exactly one config.  None of these knobs affects *what* a
+snapshot contains — every refit mode is bit-identical to offline
+``TDAC.run`` — so the :meth:`fingerprint` is an operational identity
+(benchmark provenance), not a result key.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ class ServiceConfig:
         Request-line framing bound.
     max_inflight_per_connection:
         Concurrent-request cap per connection.
-    idle_timeout / write_timeout / write_buffer_bytes / drain_timeout:
-        Connection lifecycle bounds (idle close, slow-loris cutoff,
-        bounded write buffers, graceful-drain flush window).
+    idle_timeout / drain_timeout:
+        Connection lifecycle bounds (idle close, graceful-drain flush
+        window).  The write-side bounds are constants of
+        :mod:`repro.serving.net`.
     """
 
     refit: str = "full"
@@ -70,8 +71,6 @@ class ServiceConfig:
     max_line_bytes: int = DEFAULT_MAX_LINE_BYTES
     max_inflight_per_connection: int = 32
     idle_timeout: float = 300.0
-    write_timeout: float = 10.0
-    write_buffer_bytes: int = 256 * 1024
     drain_timeout: float = 30.0
 
     def __post_init__(self) -> None:
@@ -91,25 +90,16 @@ class ServiceConfig:
             raise ValueError("max_line_bytes must be at least 64")
         if self.max_inflight_per_connection < 1:
             raise ValueError("max_inflight_per_connection must be >= 1")
-        for name in ("idle_timeout", "write_timeout", "drain_timeout"):
+        for name in ("idle_timeout", "drain_timeout"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.write_buffer_bytes < 1:
-            raise ValueError("write_buffer_bytes must be positive")
-
-    # ------------------------------------------------------------------
-
-    def replace(self, **changes) -> "ServiceConfig":
-        """A copy of this config with ``changes`` applied (re-validated)."""
-        return dataclasses.replace(self, **changes)
 
     def fingerprint(self) -> str:
         """Stable digest over every knob (operational identity).
 
         Unlike :meth:`TDACConfig.fingerprint` this is not a result key —
         no serving knob changes what a snapshot contains — it identifies
-        the serving *configuration* for the tenant registry and the
-        admin surface.
+        the serving *configuration* a benchmark run recorded.
         """
         payload = {
             f.name: getattr(self, f.name)
@@ -117,29 +107,3 @@ class ServiceConfig:
         }
         blob = json.dumps(payload, sort_keys=True, default=repr)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        """JSON-ready view of every knob plus the fingerprint."""
-        out = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-        }
-        out["fingerprint"] = self.fingerprint()
-        return out
-
-
-def service_config_from_dict(payload: dict) -> ServiceConfig:
-    """Rebuild a :class:`ServiceConfig` from its :meth:`~ServiceConfig.to_dict`.
-
-    A recorded ``fingerprint`` is validated against the rebuilt config,
-    so a hand-edited payload cannot silently run under the wrong knobs.
-    """
-    data = dict(payload)
-    recorded = data.pop("fingerprint", None)
-    config = ServiceConfig(**data)
-    if recorded is not None and config.fingerprint() != recorded:
-        raise ValueError(
-            f"stored service-config fingerprint {recorded} does not match "
-            f"its knobs (recomputed {config.fingerprint()})"
-        )
-    return config

@@ -19,6 +19,13 @@ Requests
 ``{"op": "stats"}``
     Serving / engine / cache counters.
 
+Both front-ends share one request path: :func:`decode_request`,
+:func:`route` (tenant resolution), :func:`ingest_ack` and
+:func:`overloaded` are the only implementations of the line decode, the
+tenant routing and the two ingest envelopes, and
+:mod:`repro.serving.net` adds only what is asynchronous — off-loop
+admission and the ticket await.
+
 :func:`run_smoke` is the self-driving round trip behind
 ``repro serve --smoke`` and ``make test-serving``: it ingests against a
 live service and asserts the published snapshot is bit-identical to an
@@ -32,16 +39,15 @@ from typing import IO, Any, Iterable
 
 from repro.data.types import Claim
 from repro.serving.schema import envelope_error, envelope_tag
-from repro.serving.service import ServiceOverloadedError, TruthService
+from repro.serving.service import (
+    IngestTicket,
+    ServiceOverloadedError,
+    TruthService,
+)
 
 
 def parse_claims(raw: Any) -> list[Claim]:
-    """Coerce the wire-format ``claims`` payload into :class:`Claim` rows.
-
-    Shared by this stdin/stdout front-end and the asyncio network
-    front-end (:mod:`repro.serving.net`), so both reject malformed
-    batches with the same message.
-    """
+    """Coerce the wire-format ``claims`` payload into :class:`Claim` rows."""
     if not isinstance(raw, list) or not raw:
         raise ValueError("'claims' must be a non-empty list")
     claims = []
@@ -62,6 +68,65 @@ def parse_claims(raw: Any) -> list[Claim]:
     return claims
 
 
+def decode_request(raw: str | bytes) -> dict:
+    """Parse one request line; a non-object raises :class:`ValueError`."""
+    request = json.loads(raw)
+    if not isinstance(request, dict):
+        raise ValueError("request must be a JSON object")
+    return request
+
+
+def route(service, request: dict) -> tuple[Any, str | None]:
+    """The handle that serves ``request`` and the tenant it answers as.
+
+    A registry resolves the request's (possibly absent) ``tenant`` field
+    to its handle — raising :class:`KeyError` for an unknown name — and
+    the handle advertises the routing context stamped onto the
+    ``tdac-serve/v1`` envelope; a bare :class:`TruthService` serves
+    every request itself and has none.
+    """
+    resolver = getattr(service, "resolve_tenant", None)
+    if resolver is not None:
+        service = resolver(request.get("tenant"))
+    context = getattr(service, "wire_context", None) or {}
+    return service, context.get("tenant")
+
+
+def unknown_tenant(exc: KeyError) -> dict:
+    """The rejection for a request :func:`route` could not place."""
+    return envelope_error(str(exc.args[0] if exc.args else exc))
+
+
+def overloaded(
+    retry_after_seconds: float,
+    *,
+    op: str | None = None,
+    tenant: str | None = None,
+) -> dict:
+    """The backpressure rejection every front-end answers with."""
+    return envelope_error(
+        "overloaded",
+        op=op,
+        retry_after_seconds=retry_after_seconds,
+        tenant=tenant,
+    )
+
+
+def ingest_ack(ticket: IngestTicket, snapshot, tenant: str | None) -> dict:
+    """The ``ingest`` response once ``snapshot`` covers ``ticket``."""
+    return envelope_tag(
+        {
+            "ok": True,
+            "op": "ingest",
+            "applied": len(ticket.claims),
+            "offset": ticket.offset,
+            "version": snapshot.version,
+            "watermark": snapshot.watermark,
+        },
+        tenant=tenant,
+    )
+
+
 def handle_request(service: TruthService, request: dict) -> dict:
     """Serve one already-parsed request object; never raises for bad input.
 
@@ -71,19 +136,10 @@ def handle_request(service: TruthService, request: dict) -> dict:
     does not pin one thread per in-flight request).
     """
     op = request.get("op")
-    # Multi-tenant dispatch: a registry resolves the request's (possibly
-    # absent) ``tenant`` field to the handle actually served; a bare
-    # service ignores the field entirely.
-    resolver = getattr(service, "resolve_tenant", None)
-    if resolver is not None:
-        try:
-            service = resolver(request.get("tenant"))
-        except KeyError as exc:
-            return envelope_error(str(exc.args[0] if exc.args else exc))
-    # Tenant handles advertise routing context for the tdac-serve/v1
-    # envelope; a bare TruthService has none.
-    context = getattr(service, "wire_context", None) or {}
-    tenant = context.get("tenant")
+    try:
+        service, tenant = route(service, request)
+    except KeyError as exc:
+        return unknown_tenant(exc)
 
     def _tag(response: dict) -> dict:
         return envelope_tag(response, tenant=tenant)
@@ -93,22 +149,10 @@ def handle_request(service: TruthService, request: dict) -> dict:
             ticket = service.ingest(parse_claims(request.get("claims")))
             snapshot = ticket.wait()
         except ServiceOverloadedError as exc:
-            return envelope_error(
-                "overloaded",
-                op="ingest",
-                retry_after_seconds=exc.retry_after_seconds,
-                tenant=tenant,
+            return overloaded(
+                exc.retry_after_seconds, op="ingest", tenant=tenant
             )
-        return _tag(
-            {
-                "ok": True,
-                "op": "ingest",
-                "applied": len(ticket.claims),
-                "offset": ticket.offset,
-                "version": snapshot.version,
-                "watermark": snapshot.watermark,
-            }
-        )
+        return ingest_ack(ticket, snapshot, tenant)
     if op == "query":
         answer = service.query(request.get("object"), request.get("attribute"))
         return _tag(
@@ -150,10 +194,7 @@ def serve_jsonl(
         if not line:
             continue
         try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            response = handle_request(service, request)
+            response = handle_request(service, decode_request(line))
         except Exception as exc:  # a bad request must not stop serving
             response = envelope_error(str(exc))
         try:

@@ -28,11 +28,11 @@ The design is robustness-first:
   <repro.serving.service.IngestTicket.add_done_callback>` +
   ``call_soon_threadsafe`` — a deep queue parks zero threads, so
   hundreds of in-flight ingests cannot starve the loop.
-* **Bounded writes.**  Each connection's transport gets a small write
-  buffer and every response waits for ``drain()`` under
-  ``write_timeout``; a slow-loris consumer is dropped (counted in
-  ``net.conn.dropped``) instead of buffering the server into the
-  ground.
+* **Bounded writes.**  Each connection's transport gets a
+  :data:`WRITE_BUFFER_BYTES` write buffer and every response waits for
+  ``drain()`` under :data:`WRITE_TIMEOUT`; a slow-loris consumer is
+  dropped (counted in ``net.conn.dropped``) instead of buffering the
+  server into the ground.
 * **Idle timeouts.**  A connection with no complete request for
   ``idle_timeout`` seconds is closed.
 * **Graceful drain.**  :meth:`TruthServer.drain` (wired to SIGINT /
@@ -43,6 +43,13 @@ The design is robustness-first:
   drained server's last snapshot is therefore bit-identical to an
   offline ``TDAC.run`` over the acked claim log, exactly like the
   in-process service.
+
+Every other limit — framing, in-flight cap, idle and drain timeouts —
+comes from the served service's
+:class:`~repro.serving.config.ServiceConfig`, so a stack has one config.
+Decoding, tenant routing and the ingest envelopes are
+:mod:`repro.serving.frontend`'s; this module adds only what is
+asynchronous.
 
 Everything observable lands on the service's tracer as ``net.*``
 counters and gauges (``net.conn.{opened,closed,dropped}``,
@@ -60,15 +67,28 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import IO
 
-from repro.observability import SpanTracer
-from repro.serving.config import DEFAULT_MAX_LINE_BYTES, ServiceConfig
-from repro.serving.frontend import handle_request, parse_claims
-from repro.serving.schema import envelope_error, envelope_tag
+from repro.serving.frontend import (
+    decode_request,
+    handle_request,
+    ingest_ack,
+    overloaded,
+    parse_claims,
+    route,
+    unknown_tenant,
+)
+from repro.serving.schema import envelope_error
 from repro.serving.service import (
     IngestTicket,
     ServiceOverloadedError,
     TruthService,
 )
+
+#: Seconds a response may wait for the peer to drain it; a slower
+#: consumer is dropped as a slow loris.
+WRITE_TIMEOUT = 10.0
+
+#: High-water mark of each connection's transport write buffer.
+WRITE_BUFFER_BYTES = 256 * 1024
 
 #: Counter names the server maintains (and mirrors onto the tracer).
 _COUNTERS = (
@@ -119,16 +139,15 @@ class _Connection:
         self.dropped = False
         transport = writer.transport
         with contextlib.suppress(AttributeError, RuntimeError):
-            transport.set_write_buffer_limits(
-                high=server.write_buffer_bytes
-            )
+            transport.set_write_buffer_limits(high=WRITE_BUFFER_BYTES)
 
     async def run(self) -> None:
         server = self.server
+        limits = server.service_config
         while not self.dropped:
             try:
                 line = await asyncio.wait_for(
-                    self.reader.readline(), server.idle_timeout
+                    self.reader.readline(), limits.idle_timeout
                 )
             except asyncio.TimeoutError:
                 server._count("net.conn.idle_closed")
@@ -140,7 +159,7 @@ class _Connection:
                 await self.send(
                     envelope_error(
                         "request line exceeds "
-                        f"max_line_bytes={server.max_line_bytes}"
+                        f"max_line_bytes={limits.max_line_bytes}"
                     )
                 )
                 break
@@ -156,9 +175,7 @@ class _Connection:
             if not raw:
                 continue
             try:
-                request = json.loads(raw)
-                if not isinstance(request, dict):
-                    raise ValueError("request must be a JSON object")
+                request = decode_request(raw)
             except ValueError as exc:
                 server._count("net.malformed")
                 if not await self.send(
@@ -173,12 +190,12 @@ class _Connection:
                         request,
                         envelope_error(
                             "draining",
-                            retry_after_seconds=server.drain_timeout,
+                            retry_after_seconds=limits.drain_timeout,
                         ),
                     )
                 )
                 break
-            if len(self.tasks) >= server.max_inflight_per_connection:
+            if len(self.tasks) >= limits.max_inflight_per_connection:
                 # Connection-level backpressure: same contract as the
                 # service's queue, so clients need one retry path only.
                 server._count("net.overloaded")
@@ -192,7 +209,7 @@ class _Connection:
             task.add_done_callback(self.tasks.discard)
         if self.tasks:
             # Let in-flight requests finish and flush (bounded).
-            await asyncio.wait(self.tasks, timeout=self.server.drain_timeout)
+            await asyncio.wait(self.tasks, timeout=limits.drain_timeout)
 
     async def _process(self, request: dict) -> None:
         server = self.server
@@ -226,9 +243,7 @@ class _Connection:
                 return False
             try:
                 self.writer.write(data)
-                await asyncio.wait_for(
-                    self.writer.drain(), self.server.write_timeout
-                )
+                await asyncio.wait_for(self.writer.drain(), WRITE_TIMEOUT)
             except asyncio.TimeoutError:
                 # Slow-loris consumer: the bounded write buffer never
                 # drained.  Cut it off rather than buffer unboundedly.
@@ -269,26 +284,15 @@ class TruthServer:
     service:
         A **started** :class:`TruthService` (the server never starts
         it), or any object with the same duck type — e.g. a
-        :class:`~repro.serving.tenancy.TenantRegistry` whose
-        ``resolve_tenant`` the request paths consult to route requests
-        carrying a ``tenant`` field.
+        :class:`~repro.serving.tenancy.TenantRegistry`, whose
+        ``resolve_tenant`` routes requests carrying a ``tenant`` field.
+        Its ``service_config`` supplies every network limit
+        (``max_line_bytes``, ``max_inflight_per_connection``,
+        ``idle_timeout``, ``drain_timeout``), ``net.*`` counters land
+        on its tracer, and :meth:`drain` stops it.
     host, port:
         Bind address; port 0 picks a free port (reported by
         :meth:`start`).
-    service_config:
-        :class:`~repro.serving.config.ServiceConfig` providing the
-        network knobs — ``max_line_bytes``,
-        ``max_inflight_per_connection``, ``idle_timeout``,
-        ``write_timeout``, ``write_buffer_bytes``, ``drain_timeout``
-        (``None`` means the service's own config, falling back to
-        defaults).
-    stop_service_on_drain:
-        Whether :meth:`drain` calls ``service.stop()`` (commit WAL, cut
-        the final checkpoint) before closing sockets.  The CLI leaves
-        this on; embedders managing the service themselves can turn it
-        off.
-    tracer:
-        Where ``net.*`` counters/gauges land; defaults to the service's.
     """
 
     def __init__(
@@ -297,33 +301,12 @@ class TruthServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        service_config: ServiceConfig | None = None,
-        stop_service_on_drain: bool = True,
-        tracer: SpanTracer | None = None,
     ) -> None:
-        if service_config is None:
-            # Inherit the service's own config so one ServiceConfig
-            # passed to TruthService flows through to the network knobs.
-            service_config = (
-                getattr(service, "service_config", None) or ServiceConfig()
-            )
-        self.service_config = service_config
         self.service = service
+        self.service_config = service.service_config
         self.host = host
         self.port = port
-        self.max_line_bytes = service_config.max_line_bytes
-        self.max_inflight_per_connection = (
-            service_config.max_inflight_per_connection
-        )
-        self.idle_timeout = service_config.idle_timeout
-        self.write_timeout = service_config.write_timeout
-        self.write_buffer_bytes = service_config.write_buffer_bytes
-        self.drain_timeout = service_config.drain_timeout
-        self.stop_service_on_drain = stop_service_on_drain
-        self._tracer = (
-            tracer if tracer is not None
-            else getattr(service, "_tracer", None)
-        )
+        self._tracer = service._tracer
         self._counters = dict.fromkeys(_COUNTERS, 0)
         self._inflight = 0
         self._conns: set[_Connection] = set()
@@ -376,7 +359,7 @@ class TruthServer:
             self._on_connection,
             self.host,
             self.port,
-            limit=self.max_line_bytes,
+            limit=self.service_config.max_line_bytes,
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -420,16 +403,15 @@ class TruthServer:
             # finish; connection shutdown is tracked explicitly below.
             with contextlib.suppress(Exception):
                 await self._server.wait_closed()
-        deadline = time.monotonic() + self.drain_timeout
+        deadline = time.monotonic() + self.service_config.drain_timeout
         tasks = {task for conn in self._conns for task in conn.tasks}
         if tasks:
             await asyncio.wait(
                 tasks, timeout=max(0.0, deadline - time.monotonic())
             )
-        if self.stop_service_on_drain:
-            loop = asyncio.get_running_loop()
-            assert self._executor is not None
-            await loop.run_in_executor(self._executor, self.service.stop)
+        loop = asyncio.get_running_loop()
+        assert self._executor is not None
+        await loop.run_in_executor(self._executor, self.service.stop)
         for conn in list(self._conns):
             await conn.close()
         while self._conns and time.monotonic() < deadline:
@@ -462,11 +444,8 @@ class TruthServer:
     def _overloaded_response(self) -> dict:
         # Mirror ServiceOverloadedError's hint: roughly how long until
         # the batcher works off what is currently ahead of the caller.
-        retry_after = max(
-            getattr(self.service, "_last_batch_seconds", 0.05), 1e-3
-        )
-        return envelope_error(
-            "overloaded", retry_after_seconds=retry_after
+        return overloaded(
+            max(getattr(self.service, "_last_batch_seconds", 0.05), 1e-3)
         )
 
     async def _handle_async(self, request: dict) -> dict:
@@ -479,16 +458,10 @@ class TruthServer:
         return response
 
     async def _handle_ingest(self, request: dict) -> dict:
-        # Multi-tenant dispatch mirrors frontend.handle_request: resolve
-        # the request's tenant to its handle (quota enforcement and
-        # per-tenant counters live there), or serve the bare service.
-        target = self.service
-        resolver = getattr(target, "resolve_tenant", None)
-        if resolver is not None:
-            try:
-                target = resolver(request.get("tenant"))
-            except KeyError as exc:
-                return envelope_error(str(exc.args[0] if exc.args else exc))
+        try:
+            target, tenant = route(self.service, request)
+        except KeyError as exc:
+            return unknown_tenant(exc)
         claims = parse_claims(request.get("claims"))
         loop = asyncio.get_running_loop()
         assert self._executor is not None
@@ -500,30 +473,11 @@ class TruthServer:
             )
         except ServiceOverloadedError as exc:
             self._count("net.overloaded")
-            return envelope_error(
-                "overloaded",
-                op="ingest",
-                retry_after_seconds=exc.retry_after_seconds,
-                **self._wire_context(target),
+            return overloaded(
+                exc.retry_after_seconds, op="ingest", tenant=tenant
             )
         snapshot = await self._await_ticket(ticket)
-        return envelope_tag(
-            {
-                "ok": True,
-                "op": "ingest",
-                "applied": len(ticket.claims),
-                "offset": ticket.offset,
-                "version": snapshot.version,
-                "watermark": snapshot.watermark,
-            },
-            **self._wire_context(target),
-        )
-
-    def _wire_context(self, target=None) -> dict:
-        context = getattr(
-            self.service if target is None else target, "wire_context", None
-        ) or {}
-        return {"tenant": context.get("tenant")}
+        return ingest_ack(ticket, snapshot, tenant)
 
     @staticmethod
     async def _await_ticket(ticket: IngestTicket):
@@ -549,10 +503,6 @@ def serve_network(
     listen: str | tuple[str, int],
     *,
     announce: IO[str] | None = None,
-    install_signal_handlers: bool = True,
-    service_config: ServiceConfig | None = None,
-    stop_service_on_drain: bool = True,
-    tracer: SpanTracer | None = None,
 ) -> int:
     """Run a :class:`TruthServer` until SIGINT/SIGTERM drains it.
 
@@ -561,8 +511,6 @@ def serve_network(
     ``announce`` once bound (harnesses launching the server as a
     subprocess parse it to learn the bound port) and an
     ``{"event": "drained", ...}`` line with the final counters on exit.
-    ``service_config``, ``stop_service_on_drain`` and ``tracer`` are
-    passed to :class:`TruthServer` unchanged.
     """
     if isinstance(listen, str):
         host, port = parse_listen(listen)
@@ -581,20 +529,12 @@ def serve_network(
             pass  # the launcher is gone; keep serving/draining anyway
 
     async def _main() -> int:
-        server = TruthServer(
-            service,
-            host=host,
-            port=port,
-            service_config=service_config,
-            stop_service_on_drain=stop_service_on_drain,
-            tracer=tracer,
-        )
+        server = TruthServer(service, host=host, port=port)
         bound_host, bound_port = await server.start()
         loop = asyncio.get_running_loop()
-        if install_signal_handlers:
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                with contextlib.suppress(NotImplementedError, RuntimeError):
-                    loop.add_signal_handler(signum, server.request_drain)
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            with contextlib.suppress(NotImplementedError, RuntimeError):
+                loop.add_signal_handler(signum, server.request_drain)
         _announce(
             {"event": "listening", "host": bound_host, "port": bound_port}
         )

@@ -12,7 +12,11 @@ disjoint engines under disjoint store namespaces.
 What is shared and what is isolated:
 
 * **Shared across every engine**: one
-  :class:`~repro.observability.SpanTracer`.
+  :class:`~repro.observability.SpanTracer` and one
+  :class:`~repro.serving.config.ServiceConfig` — every engine runs
+  under the registry's config, and a
+  :class:`~repro.serving.net.TruthServer` serving the registry reads
+  its network limits from the same value.
 * **Isolated per engine**: the store namespace.  Each engine's WAL and
   checkpoints live under ``<store_root>/tenants/<owner>/`` (the first
   registered tenant on the key names the namespace), so one tenant's
@@ -238,8 +242,8 @@ class TenantRegistry:
         Shared :class:`SpanTracer`; per-tenant counters land here under
         ``tenant.<name>.*``.
     service_config:
-        Default for engines whose :meth:`register` call does not
-        override it.
+        The :class:`ServiceConfig` every engine runs under (default:
+        ``ServiceConfig()``).
 
     The registry also duck-types the single-service surface (delegating
     to the default tenant — the first one registered) so ``repro serve``
@@ -257,7 +261,7 @@ class TenantRegistry:
     ) -> None:
         self.store_root = None if store_root is None else Path(store_root)
         self.tracer = tracer
-        self.default_service_config = (
+        self.service_config = (
             service_config if service_config is not None else ServiceConfig()
         )
         self._lock = threading.Lock()
@@ -276,7 +280,6 @@ class TenantRegistry:
         dataset: Dataset,
         *,
         config: TDACConfig | None = None,
-        service_config: ServiceConfig | None = None,
         quota: int | None = None,
     ) -> TenantHandle:
         """Admit a tenant; reuse the engine when its key already runs.
@@ -299,15 +302,7 @@ class TenantRegistry:
                 raise ValueError(f"tenant {name!r} is already registered")
             engine = self._engines.get(key)
         if engine is None:
-            engine = self._open_engine(
-                name,
-                base,
-                dataset,
-                config,
-                service_config
-                if service_config is not None
-                else self.default_service_config,
-            )
+            engine = self._open_engine(name, base, dataset, config)
             with self._lock:
                 self._engines[key] = engine
                 self._engine_owner[key] = name
@@ -326,12 +321,11 @@ class TenantRegistry:
         base,
         dataset: Dataset,
         config: TDACConfig,
-        service_config: ServiceConfig,
     ) -> TruthService:
         """Start the key's engine, or resume ``owner``'s non-empty namespace."""
         options = dict(
             config=config,
-            service_config=service_config,
+            service_config=self.service_config,
             tracer=self.tracer,
         )
         store = None
@@ -397,10 +391,6 @@ class TenantRegistry:
 
     def snapshot(self):
         return self._default_handle().snapshot()
-
-    @property
-    def service_config(self) -> ServiceConfig:
-        return self._default_handle().service_config
 
     @property
     def _tracer(self) -> SpanTracer | None:

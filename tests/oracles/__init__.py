@@ -22,6 +22,8 @@ concurrent use.
 
 :mod:`tests.oracles.kmeans` holds the per-draw k-means++ seeding loop
 and the per-row label compaction that the clustering code replaced.
+:mod:`tests.oracles.object_tdac` holds TD-OC's per-claim object vector
+loop and its per-``k`` group selection.
 """
 
 from __future__ import annotations

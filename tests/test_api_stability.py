@@ -8,7 +8,8 @@ Two contracts are pinned here:
   (``TDAC(base, seed=...)``, ``TruthService(..., max_batch_size=...)``,
   ...) are rejected with :class:`TypeError`; knobs travel only through
   ``TDACConfig`` / ``ServiceConfig``, and ``partition_cache=`` is
-  rejected the same way.
+  rejected the same way, as are the serving stack's second-config
+  overrides (``TruthServer(service_config=...)``, ...).
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import repro
 from repro import (
     IncrementalTDAC,
     MajorityVote,
+    ServiceConfig,
     TDAC,
     TDACConfig,
     TenantRegistry,
@@ -72,7 +74,7 @@ class TestPublicSurface:
         from repro import TruthService, TruthSnapshot  # noqa: F401
 
     def test_version_matches_package_metadata(self):
-        assert repro.__version__ == "1.14.0"
+        assert repro.__version__ == "1.15.0"
 
     def test_store_symbols_are_top_level(self):
         from repro import TruthStore, store  # noqa: F401
@@ -164,9 +166,18 @@ class TestLegacyKwargShim:
             IncrementalTDAC(MajorityVote(), config=TDACConfig(), seed=1)
 
 
+def _stopped_registry() -> TenantRegistry:
+    registry = TenantRegistry()
+    registry.stop()
+    return registry
+
+
 class TestRemovedSpellings:
     """The per-knob keyword spellings removed in 1.7.0 raise, not fold,
-    and so does ``partition_cache=``, removed with the cache in 1.13.0."""
+    and so does ``partition_cache=``, removed with the cache in 1.13.0,
+    and every serving override removed in 1.15.0 (one ServiceConfig per
+    stack).  Where the old spelling would have run, the call is built
+    to fail fast some other way, so no case can pass by accident."""
 
     @pytest.mark.parametrize(
         "construct",
@@ -220,11 +231,82 @@ class TestRemovedSpellings:
                 ),
                 id="serve_network",
             ),
+            pytest.param(
+                lambda ds: TruthServer(
+                    object(), service_config=ServiceConfig()
+                ),
+                id="TruthServer-service_config",
+            ),
+            pytest.param(
+                lambda ds: TruthServer(object(), tracer=None),
+                id="TruthServer-tracer",
+            ),
+            pytest.param(
+                lambda ds: TruthServer(object(), stop_service_on_drain=False),
+                id="TruthServer-stop_service_on_drain",
+            ),
+            pytest.param(
+                lambda ds: serve_network(
+                    object(), "no-port", service_config=ServiceConfig()
+                ),
+                id="serve_network-service_config",
+            ),
+            pytest.param(
+                lambda ds: serve_network(
+                    object(), "no-port", stop_service_on_drain=False
+                ),
+                id="serve_network-stop_service_on_drain",
+            ),
+            pytest.param(
+                lambda ds: serve_network(object(), "no-port", tracer=None),
+                id="serve_network-tracer",
+            ),
+            pytest.param(
+                lambda ds: serve_network(
+                    object(), "no-port", install_signal_handlers=False
+                ),
+                id="serve_network-install_signal_handlers",
+            ),
+            pytest.param(
+                lambda ds: _stopped_registry().register(
+                    "t", MajorityVote(), ds, service_config=ServiceConfig()
+                ),
+                id="TenantRegistry.register-service_config",
+            ),
+            pytest.param(
+                lambda ds: ServiceConfig(write_timeout=10.0),
+                id="ServiceConfig-write_timeout",
+            ),
+            pytest.param(
+                lambda ds: ServiceConfig(write_buffer_bytes=256 * 1024),
+                id="ServiceConfig-write_buffer_bytes",
+            ),
         ],
     )
     def test_old_spelling_raises_type_error(self, dataset, construct):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             construct(dataset)
+
+    @pytest.mark.parametrize("method", ["replace", "to_dict"])
+    def test_service_config_helpers_are_gone(self, method):
+        # ``dataclasses.replace(config, ...)`` is the copy-with-changes.
+        with pytest.raises(AttributeError):
+            getattr(ServiceConfig(), method)
+
+    def test_service_config_from_dict_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.serving import service_config_from_dict  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.serving.config import (  # noqa: F401
+                service_config_from_dict,
+            )
+
+    def test_service_config_has_nine_fields(self):
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "refit", "max_batch_size", "max_wait_ms", "queue_capacity",
+            "snapshot_every", "max_line_bytes",
+            "max_inflight_per_connection", "idle_timeout", "drain_timeout",
+        ]
 
 
 class TestIncrementalSurface:

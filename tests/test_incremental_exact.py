@@ -247,6 +247,24 @@ class TestStreamBitIdentity:
         assert incremental.last_outcome is before_outcome
         assert incremental.stats == before_stats
 
+    def test_published_vectors_do_not_change_under_later_updates(self):
+        # Regression: a delta result's truth vectors were a live view of
+        # the store's buffers, so the next update rewrote them in place.
+        dataset = make_synthetic("DS1", n_objects=20, seed=3).dataset
+        incremental = IncrementalTDAC(MajorityVote(), config=CONFIG)
+        incremental.fit(dataset)
+        s0, s1 = dataset.sources[:2]
+        attribute = dataset.attributes[0]
+        first = incremental.update([Claim(s0, "new-o", attribute, "x")])
+        matrix = first.truth_vectors.matrix.copy()
+        mask = first.truth_vectors.mask.copy()
+        second = incremental.update([Claim(s1, "new-o", attribute, "x")])
+        np.testing.assert_array_equal(first.truth_vectors.matrix, matrix)
+        np.testing.assert_array_equal(first.truth_vectors.mask, mask)
+        assert not np.shares_memory(
+            first.truth_vectors.matrix, second.truth_vectors.matrix
+        )
+
     def test_update_metadata_reports_real_work(self):
         # Regression: the merged result used to hard-code iterations=1
         # and elapsed_seconds=0.0.

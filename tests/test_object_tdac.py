@@ -6,7 +6,12 @@ import pytest
 from repro.algorithms import Accu, MajorityVote
 from repro.core import ObjectTDAC, build_object_truth_vectors
 from repro.data import DatasetBuilder
+from repro.datasets import load, make_synthetic
 from repro.metrics import evaluate_predictions
+from tests.oracles.object_tdac import (
+    object_truth_vectors_loop,
+    select_groups_loop,
+)
 
 
 def object_correlated_dataset(n_per_topic=12, seed=0):
@@ -100,3 +105,59 @@ class TestObjectTDAC:
     def test_k_min_validated(self):
         with pytest.raises(ValueError):
             ObjectTDAC(MajorityVote(), k_min=1)
+
+
+def _single_object_dataset():
+    builder = DatasetBuilder()
+    builder.add_claim("s1", "o", "a", 1)
+    builder.add_claim("s2", "o", "a", 2)
+    return builder.build()
+
+
+def _identical_objects_dataset():
+    # Every object has the same vector, so every k collapses to one
+    # label: each silhouette is the degenerate -1 and TD-OC keeps one
+    # group.
+    builder = DatasetBuilder()
+    for i in range(5):
+        for source in ("s1", "s2", "s3"):
+            builder.add_claim(source, f"o{i}", "a", "v")
+    return builder.build()
+
+
+class TestMatchesLoopOracles:
+    """TD-OC's regrouped vectors and shared k-sweep equal the loops."""
+
+    @pytest.mark.parametrize(
+        "make, k_max",
+        [
+            pytest.param(object_correlated_dataset, 4, id="topics"),
+            pytest.param(
+                lambda: load("DS1", scale=0.08), 6, id="DS1-0.08"
+            ),
+            pytest.param(
+                lambda: make_synthetic("DS2", n_objects=12, seed=2).dataset,
+                None,
+                id="DS2-synthetic",
+            ),
+            pytest.param(_single_object_dataset, None, id="one-object"),
+            pytest.param(
+                _identical_objects_dataset, None, id="identical-objects"
+            ),
+        ],
+    )
+    def test_bit_identical(self, make, k_max):
+        dataset = make()
+        reference = MajorityVote().discover(dataset)
+        vectors = build_object_truth_vectors(dataset, reference)
+        expected = object_truth_vectors_loop(dataset, reference)
+        assert vectors.objects == expected.objects
+        assert vectors.matrix.dtype == expected.matrix.dtype
+        np.testing.assert_array_equal(vectors.matrix, expected.matrix)
+        np.testing.assert_array_equal(vectors.mask, expected.mask)
+
+        tdoc = ObjectTDAC(MajorityVote(), k_max=k_max, seed=0)
+        outcome = tdoc.run(dataset)
+        groups, silhouettes = select_groups_loop(tdoc, expected)
+        assert outcome.groups == groups
+        assert outcome.silhouette_by_k == silhouettes

@@ -59,22 +59,22 @@ def wire_claims(dataset, tag, count):
 
 
 @contextlib.asynccontextmanager
-async def serving_stack(dataset, service_kwargs=None, server_kwargs=None):
-    """A started service + bound server; drains both on exit."""
-    service_kwargs = {"max_wait_ms": 1.0, **(service_kwargs or {})}
+async def serving_stack(dataset, **knobs):
+    """A started service + bound server under one ServiceConfig.
+
+    ``knobs`` override the fast defaults; the server reads its network
+    limits from the service's config.  Drains both on exit.
+    """
     service = TruthService(
         MajorityVote(),
         dataset,
         config=TDACConfig(seed=0),
-        service_config=ServiceConfig(**service_kwargs),
-    )
-    service.start()
-    server = TruthServer(
-        service,
         service_config=ServiceConfig(
-            max_wait_ms=1.0, drain_timeout=10.0, **(server_kwargs or {})
+            **{"max_wait_ms": 1.0, "drain_timeout": 10.0, **knobs}
         ),
     )
+    service.start()
+    server = TruthServer(service)
     await server.start()
     try:
         yield service, server
@@ -195,7 +195,7 @@ class TestFraming:
     def test_oversized_line_rejected_loudly_and_dropped(self, dataset):
         async def scenario():
             async with serving_stack(
-                dataset, server_kwargs={"max_line_bytes": 256}
+                dataset, max_line_bytes=256
             ) as (_, server):
                 reader, writer = await raw_connection(server)
                 writer.write(b'{"op": "x", "pad": "' + b"a" * 1024 + b'"}\n')
@@ -246,11 +246,9 @@ class TestBackpressure:
         async def scenario():
             async with serving_stack(
                 dataset,
-                service_kwargs={
-                    "queue_capacity": 2,
-                    "max_wait_ms": 5_000.0,
-                    "max_batch_size": 1_000,
-                },
+                queue_capacity=2,
+                max_wait_ms=5_000.0,
+                max_batch_size=1_000,
             ) as (service, server):
                 source = dataset.sources[0]
                 attribute = dataset.attributes[0]
@@ -280,11 +278,9 @@ class TestBackpressure:
         async def scenario():
             async with serving_stack(
                 dataset,
-                service_kwargs={
-                    "max_wait_ms": 5_000.0,
-                    "max_batch_size": 1_000,
-                },
-                server_kwargs={"max_inflight_per_connection": 1},
+                max_wait_ms=5_000.0,
+                max_batch_size=1_000,
+                max_inflight_per_connection=1,
             ) as (_, server):
                 reader, writer = await raw_connection(server)
                 # First ingest occupies the connection's single slot
@@ -319,11 +315,9 @@ class TestBackpressure:
         async def scenario():
             async with serving_stack(
                 dataset,
-                service_kwargs={
-                    "queue_capacity": 2,
-                    "max_wait_ms": 20.0,
-                    "max_batch_size": 1_000,
-                },
+                queue_capacity=2,
+                max_wait_ms=20.0,
+                max_batch_size=1_000,
             ) as (service, server):
                 source = dataset.sources[0]
                 attribute = dataset.attributes[0]
@@ -379,14 +373,12 @@ class TestClientReconnect:
         async def scenario():
             service = TruthService(
                 MajorityVote(), dataset,
-                service_config=ServiceConfig(max_wait_ms=1.0),
+                service_config=ServiceConfig(
+                    max_wait_ms=1.0, drain_timeout=5.0
+                ),
             )
             service.start()
-            first = TruthServer(
-                service,
-                service_config=ServiceConfig(max_wait_ms=1.0, drain_timeout=5.0),
-                stop_service_on_drain=False,
-            )
+            first = TruthServer(service)
             host, port = await first.start()
             client = AsyncTruthClient(
                 host,
@@ -397,12 +389,8 @@ class TestClientReconnect:
             )
             assert (await client.server_stats())["ok"] is True
             await first.drain()  # the server goes away mid-session
-            second = TruthServer(
-                service, host=host, port=port,
-                service_config=ServiceConfig(
-                    max_wait_ms=1.0, drain_timeout=5.0
-                ),
-            )
+            # The first drain stopped the service; stats still answer.
+            second = TruthServer(service, host=host, port=port)
             await second.start()
             response = await client.server_stats()
             await client.close()
@@ -418,7 +406,7 @@ class TestTimeouts:
     def test_idle_connection_closed(self, dataset):
         async def scenario():
             async with serving_stack(
-                dataset, server_kwargs={"idle_timeout": 0.2}
+                dataset, idle_timeout=0.2
             ) as (_, server):
                 reader, writer = await raw_connection(server)
                 eof = await asyncio.wait_for(reader.read(), 10.0)
@@ -426,6 +414,32 @@ class TestTimeouts:
                 return eof, server.stats["net.conn.idle_closed"]
 
         eof, idle_closed = asyncio.run(scenario())
+        assert eof == b""
+        assert idle_closed == 1
+
+
+class TestOneServiceConfig:
+    def test_server_takes_its_limits_from_the_service(self, dataset):
+        async def scenario():
+            async with serving_stack(
+                dataset, max_line_bytes=256, idle_timeout=0.2
+            ) as (service, server):
+                assert server.service_config is service.service_config
+                reader, writer = await raw_connection(server)
+                writer.write(b'{"op": "x", "pad": "' + b"a" * 1024 + b'"}\n')
+                await writer.drain()
+                rejection = await read_response(reader)
+                writer.close()
+                # A silent peer is closed after the service's idle_timeout.
+                idle_reader, idle_writer = await raw_connection(server)
+                eof = await asyncio.wait_for(idle_reader.read(), 10.0)
+                idle_writer.close()
+                return rejection, eof, server.stats["net.conn.idle_closed"]
+
+        rejection, eof, idle_closed = asyncio.run(scenario())
+        assert rejection["error"] == (
+            "request line exceeds max_line_bytes=256"
+        )
         assert eof == b""
         assert idle_closed == 1
 
@@ -441,16 +455,13 @@ class TestDrain:
                 MajorityVote(),
                 dataset,
                 config=TDACConfig(seed=0),
-                service_config=ServiceConfig(max_wait_ms=1.0),
-                store=str(store_dir),
-            )
-            service.start()
-            server = TruthServer(
-                service,
                 service_config=ServiceConfig(
                     max_wait_ms=1.0, drain_timeout=10.0
                 ),
+                store=str(store_dir),
             )
+            service.start()
+            server = TruthServer(service)
             await server.start()
             async with AsyncTruthClient(
                 server.host, server.port
