@@ -42,8 +42,8 @@ class ServiceConfig:
         ``"full"`` (default) re-runs the whole pipeline per batch;
         ``"incremental"`` applies the exact delta path of
         :meth:`IncrementalTDAC.update`.  Snapshots are bit-identical to
-        offline ``TDAC.run`` either way.  A restore always replays the
-        WAL tail through the delta path.
+        offline ``TDAC.run`` either way.  A restore fits its committed
+        WAL tail with the initial fit, whatever the mode.
     max_batch_size / max_wait_ms:
         Micro-batch claim target and straggler linger.
     queue_capacity:

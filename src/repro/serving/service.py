@@ -25,8 +25,9 @@ pipeline into a serving engine:
   :meth:`IncrementalTDAC.update` — spliced index compile, patched
   truth-vector matrix, certified partition reuse and touched-block-only
   base runs — so its snapshots are also ``exact=True`` with a populated
-  ``silhouette_by_k``.  Restores always replay the WAL tail through the
-  same delta path, cutting restart downtime.
+  ``silhouette_by_k``.  A restore fits the checkpointed corpus plus the
+  committed WAL tail once, since no snapshot between the two can be
+  observed again after a crash.
 * **Observability** — refits and batches run under the service's
   :class:`~repro.observability.SpanTracer` (``serve.start``,
   ``serve.batch``, ``serve.refit`` spans; ingest/batch/refit counters;
@@ -278,18 +279,19 @@ class TruthService:
             if self._closed:
                 raise ServiceStoppedError("service was stopped")
             self._started = True
+        dataset = self.replay_dataset()
         with activate(self._tracer):
             with current_tracer().span("serve.start"):
-                outcome = self._incremental.fit(self._initial_dataset)
+                outcome = self._incremental.fit(dataset)
         snapshot = TruthSnapshot(
             version=self._version_base + 1,
-            watermark=self._watermark_base,
+            watermark=self._watermark_base + len(self._applied),
             result=outcome.result,
             partition=outcome.partition,
             silhouette_by_k=dict(outcome.silhouette_by_k),
             exact=True,
             pending_claims=0,
-            dataset_fingerprint=self._initial_dataset.fingerprint,
+            dataset_fingerprint=dataset.fingerprint,
             config_fingerprint=self._config.fingerprint(),
         )
         self._snapshot = snapshot
@@ -380,17 +382,18 @@ class TruthService:
     ) -> "TruthService":
         """Resume a service from a store directory after a crash or stop.
 
-        Loads the latest valid checkpoint, replays the WAL tail —
-        committed batches first, then admitted-but-unsettled batches
-        (acknowledged admissions survive the crash; batches whose abort
-        record made it to disk stay rejected) — and returns a running
-        service whose published snapshot is bit-identical to an
-        uninterrupted run over the same claim prefix.  The tail replays
-        through the delta path: one full fit on the checkpointed
-        dataset, then one exact :meth:`IncrementalTDAC.update` per
-        batch, instead of a full ``TDAC.run`` per replayed batch.
-        Finishes by
-        cutting a fresh checkpoint so the next restore replays nothing.
+        Loads the latest valid checkpoint and extends its dataset with
+        every committed WAL batch, in commit order.  One fit of that
+        corpus publishes the last committed snapshot: its version is
+        the checkpoint's plus the number of committed batches, and it is
+        bit-identical to the one the crashed service published.
+        Admitted-but-unsettled batches are then applied one at a time,
+        each with its own commit or abort record (acknowledged
+        admissions survive the crash; batches whose abort record made it
+        to disk stay rejected).  Finishes by cutting a fresh checkpoint
+        so the next restore replays nothing.  If a step fails once the
+        service is built, the service is stopped (which closes the
+        store) before the error propagates.
 
         ``base`` and ``config`` default to what the checkpoint recorded
         (the base algorithm is resolved through the
@@ -425,6 +428,14 @@ class TruthService:
                 "key's state"
             )
         dataset = dataset_from_dict(recovery.checkpoint["dataset"])
+        if dataset.fingerprint != serving.get("dataset_fingerprint"):
+            warnings.warn(
+                f"restored dataset fingerprint {dataset.fingerprint} does "
+                "not match the checkpoint's "
+                f"{serving.get('dataset_fingerprint')}",
+                WALCorruptionWarning,
+                stacklevel=2,
+            )
         service = cls(
             base,
             dataset,
@@ -433,36 +444,18 @@ class TruthService:
             tracer=tracer,
             store=store,
         )
-        service._version_base = int(serving.get("version", 1)) - 1
+        # start() fits checkpoint dataset + committed tail once and
+        # publishes the last committed version and watermark.
+        service._applied = [c for b in recovery.batches for c in b.claims]
+        service._version_base = (
+            int(serving.get("version", 1)) - 1 + len(recovery.batches)
+        )
         service._watermark_base = int(serving.get("watermark", 0))
+        service._next_sequence = recovery.next_sequence
         service._resuming = True
         try:
-            started = service.start()
-            if started.dataset_fingerprint != serving.get(
-                "dataset_fingerprint"
-            ):
-                warnings.warn(
-                    "restored dataset fingerprint "
-                    f"{started.dataset_fingerprint} does not match the "
-                    f"checkpoint's {serving.get('dataset_fingerprint')}",
-                    WALCorruptionWarning,
-                    stacklevel=2,
-                )
+            service.start()
             with activate(tracer):
-                for batch in recovery.batches:
-                    replayed = service._apply(list(batch.claims))
-                    if replayed.watermark != batch.watermark:
-                        warnings.warn(
-                            f"replayed batch reached watermark "
-                            f"{replayed.watermark} where its commit "
-                            f"record promised {batch.watermark}",
-                            WALCorruptionWarning,
-                            stacklevel=2,
-                        )
-                with service._cond:
-                    service._next_sequence = max(
-                        service._next_sequence, recovery.next_sequence
-                    )
                 for offset, claims in recovery.uncommitted:
                     try:
                         settled = service._apply(list(claims))
@@ -477,8 +470,10 @@ class TruthService:
                             [(offset, len(claims))],
                         )
             service.checkpoint()
-        finally:
-            service._resuming = False
+        except BaseException:
+            # Leave no batcher running and no store open behind an error.
+            service.stop(checkpoint=False)
+            raise
         return service
 
     # ------------------------------------------------------------------
@@ -749,14 +744,12 @@ class TruthService:
 
         Both refit modes publish ``exact=True`` snapshots: the delta
         path is bit-identical to the full pipeline by construction (see
-        :mod:`repro.core.incremental`).  During a :meth:`restore`, the
-        WAL tail always replays through the delta path, whatever the
-        steady-state ``refit`` mode.
+        :mod:`repro.core.incremental`).
         """
         tracer = current_tracer()
         previous = self._snapshot
         assert previous is not None
-        if self.service_config.refit == "full" and not self._resuming:
+        if self.service_config.refit == "full":
             # Extend on a local first: a conflicting batch raises here
             # and leaves the engine (and the published state) untouched.
             dataset = extend_dataset(self._incremental.dataset, claims)

@@ -53,7 +53,7 @@ from repro.serving.service import (
     TruthService,
 )
 from repro.serving.snapshot import TruthSnapshot
-from repro.store import StoreError, TruthStore
+from repro.store import TruthStore
 
 
 class UnknownTenantError(KeyError):
@@ -335,13 +335,9 @@ class TenantRegistry:
             engine = TruthService(base, dataset, store=store, **options)
             engine.start()
             return engine
-        try:
-            # ``restore`` parses the newest checkpoint once and refuses
-            # one cut under another config.
-            return TruthService.restore(store, base, **options)
-        except StoreError:
-            store.close()
-            raise
+        # ``restore`` parses the newest checkpoint once, refuses one cut
+        # under another config, and leaves nothing open when it fails.
+        return TruthService.restore(store, base, **options)
 
     # -- lookup ----------------------------------------------------------
 

@@ -11,7 +11,7 @@ counterpart; this module pins each promise:
 * ``IncrementalTDAC.update`` returns results bit-identical to an offline
   ``TDAC.run`` over the accumulated dataset at every watermark — through
   new objects, new attributes, new sources and batches of any size;
-* ``TruthService.restore`` replaying the WAL tail through the delta path
+* ``TruthService.restore`` folding the committed WAL tail into one fit
   publishes the snapshot the crashed service last published.
 """
 
@@ -283,7 +283,7 @@ class TestStreamBitIdentity:
         assert outcome.result.iterations > 1  # TruthFinder iterates
 
 
-class TestRestoreDeltaReplay:
+class TestRestoreRefitsOnce:
     def run_service(self, store_dir, dataset, batches):
         from repro.serving import TruthService
 
@@ -301,12 +301,20 @@ class TestRestoreDeltaReplay:
         service.stop(checkpoint=False)  # crash-shaped store: tail unfolded
         return last
 
-    def test_delta_replay_matches_full_refit_replay(self, tmp_path):
-        # The crashed service published every snapshot through a full
-        # refit (the default ``refit="full"``); its restore replays the
-        # WAL tail through the delta path and must land on the same
-        # snapshot, which also equals offline TDAC.run at that watermark.
-        from repro.observability import SpanTracer
+    def assert_is_offline_run(self, restored, snap):
+        offline = TDAC(MajorityVote(), config=CONFIG).run(
+            restored.replay_dataset(snap.watermark)
+        )
+        assert dict(snap.predictions) == dict(offline.result.predictions)
+        assert dict(snap.source_trust) == dict(offline.result.source_trust)
+        assert snap.partition == offline.partition
+        assert dict(snap.silhouette_by_k) == dict(offline.silhouette_by_k)
+
+    def test_restore_folds_the_committed_tail_into_one_fit(self, tmp_path):
+        # The crashed service published one snapshot per batch; its
+        # restore fits checkpoint + committed tail once and must land on
+        # the same snapshot, which also equals offline TDAC.run at that
+        # watermark.
         from repro.serving import TruthService
 
         dataset = make_synthetic("DS1", n_objects=15, seed=31).dataset
@@ -316,10 +324,9 @@ class TestRestoreDeltaReplay:
             for j in range(3)
         ]
         crashed = self.run_service(tmp_path, dataset, batches)
-        tracer = SpanTracer()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no WAL mismatch warnings
-            restored = TruthService.restore(tmp_path, tracer=tracer)
+            restored = TruthService.restore(tmp_path)
         try:
             snap = restored.snapshot()
             assert snap.version == crashed.version
@@ -330,16 +337,61 @@ class TestRestoreDeltaReplay:
             assert snap.partition == crashed.partition
             assert dict(snap.silhouette_by_k) == dict(crashed.silhouette_by_k)
             assert snap.exact and crashed.exact
-            # The replay rode the delta path, one update per batch.
-            assert tracer.counters["serve.refit.incremental"] == len(batches)
-            offline = TDAC(MajorityVote(), config=CONFIG).run(
-                restored.replay_dataset(snap.watermark)
-            )
-            assert dict(snap.predictions) == dict(offline.result.predictions)
-            assert dict(snap.source_trust) == dict(
-                offline.result.source_trust
-            )
-            assert snap.partition == offline.partition
-            assert dict(snap.silhouette_by_k) == dict(offline.silhouette_by_k)
+            # One fit over the whole recovered corpus, no refit.
+            stats = restored.stats
+            assert stats["engine"]["full_fits"] == 1
+            assert stats["engine"]["delta_updates"] == 0
+            assert stats["refits_full"] == stats["refits_incremental"] == 0
+            self.assert_is_offline_run(restored, snap)
         finally:
             restored.stop()
+
+    def test_unsettled_admits_settle_one_at_a_time(self, tmp_path):
+        # A committed tail, then two admits the crash left without an
+        # outcome: a fresh one (applied and committed) and a conflicting
+        # one (aborted on its own).  A second restore replays nothing
+        # and lands on the same snapshot.
+        from repro.observability import SpanTracer
+        from repro.serving import TruthService
+        from repro.store import TruthStore
+
+        dataset = make_synthetic("DS1", n_objects=15, seed=31).dataset
+        batches = [
+            [Claim(dataset.sources[1], f"t{j}-{i}", dataset.attributes[i], "v")
+             for i in range(2)]
+            for j in range(2)
+        ]
+        crashed = self.run_service(tmp_path, dataset, batches)
+        known = next(iter(dataset.iter_claims()))
+        fresh = [Claim(dataset.sources[2], "u0", dataset.attributes[0], "w")]
+        clash = [Claim(known.source, known.object, known.attribute, "clash")]
+        store = TruthStore(tmp_path)
+        store.append_admit(crashed.watermark, fresh)
+        store.append_admit(crashed.watermark + 1, clash)
+        store.close()
+
+        restored = TruthService.restore(tmp_path)
+        try:
+            snap = restored.snapshot()
+            assert snap.version == crashed.version + 1
+            assert snap.watermark == crashed.watermark + 1
+            assert restored.claim_log[-1] == fresh[0]
+            self.assert_is_offline_run(restored, snap)
+        finally:
+            restored.stop(checkpoint=False)
+        records = [r.type for r in TruthStore(tmp_path).wal.scan().records]
+        assert records[-2:] == ["commit", "abort"]
+
+        tracer = SpanTracer()
+        again = TruthService.restore(tmp_path, tracer=tracer)
+        try:
+            assert tracer.counters["store.replayed_claims"] == 0
+            second = again.snapshot()
+            assert again.claim_log == ()
+            assert second.version == snap.version
+            assert second.watermark == snap.watermark
+            assert second.dataset_fingerprint == snap.dataset_fingerprint
+            assert dict(second.predictions) == dict(snap.predictions)
+            assert second.partition == snap.partition
+        finally:
+            again.stop()

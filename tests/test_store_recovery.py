@@ -190,6 +190,39 @@ class TestStop:
         assert len(service.store.wal.segments()) == 1
 
 
+class TestFailedRestore:
+    def test_failed_restore_stops_the_batcher_and_closes_the_store(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        store_dir = tmp_path / "store"
+        service = TruthService(
+            MajorityVote(), dataset, config=CONFIG, store=store_dir,
+            service_config=ServiceConfig(max_wait_ms=1.0),
+        )
+        service.start()
+        service.ingest(fresh_claims(dataset, "a", 3), wait=True)
+        service.stop(checkpoint=False)
+        # An admit with no outcome: restore settles it, so its commit
+        # record opens the WAL for writing before the checkpoint fails.
+        store = TruthStore(store_dir)
+        store.append_admit(3, fresh_claims(dataset, "b", 2))
+        store.close()
+
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(TruthStore, "record_snapshot", disk_full)
+        before = set(threading.enumerate())
+        with pytest.raises(OSError, match="disk full"):
+            TruthService.restore(store)
+        leaked = [
+            t for t in set(threading.enumerate()) - before
+            if t.name == "tdac-truth-service" and t.is_alive()
+        ]
+        assert leaked == []
+        assert store.wal._handle is None
+
+
 CRASH_CHILD = """\
 import os, sys
 from repro import MajorityVote, TDACConfig, TruthService
