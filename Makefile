@@ -1,4 +1,4 @@
-.PHONY: install lint test test-fast test-serving test-incremental test-store test-net test-scenarios bench bench-scenarios-smoke report examples clean
+.PHONY: install lint test test-fast test-serving test-incremental test-store test-net test-scenarios test-restore-machine bench bench-scenarios-smoke report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -52,6 +52,13 @@ test-net:
 # bit-identical to the offline reference.
 test-scenarios:
 	PYTHONPATH=src python -m pytest tests/test_typed_model.py tests/test_scenarios.py tests/test_mixed_pipeline.py -q
+
+# The crash/restore state machine under its long hypothesis profile:
+# fresh random programs of ingests, retries, conflicts, checkpoints,
+# compactions, crashes and restores (a few minutes; tier-1 runs the
+# derandomized profile).
+test-restore-machine:
+	RESTORE_MACHINE_PROFILE=long PYTHONPATH=src python -m pytest tests/test_restore_machine.py -q
 
 test-fast:
 	pytest tests/ -m "not slow"

@@ -149,10 +149,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--refit",
         choices=["full", "incremental"],
-        default="full",
-        help="both modes publish snapshots bit-identical to offline "
-        "TDAC.run; incremental absorbs each batch through the exact "
-        "delta path instead of refitting from scratch",
+        default="incremental",
+        help="deprecated and ignored: every batch takes the exact delta "
+        "path, whose snapshots are bit-identical to offline TDAC.run; "
+        "'full' warns",
     )
     serve.add_argument(
         "--max-batch-size",

@@ -30,11 +30,14 @@ at delta cost while keeping a proof that the published result equals
   Untouched blocks with identical membership provably solve to the
   identical result and are reused;
 * the merge reuses :meth:`TDAC._merge` verbatim, so the claim-count
-  weighting — and therefore the merged trust arithmetic — matches the
-  offline pipeline bit for bit.
+  weighting — and therefore the merged trust arithmetic and the
+  single-pass iteration count — matches the offline pipeline bit for
+  bit.
 
-Every :meth:`IncrementalTDAC.update` takes this one path, whatever the
-batch size: it is exact at any size, so there is nothing to tune.
+:meth:`IncrementalTDAC.fit` runs Algorithm 1 once and seeds this state
+from its own outcome; every :meth:`IncrementalTDAC.update` after it
+takes the one delta path, whatever the batch size: it is exact at any
+size, so there is nothing to tune.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from repro.core.config import TDACConfig
 from repro.core.parallel import run_blocks
 from repro.core.partition import Partition
 from repro.core.tdac import TDAC, TDACResult
-from repro.core.truth_vectors import TruthVectorStore, VectorDelta
+from repro.core.truth_vectors import TruthVectorStore
 from repro.data.claim_engine import ClaimIndexEngine
 from repro.data.dataset import Dataset
 from repro.data.types import Claim
@@ -77,11 +80,8 @@ class IncrementalTDAC:
         self.base = base
         self._tdac = TDAC(base, config=config)
         self._dataset: Dataset | None = None
-        self._partition: Partition | None = None
-        self._block_results: dict[tuple, TruthDiscoveryResult] = {}
         self._last_outcome: TDACResult | None = None
         self._vector_store: TruthVectorStore | None = None
-        self._prev_silhouettes: dict[int, float] | None = None
         self._n_full_fits = 0
         self._n_block_refreshes = 0
         self._n_blocks_reused = 0
@@ -105,7 +105,7 @@ class IncrementalTDAC:
     def partition(self) -> Partition:
         """The partition currently in force."""
         self._require_fitted()
-        return self._partition
+        return self._last_outcome.partition
 
     @property
     def last_outcome(self) -> TDACResult:
@@ -130,19 +130,21 @@ class IncrementalTDAC:
     # ------------------------------------------------------------------
 
     def fit(self, dataset: Dataset) -> TDACResult:
-        """Full TD-AC fit: the initial corpus, or a full-mode refit."""
+        """Full TD-AC fit of the initial corpus; seeds the delta state.
+
+        The fit's own outcome is the state every :meth:`update` starts
+        from: the truth-vector store patches a copy of its Eq. 1
+        matrix, and its partition, silhouettes and block results are
+        what the first update may reuse.  Reuse after a fit is exact
+        for the same reason as reuse after an update — the selection
+        inputs were certified on that very matrix.
+        """
         outcome = self._tdac.run(dataset)
         self._dataset = dataset
-        self._partition = outcome.partition
-        self._block_results = dict(
-            zip(outcome.partition.blocks, outcome.block_results)
-        )
         self._last_outcome = outcome
-        # The batch-built matrix is not patchable in place, so the first
-        # delta update after a full fit seeds the store and cold-sweeps;
-        # later deltas then patch it and may reuse the selection.
-        self._vector_store = None
-        self._prev_silhouettes = None
+        self._vector_store = TruthVectorStore(
+            dataset, outcome.reference, outcome.truth_vectors
+        )
         self._n_full_fits += 1
         return outcome
 
@@ -180,6 +182,7 @@ class IncrementalTDAC:
         self, new_dataset: Dataset, fresh: list[Claim], started: float
     ) -> TDACResult:
         tdac = self._tdac
+        previous = self._last_outcome
         new_source = len(new_dataset.sources) != len(self._dataset.sources)
         engine = self._extend_engine(new_dataset, fresh)
 
@@ -190,19 +193,9 @@ class IncrementalTDAC:
         reference = tdac.reference_pass(new_dataset, engine)
 
         # Stage 2 — Eq. 1 matrix, patched in place.
-        store = self._vector_store
-        if store is None:
-            store = TruthVectorStore(new_dataset, reference)
-            self._vector_store = store
-            delta = VectorDelta(
-                vectors=store.vectors,
-                rebuilt=True,
-                rows_changed=True,
-                entries_changed=True,
-                mask_changed=True,
-            )
-        else:
-            delta = store.advance(new_dataset, engine, reference, fresh)
+        delta = self._vector_store.advance(
+            new_dataset, engine, reference, fresh
+        )
         vectors = delta.vectors
 
         # Stage 3 — partition selection.  Reuse is admissible only when
@@ -211,9 +204,9 @@ class IncrementalTDAC:
         dirty = delta.selection_dirty or (
             tdac.config.distance == "masked" and delta.mask_changed
         )
-        if not dirty and self._prev_silhouettes is not None:
-            partition = self._partition
-            silhouettes = dict(self._prev_silhouettes)
+        if not dirty:
+            partition = previous.partition
+            silhouettes = dict(previous.silhouette_by_k)
             self._n_selection_reuses += 1
         else:
             partition, silhouettes = tdac.select_partition(vectors)
@@ -222,7 +215,9 @@ class IncrementalTDAC:
         # provably cannot have changed: same membership, no batch claim
         # on its attributes, same source universe.
         touched = {claim.attribute for claim in fresh}
-        prev_results = self._block_results
+        prev_results = dict(
+            zip(previous.partition.blocks, previous.block_results)
+        )
         results: list[TruthDiscoveryResult | None] = []
         refresh_idx: list[int] = []
         for i, block in enumerate(partition.blocks):
@@ -247,17 +242,9 @@ class IncrementalTDAC:
             results[i] = result
         self._n_block_refreshes += len(refresh_idx)
 
-        # Stage 5 — TDAC's own merge (claim-count-weighted trust), then
-        # honest metadata: max iterations across refreshed blocks and
-        # the actual wall-clock of this update.
+        # Stage 5 — TDAC's own merge (claim-count-weighted trust and
+        # the single-pass iteration count), timed from this update.
         merged = tdac._merge(new_dataset, partition, results, started)
-        merged = dataclasses.replace(
-            merged,
-            iterations=max(
-                (results[i].iterations for i in refresh_idx), default=1
-            ),
-        )
-
         outcome = TDACResult(
             result=merged,
             partition=partition,
@@ -271,9 +258,6 @@ class IncrementalTDAC:
             ),
         )
         self._dataset = new_dataset
-        self._partition = partition
-        self._block_results = dict(zip(partition.blocks, results))
-        self._prev_silhouettes = dict(silhouettes)
         self._last_outcome = outcome
         self._n_delta_updates += 1
         return outcome

@@ -19,7 +19,7 @@ distance of the paper's first research perspective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,14 +167,24 @@ class TruthVectorStore:
     A batch that introduces a new *source* interleaves a column into
     every object's group (columns are object-major), so the store falls
     back to a full rebuild for it.
+
+    The store is seeded with ``vectors``, the matrix already built for
+    ``dataset`` and ``reference`` (a fit's own), and patches a copy of
+    it, so the seed stays unchanged under later advances.
     """
 
     def __init__(
-        self, dataset: Dataset, reference: TruthDiscoveryResult
+        self,
+        dataset: Dataset,
+        reference: TruthDiscoveryResult,
+        vectors: TruthVectorMatrix,
     ) -> None:
         self.rebuilds = 0
         self.patches = 0
-        self._rebuild(dataset, reference)
+        owned = replace(
+            vectors, matrix=vectors.matrix.copy(), mask=vectors.mask.copy()
+        )
+        self._adopt(dataset, reference, owned)
 
     # ------------------------------------------------------------------
 
@@ -188,21 +198,30 @@ class TruthVectorStore:
             ranks=self._ranks,
         )
 
-    def _rebuild(
-        self, dataset: Dataset, reference: TruthDiscoveryResult
-    ) -> VectorDelta:
-        built = build_truth_vectors(dataset, reference)
-        self._matrix = built.matrix
-        self._mask = built.mask
-        self._n_rows, self._n_cols = built.matrix.shape
-        self._attributes = built.attributes
-        self._ranks = built.ranks
+    def _adopt(
+        self,
+        dataset: Dataset,
+        reference: TruthDiscoveryResult,
+        vectors: TruthVectorMatrix,
+    ) -> None:
+        """Own ``vectors``' buffers as the state for ``dataset``."""
+        self._matrix = vectors.matrix
+        self._mask = vectors.mask
+        self._n_rows, self._n_cols = vectors.matrix.shape
+        self._attributes = vectors.attributes
+        self._ranks = vectors.ranks
         self._n_sources = len(dataset.sources)
         self._n_objects = len(dataset.objects)
         self._truth_of = {
             (fact.object, fact.attribute): value
             for fact, value in reference.predictions.items()
         }
+
+    def _rebuild(
+        self, dataset: Dataset, reference: TruthDiscoveryResult
+    ) -> VectorDelta:
+        built = build_truth_vectors(dataset, reference)
+        self._adopt(dataset, reference, built)
         self.rebuilds += 1
         return VectorDelta(
             vectors=self.vectors,

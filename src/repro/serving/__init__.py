@@ -10,8 +10,8 @@ provides it:
   ``serve.*`` span/counter/gauge instrumentation;
 * :class:`~repro.serving.snapshot.TruthSnapshot` — immutable,
   monotonically versioned read views with a claims-seen watermark and
-  staleness metadata, each (in either refit mode) bit-identical to an
-  offline ``TDAC.run`` over the claims at its watermark;
+  staleness metadata, each bit-identical to an offline ``TDAC.run``
+  over the claims at its watermark;
 * :mod:`~repro.serving.frontend` — the JSON-lines driver behind the
   ``repro serve`` CLI subcommand and its ``--smoke`` round trip;
 * :mod:`~repro.serving.net` / :mod:`~repro.serving.client` — the
@@ -43,7 +43,7 @@ from repro.serving.client import (
     RetryPolicy,
     TruthClientError,
 )
-from repro.serving.config import ServiceConfig
+from repro.serving.config import REFIT_MODES, ServiceConfig
 from repro.serving.frontend import handle_request, run_smoke, serve_jsonl
 from repro.serving.net import TruthServer, serve_network
 from repro.serving.schema import (
@@ -54,7 +54,6 @@ from repro.serving.schema import (
 from repro.serving.service import (
     IngestTicket,
     QueryAnswer,
-    REFIT_MODES,
     ServiceOverloadedError,
     ServiceStoppedError,
     TruthService,

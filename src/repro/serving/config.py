@@ -3,15 +3,15 @@
 :class:`ServiceConfig` is to the serving layer what
 :class:`~repro.core.config.TDACConfig` is to the pipeline: one
 immutable, validated, fingerprintable value holding every serving limit
-— batch sizing, queue bounds, refit mode, checkpoint cadence, and the
-network framing / timeout / backpressure limits.
+— batch sizing, queue bounds, checkpoint cadence, and the network
+framing / timeout / backpressure limits.
 
 A :class:`~repro.serving.service.TruthService` (or a
 :class:`~repro.serving.tenancy.TenantRegistry`, for all of its engines)
 takes it as ``service_config=ServiceConfig(...)``; the network
 front-end reads its limits from the service it serves, so each serving
 stack has exactly one config.  None of these knobs affects *what* a
-snapshot contains — every refit mode is bit-identical to offline
+snapshot contains — every snapshot is bit-identical to offline
 ``TDAC.run`` — so the :meth:`fingerprint` is an operational identity
 (benchmark provenance), not a result key.
 """
@@ -21,11 +21,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass
 
-#: Refit strategies: both are bit-identical to offline ``TDAC.run``;
-#: ``"full"`` recomputes every stage per batch, ``"incremental"``
-#: reuses whatever the batch provably could not have changed.
+#: Accepted ``refit`` spellings.  Every batch takes the exact delta
+#: path whatever the value; ``"full"`` is deprecated and ignored.
 REFIT_MODES = ("full", "incremental")
 
 #: Default per-line framing bound (1 MiB of JSON is already a huge batch).
@@ -39,11 +39,12 @@ class ServiceConfig:
     Service-side (micro-batching / admission / durability):
 
     refit:
-        ``"full"`` (default) re-runs the whole pipeline per batch;
-        ``"incremental"`` applies the exact delta path of
-        :meth:`IncrementalTDAC.update`.  Snapshots are bit-identical to
-        offline ``TDAC.run`` either way.  A restore fits its committed
-        WAL tail with the initial fit, whatever the mode.
+        Deprecated, and ignored.  Every batch goes through the exact
+        delta path of :meth:`IncrementalTDAC.update`, whose snapshots
+        are bit-identical to offline ``TDAC.run``; a restore fits its
+        committed WAL tail with the initial fit.  ``"incremental"``
+        (default) is accepted silently, ``"full"`` with a
+        :class:`DeprecationWarning`; any other value raises.
     max_batch_size / max_wait_ms:
         Micro-batch claim target and straggler linger.
     queue_capacity:
@@ -63,7 +64,7 @@ class ServiceConfig:
         :mod:`repro.serving.net`.
     """
 
-    refit: str = "full"
+    refit: str = "incremental"
     max_batch_size: int = 64
     max_wait_ms: float = 10.0
     queue_capacity: int = 1024
@@ -77,6 +78,14 @@ class ServiceConfig:
         if self.refit not in REFIT_MODES:
             raise ValueError(
                 f"refit must be one of {REFIT_MODES}, got {self.refit!r}"
+            )
+        if self.refit == "full":
+            warnings.warn(
+                'ServiceConfig(refit="full") is deprecated and ignored: '
+                "every batch takes the exact delta path, whose snapshots "
+                "equal a full refit's",
+                DeprecationWarning,
+                stacklevel=3,
             )
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")

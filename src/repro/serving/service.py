@@ -19,12 +19,11 @@ pipeline into a serving engine:
   single reference load, wait-free and never blocked by writers.
 * **Bit-identical refits** — every published snapshot is bit-identical
   to an offline :meth:`TDAC.run <repro.core.tdac.TDAC.run>` over the
-  claims at its watermark, in *both* refit modes.  ``refit="full"``
-  (default) re-runs the whole pipeline per batch;
-  ``refit="incremental"`` reaches the same result at delta cost through
+  claims at its watermark.  :meth:`start` runs one full fit; every
+  batch after it goes through the exact delta path of
   :meth:`IncrementalTDAC.update` — spliced index compile, patched
   truth-vector matrix, certified partition reuse and touched-block-only
-  base runs — so its snapshots are also ``exact=True`` with a populated
+  base runs — so each snapshot is ``exact=True`` with a populated
   ``silhouette_by_k``.  A restore fits the checkpointed corpus plus the
   committed WAL tail once, since no snapshot between the two can be
   observed again after a crash.
@@ -52,7 +51,7 @@ from repro.core.incremental import IncrementalTDAC, extend_dataset
 from repro.data.dataset import Dataset
 from repro.data.types import AttributeId, Claim, ObjectId, Value
 from repro.observability import SpanTracer, activate, current_tracer
-from repro.serving.config import REFIT_MODES, ServiceConfig
+from repro.serving.config import ServiceConfig
 from repro.serving.snapshot import TruthSnapshot
 from repro.store import StoreError, TruthStore, WALCorruptionWarning, open_store
 
@@ -181,8 +180,8 @@ class TruthService:
         snapshot.
     service_config:
         :class:`~repro.serving.config.ServiceConfig` holding every
-        serving knob — refit modes, micro-batch sizing, queue bounds,
-        checkpoint cadence (``None`` means defaults).
+        serving knob — micro-batch sizing, queue bounds, checkpoint
+        cadence (``None`` means defaults).
     tracer:
         Optional :class:`~repro.observability.SpanTracer`; the worker
         thread activates it so ``serve.*`` spans, counters and gauges
@@ -243,7 +242,6 @@ class TruthService:
             "batches": 0,
             "batch_errors": 0,
             "applied_claims": 0,
-            "refits_full": 0,
             "refits_incremental": 0,
             "queue_depth_peak": 0,
         }
@@ -740,36 +738,21 @@ class TruthService:
                         self.checkpoint()
 
     def _apply(self, claims: list[Claim]) -> TruthSnapshot:
-        """Refit on ``claims`` and publish the covering snapshot.
+        """Absorb ``claims`` on the delta path; publish the covering snapshot.
 
-        Both refit modes publish ``exact=True`` snapshots: the delta
-        path is bit-identical to the full pipeline by construction (see
-        :mod:`repro.core.incremental`).
+        :meth:`IncrementalTDAC.update` is bit-identical to the full
+        pipeline by construction (see :mod:`repro.core.incremental`), so
+        the snapshot is ``exact=True``.  It validates the batch before
+        touching any state, so a conflicting batch is rejected without
+        a published trace.
         """
         tracer = current_tracer()
         previous = self._snapshot
         assert previous is not None
-        if self.service_config.refit == "full":
-            # Extend on a local first: a conflicting batch raises here
-            # and leaves the engine (and the published state) untouched.
-            dataset = extend_dataset(self._incremental.dataset, claims)
-            with tracer.span("serve.refit", mode="full", claims=len(claims)):
-                outcome = self._incremental.fit(dataset)
-            tracer.count("serve.refit.full")
-            self._stats["refits_full"] += 1
-        else:
-            # update() validates the batch before touching any state, so
-            # a conflicting batch is rejected without a published trace.
-            with tracer.span(
-                "serve.refit", mode="incremental", claims=len(claims)
-            ):
-                outcome = self._incremental.update(claims)
-            tracer.count("serve.refit.incremental")
-            self._stats["refits_incremental"] += 1
-        result = outcome.result
-        partition = outcome.partition
-        silhouettes = dict(outcome.silhouette_by_k)
-        exact = True
+        with tracer.span("serve.refit", claims=len(claims)):
+            outcome = self._incremental.update(claims)
+        tracer.count("serve.refit.incremental")
+        self._stats["refits_incremental"] += 1
         # Publish under the lock: the applied log, the watermark and the
         # visible snapshot advance as one atomic step, so a concurrent
         # stats() read cannot pair a new watermark with the old version
@@ -779,10 +762,10 @@ class TruthService:
             snapshot = TruthSnapshot(
                 version=previous.version + 1,
                 watermark=self._watermark_base + len(self._applied),
-                result=result,
-                partition=partition,
-                silhouette_by_k=silhouettes,
-                exact=exact,
+                result=outcome.result,
+                partition=outcome.partition,
+                silhouette_by_k=dict(outcome.silhouette_by_k),
+                exact=True,
                 pending_claims=self._pending_claims,
                 dataset_fingerprint=self._incremental.dataset.fingerprint,
                 config_fingerprint=self._config.fingerprint(),

@@ -12,9 +12,9 @@ readers are wait-free and always see an internally consistent
 * staleness metadata: how many claims were still queued when the
   snapshot was published, whether the refit carried ``exact``
   (:meth:`TDAC.run <repro.core.tdac.TDAC.run>`-bit-identical) semantics
-  — true for both the full and the delta refit path since 1.4.0; the
-  flag is kept for historical snapshots — and the fingerprints
-  identifying the accumulated dataset and config.
+  — true for every snapshot since 1.4.0; the flag is kept for
+  historical snapshots — and the fingerprints identifying the
+  accumulated dataset and config.
 
 ``to_dict`` emits the shared ``tdac-result/v1`` schema with a
 ``serving`` sub-object, so snapshot serialization is a superset of every
@@ -28,7 +28,7 @@ from typing import Any, Mapping
 
 from repro.algorithms.base import TruthDiscoveryResult
 from repro.core.partition import Partition
-from repro.core.schema import result_from_dict, result_to_dict
+from repro.core.schema import result_to_dict
 from repro.data.types import AttributeId, Fact, ObjectId, SourceId, Value
 
 
@@ -76,28 +76,3 @@ class TruthSnapshot:
             "config_fingerprint": self.config_fingerprint,
         }
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TruthSnapshot":
-        """Rebuild a snapshot from its :meth:`to_dict` rendering.
-
-        The inverse up to JSON's type erasure (identifiers come back as
-        the strings the serializer emitted); used by the durable store
-        to resurrect the served state from a checkpoint file.
-        """
-        serving = payload.get("serving") or {}
-        blocks = payload.get("partition") or []
-        return cls(
-            version=int(serving.get("version", 0)),
-            watermark=int(serving.get("watermark", 0)),
-            result=result_from_dict(payload),
-            partition=Partition.from_blocks(blocks),
-            silhouette_by_k={
-                int(k): float(v)
-                for k, v in (payload.get("silhouette_by_k") or {}).items()
-            },
-            exact=bool(serving.get("exact", True)),
-            pending_claims=int(serving.get("pending_claims", 0)),
-            dataset_fingerprint=str(serving.get("dataset_fingerprint", "")),
-            config_fingerprint=str(serving.get("config_fingerprint", "")),
-        )

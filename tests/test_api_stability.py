@@ -74,7 +74,7 @@ class TestPublicSurface:
         from repro import TruthService, TruthSnapshot  # noqa: F401
 
     def test_version_matches_package_metadata(self):
-        assert repro.__version__ == "1.16.0"
+        assert repro.__version__ == "1.17.0"
 
     def test_store_symbols_are_top_level(self):
         from repro import TruthStore, store  # noqa: F401
@@ -292,6 +292,14 @@ class TestRemovedSpellings:
         # ``dataclasses.replace(config, ...)`` is the copy-with-changes.
         with pytest.raises(AttributeError):
             getattr(ServiceConfig(), method)
+
+    def test_truth_snapshot_from_dict_is_gone(self):
+        # Restore reads a checkpoint's ``serving`` metadata and dataset;
+        # ``result_from_dict`` is the result decoder.
+        from repro.serving import TruthSnapshot
+
+        with pytest.raises(AttributeError):
+            TruthSnapshot.from_dict  # noqa: B018
 
     def test_service_config_from_dict_is_gone(self):
         with pytest.raises(ImportError):

@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.algorithms import MajorityVote, TruthFinder
+from repro.algorithms import Accu, MajorityVote, TruthFinder
 from repro.core import IncrementalTDAC, TDAC, TDACConfig
 from repro.core.incremental import extend_dataset
 from repro.core.truth_vectors import TruthVectorStore, build_truth_vectors
@@ -149,7 +149,9 @@ class TestTruthVectorStore:
         dataset = make_synthetic("DS1", n_objects=12, seed=3).dataset
         base = MajorityVote()
         reference = base.discover(dataset)
-        store = TruthVectorStore(dataset, reference)
+        seed = build_truth_vectors(dataset, reference)
+        seed_matrix = seed.matrix.copy()
+        store = TruthVectorStore(dataset, reference, seed)
         engine = ClaimIndexEngine.shared(dataset)
         rng = random.Random(3)
         for step in range(5):
@@ -175,6 +177,16 @@ class TestTruthVectorStore:
             assert delta.rebuilt == new_source
             dataset = extended
         assert store.patches > 0
+        # The store patches its own copy, never the matrix it was seeded
+        # with (a fit's published truth vectors).
+        np.testing.assert_array_equal(seed.matrix, seed_matrix)
+
+
+def without_elapsed(outcome):
+    """``outcome.to_dict()`` minus its wall-clock field."""
+    payload = outcome.to_dict()
+    del payload["elapsed_seconds"]
+    return payload
 
 
 class TestStreamBitIdentity:
@@ -216,6 +228,28 @@ class TestStreamBitIdentity:
         assert incremental.stats["full_fits"] == 1
         assert incremental.stats["delta_updates"] == delta_updates
         assert incremental.stats["blocks_reused"] > 0
+
+    @pytest.mark.parametrize("base", [TruthFinder, Accu])
+    @pytest.mark.parametrize("stream_seed", [4, 5])
+    def test_iterative_bases_match_offline_at_every_watermark(
+        self, stream_seed, base
+    ):
+        # The whole tdac-result/v1 rendering — iterations included —
+        # equals offline TDAC.run's, for bases that iterate per block.
+        dataset = make_synthetic("DS1", n_objects=15, seed=11).dataset
+        incremental = IncrementalTDAC(base(), config=CONFIG)
+        incremental.fit(dataset)
+        rng = random.Random(stream_seed)
+        delta_updates = 0
+        for step in range(4):
+            batch = random_batch(rng, incremental.dataset, step)
+            if not batch:
+                continue
+            outcome = incremental.update(batch)
+            delta_updates += 1
+            offline = TDAC(base(), config=CONFIG).run(incremental.dataset)
+            assert without_elapsed(outcome) == without_elapsed(offline)
+        assert delta_updates >= 3
 
     def test_new_source_refreshes_every_block_exactly(self):
         config = TDACConfig(seed=0)
@@ -266,21 +300,19 @@ class TestStreamBitIdentity:
         )
 
     def test_update_metadata_reports_real_work(self):
-        # Regression: the merged result used to hard-code iterations=1
-        # and elapsed_seconds=0.0.
+        # Regressions: the merged result once hard-coded
+        # elapsed_seconds=0.0, and later reported the maximum block
+        # iteration count where TDAC.run reports its single pass (1).
         dataset = make_synthetic("DS1", n_objects=15, seed=29).dataset
         incremental = IncrementalTDAC(TruthFinder(), config=CONFIG)
         incremental.fit(dataset)
-        # A new source forces every block to refresh, so the maximum is
-        # taken over all block results.
+        # A new source forces every block to refresh.
         outcome = incremental.update(
             [Claim("meta-source", "o1", dataset.attributes[0], "x")]
         )
         assert outcome.result.elapsed_seconds > 0.0
-        assert outcome.result.iterations == max(
-            r.iterations for r in outcome.block_results
-        )
-        assert outcome.result.iterations > 1  # TruthFinder iterates
+        offline = TDAC(TruthFinder(), config=CONFIG).run(incremental.dataset)
+        assert without_elapsed(outcome) == without_elapsed(offline)
 
 
 class TestRestoreRefitsOnce:
@@ -341,7 +373,7 @@ class TestRestoreRefitsOnce:
             stats = restored.stats
             assert stats["engine"]["full_fits"] == 1
             assert stats["engine"]["delta_updates"] == 0
-            assert stats["refits_full"] == stats["refits_incremental"] == 0
+            assert stats["refits_incremental"] == 0
             self.assert_is_offline_run(restored, snap)
         finally:
             restored.stop()

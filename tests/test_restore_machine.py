@@ -2,16 +2,25 @@
 
 A ``hypothesis`` state machine drives one durable service through
 fresh ingests, duplicate retries, conflicting (aborted) batches,
-checkpoints, crashes — with and without an admitted batch that never
-got an outcome record — and restores.  The model is the acked claim
-prefix.  Every published snapshot must equal offline ``TDAC.run`` over
-that prefix, and every restore must land on the crashed service's
-version, watermark and dataset fingerprint (plus the one batch a
-dangling admit adds, when it applies).
+checkpoints, compactions of the stopped store, crashes — with and
+without an admitted batch that never got an outcome record — and
+restores.  WAL segments hold a few records each, so compaction really
+deletes segments.  The model is the acked claim prefix.  Every
+published snapshot must equal offline ``TDAC.run`` over that prefix,
+and every restore must land on the crashed service's version,
+watermark and dataset fingerprint (plus the one batch a dangling admit
+adds, when it applies).
 
-The tier-1 profile is derandomized and bounded well under 30 s.
+The tier-1 profile is derandomized and bounded well under 30 s.  The
+long profile explores fresh random programs for a few minutes::
+
+    RESTORE_MACHINE_PROFILE=long PYTHONPATH=src python -m pytest \
+        tests/test_restore_machine.py
+
+(``make test-restore-machine`` runs exactly that.)
 """
 
+import os
 import shutil
 import tempfile
 
@@ -34,6 +43,9 @@ from repro.store import TruthStore
 CONFIG = TDACConfig(seed=3)
 DATASET = make_synthetic("DS1", n_objects=15, seed=11).dataset
 SERVICE_CONFIG = ServiceConfig(max_wait_ms=1.0, snapshot_every=3)
+#: Records per WAL segment: small, so checkpoints leave sealed segments
+#: below their frontier for compaction to delete.
+SEGMENT_RECORDS = 4
 
 #: (source index, attribute index, value) triples for one new object;
 #: unique per (source, attribute), so a batch never conflicts with itself.
@@ -55,7 +67,7 @@ class CrashRestoreMachine(RuleBasedStateMachine):
         self.root = tempfile.mkdtemp(prefix="tdac-restore-machine-")
         self.service = TruthService(
             MajorityVote(), DATASET, config=CONFIG,
-            service_config=SERVICE_CONFIG, store=self.root,
+            service_config=SERVICE_CONFIG, store=self.open_store(),
         )
         self.service.start()
         self.acked: list[Claim] = []
@@ -72,6 +84,9 @@ class CrashRestoreMachine(RuleBasedStateMachine):
             shutil.rmtree(self.root, ignore_errors=True)
 
     # -- model helpers ---------------------------------------------------
+
+    def open_store(self) -> TruthStore:
+        return TruthStore(self.root, segment_max_records=SEGMENT_RECORDS)
 
     def fresh(self, facts) -> list[Claim]:
         self.objects += 1
@@ -173,7 +188,7 @@ class CrashRestoreMachine(RuleBasedStateMachine):
         if self.running():
             self.crash()
         claims = self.conflicting(facts) if conflicting else self.fresh(facts)
-        store = TruthStore(self.root)
+        store = self.open_store()
         try:
             store.append_admit(self.next_sequence, claims)
         finally:
@@ -184,9 +199,21 @@ class CrashRestoreMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: not self.running())
     @rule()
+    def compact(self):
+        # ``repro store compact`` on the stopped store: folds the sealed
+        # segments below the newest checkpoint's live frontier.  The
+        # next restore must still land on every acked claim.
+        store = self.open_store()
+        try:
+            store.compact()
+        finally:
+            store.close()
+
+    @precondition(lambda self: not self.running())
+    @rule()
     def restore(self):
         self.service = TruthService.restore(
-            self.root, service_config=SERVICE_CONFIG
+            self.open_store(), service_config=SERVICE_CONFIG
         )
         snapshot = self.service.snapshot()
         # Restore applies each unsettled admit on its own; the
@@ -209,12 +236,14 @@ class CrashRestoreMachine(RuleBasedStateMachine):
             self.assert_matches_offline(self.service.snapshot())
 
 
+PROFILES = {
+    "tier1": dict(derandomize=True, max_examples=30, stateful_step_count=20),
+    "long": dict(max_examples=200, stateful_step_count=40),
+}
 CrashRestoreMachine.TestCase.settings = settings(
-    derandomize=True,
     database=None,
-    max_examples=30,
-    stateful_step_count=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    **PROFILES[os.environ.get("RESTORE_MACHINE_PROFILE", "tier1")],
 )
 TestCrashRestoreMachine = CrashRestoreMachine.TestCase

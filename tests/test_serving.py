@@ -267,7 +267,26 @@ class TestBackpressure:
 
 
 class TestRefitModes:
+    """Every batch takes the delta path; ``refit`` is a deprecated no-op."""
+
+    def assert_is_offline_run(self, service, snapshot):
+        offline = TDAC(
+            MajorityVote(), config=service.config
+        ).run(service.replay_dataset(snapshot.watermark))
+        assert dict(snapshot.predictions) == dict(
+            offline.result.predictions
+        )
+        assert dict(snapshot.source_trust) == dict(
+            offline.result.source_trust
+        )
+        assert snapshot.partition == offline.partition
+        assert dict(snapshot.silhouette_by_k) == dict(
+            offline.silhouette_by_k
+        )
+
     def test_incremental_mode_publishes_exact_snapshots(self, dataset):
+        # "incremental" is the default, accepted without a warning.
+        assert ServiceConfig().refit == "incremental"
         with TruthService(
             MajorityVote(), dataset,
             service_config=ServiceConfig(refit="incremental", max_wait_ms=1.0),
@@ -278,34 +297,32 @@ class TestRefitModes:
             assert snapshot.exact
             assert snapshot.version == 2
             assert service.stats["refits_incremental"] == 1
+            assert "refits_full" not in service.stats
+            engine = service.stats["engine"]
+            assert engine["full_fits"] == 1
+            assert engine["delta_updates"] == 1
             assert service.query(claim.object, claim.attribute).value == (
                 claim.value
             )
             # The delta refit publishes the certified sweep, not an
             # approximation: silhouettes are populated and the whole
             # snapshot matches the offline pipeline at its watermark.
-            offline = TDAC(
-                MajorityVote(), config=service.config
-            ).run(service.replay_dataset(snapshot.watermark))
-            assert dict(snapshot.predictions) == dict(
-                offline.result.predictions
-            )
-            assert dict(snapshot.source_trust) == dict(
-                offline.result.source_trust
-            )
-            assert snapshot.partition == offline.partition
-            assert dict(snapshot.silhouette_by_k) == dict(
-                offline.silhouette_by_k
-            )
+            self.assert_is_offline_run(service, snapshot)
 
-    def test_full_mode_counts_refits(self, dataset):
+    def test_full_mode_is_a_deprecated_no_op(self, dataset):
+        with pytest.warns(DeprecationWarning, match="refit") as caught:
+            config = ServiceConfig(refit="full", max_wait_ms=1.0)
+        assert len(caught) == 1
         with TruthService(
-            MajorityVote(), dataset,
-            service_config=ServiceConfig(max_wait_ms=1.0),
+            MajorityVote(), dataset, service_config=config
         ) as service:
             service.ingest(fresh_claims(dataset, "f", 1), wait=True)
-            assert service.stats["refits_full"] == 1
-            assert service.snapshot().exact
+            service.ingest(fresh_claims(dataset, "g", 2), wait=True)
+            snapshot = service.snapshot()
+            assert snapshot.exact
+            assert service.stats["refits_incremental"] == 2
+            assert service.stats["engine"]["full_fits"] == 1
+            self.assert_is_offline_run(service, snapshot)
 
 
 class TestFailureIsolation:
