@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.index import DatasetIndex
-from repro.data.types import Fact, SourceId, Value
+from repro.data.types import AttributeId, Fact, SourceId, Value
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,55 @@ class TruthDiscoveryResult:
 
     def __len__(self) -> int:
         return len(self.predictions)
+
+
+def merge_by_claim_count(
+    dataset: Dataset,
+    parts: Iterable[tuple[Iterable[AttributeId], TruthDiscoveryResult]],
+    *,
+    algorithm: str,
+    iterations: int,
+    start: float,
+    extras: Mapping[str, object],
+) -> TruthDiscoveryResult:
+    """Merge results solved on disjoint attribute groups of ``dataset``.
+
+    ``parts`` pairs each group's attributes with its result.  Predictions
+    and confidences are unioned in ``parts`` order; per-source trust is
+    the claim-count-weighted mean of the group trusts, so a group with 2
+    attributes does not dominate one with 20.  TD-AC's block merge and
+    :class:`~repro.algorithms.routing.TypeRouted` share this one policy.
+    """
+    parts = list(parts)
+    predictions: dict[Fact, Value] = {}
+    confidence: dict[Fact, float] = {}
+    for _, result in parts:
+        predictions.update(result.predictions)
+        confidence.update(result.confidence)
+    weights: dict[SourceId, float] = {s: 0.0 for s in dataset.sources}
+    trust_sums: dict[SourceId, float] = {s: 0.0 for s in dataset.sources}
+    # One pass over the claims builds the attribute -> claim-count map;
+    # each group then sums its attributes' counts.
+    claims_per_attribute = Counter(a for (_, _, a) in dataset.claims)
+    for attributes, result in parts:
+        group_claims = sum(claims_per_attribute[a] for a in attributes)
+        weight = float(max(group_claims, 1))
+        for source, trust in result.source_trust.items():
+            trust_sums[source] += weight * trust
+            weights[source] += weight
+    source_trust = {
+        s: (trust_sums[s] / weights[s]) if weights[s] > 0 else 0.0
+        for s in dataset.sources
+    }
+    return TruthDiscoveryResult(
+        algorithm=algorithm,
+        predictions=predictions,
+        confidence=confidence,
+        source_trust=source_trust,
+        iterations=iterations,
+        elapsed_seconds=time.perf_counter() - start,
+        extras=extras,
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,9 +21,12 @@ single-truth results are unchanged.
 from __future__ import annotations
 
 import time
-from collections import Counter
 
-from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
+from repro.algorithms.base import (
+    TruthDiscoveryAlgorithm,
+    TruthDiscoveryResult,
+    merge_by_claim_count,
+)
 from repro.algorithms.continuous import ContinuousCRH
 from repro.algorithms.majority import MajorityVote
 from repro.data.dataset import Dataset
@@ -33,9 +36,6 @@ from repro.data.types import (
     CONTINUOUS,
     MULTI,
     DataError,
-    Fact,
-    SourceId,
-    Value,
 )
 
 
@@ -127,46 +127,14 @@ class TypeRouted(TruthDiscoveryAlgorithm):
                 else data.restrict_attributes(attrs)
             )
             group_results.append((attrs, algorithm.discover(sub)))
-        return self._merge(data, group_results, start)
-
-    def _merge(
-        self,
-        dataset: Dataset,
-        group_results: list[tuple[list, TruthDiscoveryResult]],
-        start: float,
-    ) -> TruthDiscoveryResult:
-        """Union predictions; claim-count-weighted mean of group trusts.
-
-        The same aggregation as TD-AC's block merge, so a routed base
-        under ``TDAC.run`` composes without a second convention.
-        """
-        predictions: dict[Fact, Value] = {}
-        confidence: dict[Fact, float] = {}
-        iterations = 0
-        for _, result in group_results:
-            predictions.update(result.predictions)
-            confidence.update(result.confidence)
-            iterations = max(iterations, result.iterations)
-        weights: dict[SourceId, float] = {s: 0.0 for s in dataset.sources}
-        trust_sums: dict[SourceId, float] = {s: 0.0 for s in dataset.sources}
-        claims_per_attribute = Counter(a for (_, _, a) in dataset.claims)
-        for attrs, result in group_results:
-            group_claims = sum(claims_per_attribute[a] for a in attrs)
-            weight = float(max(group_claims, 1))
-            for source, trust in result.source_trust.items():
-                trust_sums[source] += weight * trust
-                weights[source] += weight
-        source_trust = {
-            s: (trust_sums[s] / weights[s]) if weights[s] > 0 else 0.0
-            for s in dataset.sources
-        }
-        return TruthDiscoveryResult(
+        # The same aggregation as TD-AC's block merge, so a routed base
+        # under ``TDAC.run`` composes without a second convention.
+        return merge_by_claim_count(
+            data,
+            group_results,
             algorithm=self.name,
-            predictions=predictions,
-            confidence=confidence,
-            source_trust=source_trust,
-            iterations=iterations,
-            elapsed_seconds=time.perf_counter() - start,
+            iterations=max(result.iterations for _, result in group_results),
+            start=start,
             extras={
                 "routed": {
                     kind: algorithm.name
@@ -178,6 +146,7 @@ class TypeRouted(TruthDiscoveryAlgorithm):
                 }
             },
         )
+
 
     def _solve(self, index):  # pragma: no cover - discover() is overridden
         raise NotImplementedError(

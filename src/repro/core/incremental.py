@@ -17,22 +17,18 @@ at delta cost while keeping a proof that the published result equals
 * the reference pass is recomputed over the extended corpus (global
   source trust couples every claim; there is no sound per-fact patch),
   but it runs on the delta-compiled index, not a recompile;
-* the Eq. 1 truth-vector matrix is patched in place by a
-  :class:`~repro.core.truth_vectors.TruthVectorStore`, which reports
-  exact change flags.  When nothing selection-relevant changed (appended
-  all-zero columns provably leave every pairwise attribute distance,
-  k-means labelling and silhouette untouched), the previous certified
-  partition and silhouettes are reused; otherwise the cold sweep of
-  :meth:`TDAC.select_partition` re-certifies;
-* blocks are recomputed only when their result could differ: their
-  membership changed, a batch claim touched one of their attributes, or
-  the source universe grew (per-block trust vectors span all sources).
-  Untouched blocks with identical membership provably solve to the
-  identical result and are reused;
-* the merge reuses :meth:`TDAC._merge` verbatim, so the claim-count
-  weighting — and therefore the merged trust arithmetic and the
-  single-pass iteration count — matches the offline pipeline bit for
-  bit.
+* the Eq. 1 truth-vector matrix is copied forward and patched by a
+  :class:`~repro.core.truth_vectors.TruthVectorStore`, which returns a
+  new matrix with exact change flags;
+* steps 3–4 (partition selection, block runs, merge) are
+  ``TDAC._finish`` itself, the stage :meth:`TDAC.run` ends with.  The
+  delta path only tells it what provably cannot change: the previous
+  certified partition and silhouettes when nothing selection-relevant
+  changed (appended all-zero columns leave every pairwise attribute
+  distance, k-means labelling and silhouette untouched), and every
+  previous block result whose membership is unchanged, whose attributes
+  no batch claim touched, and whose source universe did not grow
+  (per-block trust vectors span all sources).
 
 :meth:`IncrementalTDAC.fit` runs Algorithm 1 once and seeds this state
 from its own outcome; every :meth:`IncrementalTDAC.update` after it
@@ -42,16 +38,15 @@ size, so there is nothing to tune.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Iterable
 
-from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
-# Unused here, but kept: profilers wrap these two names on this module.
+from repro.algorithms.base import TruthDiscoveryAlgorithm
+# Unused here, but kept: profilers wrap these three names on this module.
 from repro.clustering.kmeans import lloyd  # noqa: F401
 from repro.clustering.kselect import score_silhouette_sweep  # noqa: F401
 from repro.core.config import TDACConfig
-from repro.core.parallel import run_blocks
+from repro.core.parallel import run_blocks  # noqa: F401
 from repro.core.partition import Partition
 from repro.core.tdac import TDAC, TDACResult
 from repro.core.truth_vectors import TruthVectorStore
@@ -133,8 +128,8 @@ class IncrementalTDAC:
         """Full TD-AC fit of the initial corpus; seeds the delta state.
 
         The fit's own outcome is the state every :meth:`update` starts
-        from: the truth-vector store patches a copy of its Eq. 1
-        matrix, and its partition, silhouettes and block results are
+        from: the truth-vector store advances from its Eq. 1 matrix,
+        and its partition, silhouettes and block results are
         what the first update may reuse.  Reuse after a fit is exact
         for the same reason as reuse after an update — the selection
         inputs were certified on that very matrix.
@@ -183,7 +178,6 @@ class IncrementalTDAC:
     ) -> TDACResult:
         tdac = self._tdac
         previous = self._last_outcome
-        new_source = len(new_dataset.sources) != len(self._dataset.sources)
         engine = self._extend_engine(new_dataset, fresh)
 
         # Stage 1 — reference pass.  Source trust is globally coupled
@@ -192,71 +186,40 @@ class IncrementalTDAC:
         # corpus; the delta-compiled index keeps that pass cheap.
         reference = tdac.reference_pass(new_dataset, engine)
 
-        # Stage 2 — Eq. 1 matrix, patched in place.
+        # Stage 2 — Eq. 1 matrix, copied forward and patched.
         delta = self._vector_store.advance(
             new_dataset, engine, reference, fresh
         )
-        vectors = delta.vectors
 
-        # Stage 3 — partition selection.  Reuse is admissible only when
-        # every selection input is provably unchanged; otherwise a cold
-        # sweep certifies.
-        dirty = delta.selection_dirty or (
+        # Stages 3–4 are TDAC's own, given what provably cannot change.
+        # The previous selection is reused only when every selection
+        # input is unchanged; a block result only when its membership is
+        # unchanged, no batch claim touches its attributes and the
+        # source universe did not grow.
+        selection = None
+        if not delta.selection_dirty and not (
             tdac.config.distance == "masked" and delta.mask_changed
-        )
-        if not dirty:
-            partition = previous.partition
-            silhouettes = dict(previous.silhouette_by_k)
+        ):
+            selection = (previous.partition, dict(previous.silhouette_by_k))
             self._n_selection_reuses += 1
-        else:
-            partition, silhouettes = tdac.select_partition(vectors)
-
-        # Stage 4 — per-block runs, reusing every block whose result
-        # provably cannot have changed: same membership, no batch claim
-        # on its attributes, same source universe.
-        touched = {claim.attribute for claim in fresh}
-        prev_results = dict(
-            zip(previous.partition.blocks, previous.block_results)
+        reusable = {}
+        if len(new_dataset.sources) == len(self._dataset.sources):
+            touched = {claim.attribute for claim in fresh}
+            reusable = {
+                block: result
+                for block, result in zip(
+                    previous.partition.blocks, previous.block_results
+                )
+                if touched.isdisjoint(block)
+            }
+        outcome = tdac._finish(
+            new_dataset, engine, reference, delta.vectors, started,
+            selection=selection, reusable=reusable,
         )
-        results: list[TruthDiscoveryResult | None] = []
-        refresh_idx: list[int] = []
-        for i, block in enumerate(partition.blocks):
-            reusable = (
-                not new_source
-                and block in prev_results
-                and not (touched & set(block))
-            )
-            if reusable:
-                results.append(prev_results[block])
-                self._n_blocks_reused += 1
-            else:
-                results.append(None)
-                refresh_idx.append(i)
-        refreshed = run_blocks(
-            self.base,
-            new_dataset,
-            [partition.blocks[i] for i in refresh_idx],
-            engine=engine,
-        )
-        for i, result in zip(refresh_idx, refreshed):
-            results[i] = result
-        self._n_block_refreshes += len(refresh_idx)
-
-        # Stage 5 — TDAC's own merge (claim-count-weighted trust and
-        # the single-pass iteration count), timed from this update.
-        merged = tdac._merge(new_dataset, partition, results, started)
-        outcome = TDACResult(
-            result=merged,
-            partition=partition,
-            silhouette_by_k=silhouettes,
-            reference=reference,
-            block_results=tuple(results),
-            # The store patches its buffers in place on the next update;
-            # a published result must not change under its holder.
-            truth_vectors=dataclasses.replace(
-                vectors, matrix=vectors.matrix.copy(), mask=vectors.mask.copy()
-            ),
-        )
+        blocks = outcome.partition.blocks
+        n_reused = sum(block in reusable for block in blocks)
+        self._n_blocks_reused += n_reused
+        self._n_block_refreshes += len(blocks) - n_reused
         self._dataset = new_dataset
         self._last_outcome = outcome
         self._n_delta_updates += 1
@@ -283,18 +246,16 @@ class IncrementalTDAC:
         The current dataset owns its engine (:meth:`ClaimIndexEngine.
         shared`), and the spliced child becomes the extended dataset's
         own engine, so a later full fit over the same dataset object
-        also rides the spliced compile.  Falls back to a cold compile
-        when the engine cannot splice (and to ``None`` when the base
-        algorithm does not consume index views).
+        also rides the spliced compile.  The splice always applies:
+        ``new_dataset`` is ``Dataset.extended`` of the current dataset
+        and ``fresh`` their deduplicated difference.  ``None`` when the
+        base algorithm does not consume index views.
         """
         if not self.base.supports_index:
             return None
-        try:
-            return ClaimIndexEngine.shared(self._dataset).extended(
-                new_dataset, fresh
-            )
-        except ValueError:
-            return ClaimIndexEngine.shared(new_dataset)
+        return ClaimIndexEngine.shared(self._dataset).extended(
+            new_dataset, fresh
+        )
 
     # ------------------------------------------------------------------
 

@@ -20,13 +20,16 @@ masked (missing-data-aware) Hamming.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
+from repro.algorithms.base import (
+    TruthDiscoveryAlgorithm,
+    TruthDiscoveryResult,
+    merge_by_claim_count,
+)
 from repro.clustering.distance import pairwise_hamming, pairwise_masked_hamming
 from repro.clustering.kselect import score_silhouette_sweep
 from repro.clustering.sweep import sweep_kmeans
@@ -36,7 +39,7 @@ from repro.core.partition import Partition
 from repro.core.truth_vectors import TruthVectorMatrix, build_truth_vectors
 from repro.data.claim_engine import ClaimIndexEngine
 from repro.data.dataset import Dataset
-from repro.data.types import Fact, SourceId, Value
+from repro.data.types import AttributeId, Fact, SourceId, Value
 from repro.observability import current_tracer
 
 
@@ -126,23 +129,65 @@ class TDAC(TruthDiscoveryAlgorithm):
     def run(self, dataset: Dataset) -> TDACResult:
         """Run TD-AC and return the full provenance-carrying result.
 
-        Every stage is wrapped in a span of the ambient tracer
-        (``reference`` → ``truth_vectors`` → ``distance_matrix`` →
-        ``k_sweep`` → ``silhouette_scoring`` → ``block_runs`` →
+        Steps 1–2 (reference pass, Eq. 1 vectors) run here; steps 3–4
+        run in :meth:`_finish`, the stage the exact delta path of
+        :class:`~repro.core.incremental.IncrementalTDAC` finishes
+        through too.  Every stage is wrapped in a span of the ambient
+        tracer (``reference`` → ``truth_vectors`` → ``distance_matrix``
+        → ``k_sweep`` → ``silhouette_scoring`` → ``block_runs`` →
         ``merge``), so a traced run yields a per-stage wall-time
         breakdown at no cost to untraced runs.
         """
         tracer = current_tracer()
         start = time.perf_counter()
         with tracer.span("reference"):
-            engine = self._claim_engine(dataset)
+            # One engine per dataset serves both the reference pass and
+            # every per-block view, so the index is compiled once.
+            engine = ClaimIndexEngine.shared(dataset)
             reference = self.reference_pass(dataset, engine)
         with tracer.span("truth_vectors"):
             vectors = build_truth_vectors(dataset, reference)
-        partition, silhouettes = self.select_partition(vectors)
-        block_results = run_blocks(self.base, dataset, partition, engine=engine)
-        with tracer.span("merge"):
-            merged = self._merge(dataset, partition, block_results, start)
+        return self._finish(dataset, engine, reference, vectors, start)
+
+    def _finish(
+        self,
+        dataset: Dataset,
+        engine: ClaimIndexEngine | None,
+        reference: TruthDiscoveryResult,
+        vectors: TruthVectorMatrix,
+        start: float,
+        selection: tuple[Partition, Mapping[int, float]] | None = None,
+        reusable: Mapping[tuple[AttributeId, ...], TruthDiscoveryResult]
+        | None = None,
+    ) -> TDACResult:
+        """Steps 3–4: select the partition, run its blocks, merge.
+
+        ``selection`` is a partition and its silhouettes already
+        certified on ``vectors`` (``None`` sweeps).  ``reusable`` maps
+        blocks to results known to equal a re-run (``None`` runs every
+        block).  The merged result is timed from ``start``.
+        """
+        if selection is None:
+            partition, silhouettes = self.select_partition(vectors)
+        else:
+            partition, silhouettes = selection
+        results = dict(reusable or {})
+        stale = [block for block in partition.blocks if block not in results]
+        results.update(
+            zip(stale, run_blocks(self.base, dataset, stale, engine=engine))
+        )
+        block_results = [results[block] for block in partition.blocks]
+        with current_tracer().span("merge"):
+            merged = merge_by_claim_count(
+                dataset,
+                zip(partition.blocks, block_results),
+                algorithm=self.name,
+                # The paper reports TD-AC as a single-iteration process
+                # (Tables 4, 6, 7, 9): one partition-then-solve pass.
+                iterations=1,
+                start=start,
+                extras={"partition": str(partition)},
+            )
         return TDACResult(
             result=merged,
             partition=partition,
@@ -166,15 +211,6 @@ class TDAC(TruthDiscoveryAlgorithm):
         if engine is None or not self.reference_algorithm.supports_index:
             return self.reference_algorithm.discover(dataset)
         return self.reference_algorithm.discover(engine.full_index)
-
-    def _claim_engine(self, dataset: Dataset) -> ClaimIndexEngine:
-        """The dataset's shared claim-index engine.
-
-        One engine per dataset serves both the reference pass (its full
-        index) and every per-block run (sliced views), so the incidence
-        structure is compiled exactly once.
-        """
-        return ClaimIndexEngine.shared(dataset)
 
     # ------------------------------------------------------------------
 
@@ -233,52 +269,6 @@ class TDAC(TruthDiscoveryAlgorithm):
             if mode == "masked":
                 return pairwise_masked_hamming(data, vectors.mask)
             return pairwise_hamming(data)
-
-    def _merge(
-        self,
-        dataset: Dataset,
-        partition: Partition,
-        block_results: list[TruthDiscoveryResult],
-        start: float,
-    ) -> TruthDiscoveryResult:
-        """Step 4's aggregation: concatenate block predictions.
-
-        Per-source trust is merged as the claim-count-weighted mean of the
-        per-block trusts, so a block with 2 attributes does not dominate
-        one with 20.
-        """
-        predictions: dict[Fact, Value] = {}
-        confidence: dict[Fact, float] = {}
-        for block_result in block_results:
-            predictions.update(block_result.predictions)
-            confidence.update(block_result.confidence)
-        weights: dict[SourceId, float] = {s: 0.0 for s in dataset.sources}
-        trust_sums: dict[SourceId, float] = {s: 0.0 for s in dataset.sources}
-        # One pass over the claims builds the attribute -> claim-count
-        # map; each block then sums its attributes' counts instead of
-        # rescanning every claim per block.
-        claims_per_attribute = Counter(a for (_, _, a) in dataset.claims)
-        for block, block_result in zip(partition.blocks, block_results):
-            block_claims = sum(claims_per_attribute[a] for a in block)
-            weight = float(max(block_claims, 1))
-            for source, trust in block_result.source_trust.items():
-                trust_sums[source] += weight * trust
-                weights[source] += weight
-        source_trust = {
-            s: (trust_sums[s] / weights[s]) if weights[s] > 0 else 0.0
-            for s in dataset.sources
-        }
-        return TruthDiscoveryResult(
-            algorithm=self.name,
-            predictions=predictions,
-            confidence=confidence,
-            source_trust=source_trust,
-            # The paper reports TD-AC as a single-iteration process
-            # (Tables 4, 6, 7, 9): one partition-then-solve pass.
-            iterations=1,
-            elapsed_seconds=time.perf_counter() - start,
-            extras={"partition": str(partition)},
-        )
 
     def _solve(self, index):  # pragma: no cover - not used by TDAC
         raise NotImplementedError(

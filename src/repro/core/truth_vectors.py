@@ -19,13 +19,13 @@ distance of the paper's first research perspective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
 from repro.data.dataset import Dataset
-from repro.data.types import AttributeId, ObjectId, SourceId
+from repro.data.types import AttributeId, Fact, ObjectId, SourceId
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,13 @@ def build_truth_vectors(
 class VectorDelta:
     """Outcome of one :meth:`TruthVectorStore.advance`.
 
-    ``vectors`` is a *live view* over the store's buffers: it reflects
-    the state as of this advance and is mutated in place by later ones.
-    The change flags drive the exact selection-reuse decision upstream:
-    appended all-zero columns (new objects) provably leave every pairwise
-    attribute distance — and hence the certified partition and its
-    silhouettes — unchanged, so only ``rows_changed`` /
-    ``entries_changed`` (and ``mask_changed`` under the masked distance)
-    invalidate a previous selection.
+    ``vectors`` is the matrix for the advanced dataset; the store never
+    writes it again.  The change flags drive the exact selection-reuse
+    decision upstream: appended all-zero columns (new objects) provably
+    leave every pairwise attribute distance — and hence the certified
+    partition and its silhouettes — unchanged, so only ``rows_changed``
+    / ``entries_changed`` (and ``mask_changed`` under the masked
+    distance) invalidate a previous selection.
     """
 
     vectors: TruthVectorMatrix
@@ -156,21 +155,21 @@ class VectorDelta:
 class TruthVectorStore:
     """Incrementally maintained attribute truth-vector matrix (Eq. 1).
 
-    Holds the Eq. 1 matrix and mask in capacity-doubled buffers and
-    patches them in place as claims arrive: new attributes append rows,
-    new objects append (zero-filled) column groups, and only facts whose
+    Each :meth:`advance` returns a new matrix and mask at the extended
+    shape: the previous ones are copied in (new attributes append rows,
+    new objects append zero column groups), and only facts whose
     reference prediction changed — plus facts receiving new claims — have
-    their cells rewritten.  The used region is cell-for-cell identical to
+    their cells rewritten.  The result is cell-for-cell identical to
     :func:`build_truth_vectors` over the same dataset and reference
-    (``tests/test_incremental_exact.py`` pins this).
+    (``tests/test_incremental_exact.py`` pins this), and no matrix the
+    store was seeded with or returned is ever written again.
 
     A batch that introduces a new *source* interleaves a column into
     every object's group (columns are object-major), so the store falls
     back to a full rebuild for it.
 
     The store is seeded with ``vectors``, the matrix already built for
-    ``dataset`` and ``reference`` (a fit's own), and patches a copy of
-    it, so the seed stays unchanged under later advances.
+    ``dataset`` and ``reference`` (a fit's own).
     """
 
     def __init__(
@@ -181,72 +180,24 @@ class TruthVectorStore:
     ) -> None:
         self.rebuilds = 0
         self.patches = 0
-        owned = replace(
-            vectors, matrix=vectors.matrix.copy(), mask=vectors.mask.copy()
-        )
-        self._adopt(dataset, reference, owned)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def vectors(self) -> TruthVectorMatrix:
-        """A (live) :class:`TruthVectorMatrix` view of the current state."""
-        return TruthVectorMatrix(
-            matrix=self._matrix[: self._n_rows, : self._n_cols],
-            mask=self._mask[: self._n_rows, : self._n_cols],
-            attributes=self._attributes,
-            ranks=self._ranks,
-        )
-
-    def _adopt(
-        self,
-        dataset: Dataset,
-        reference: TruthDiscoveryResult,
-        vectors: TruthVectorMatrix,
-    ) -> None:
-        """Own ``vectors``' buffers as the state for ``dataset``."""
-        self._matrix = vectors.matrix
-        self._mask = vectors.mask
-        self._n_rows, self._n_cols = vectors.matrix.shape
-        self._attributes = vectors.attributes
-        self._ranks = vectors.ranks
-        self._n_sources = len(dataset.sources)
-        self._n_objects = len(dataset.objects)
-        self._truth_of = {
-            (fact.object, fact.attribute): value
-            for fact, value in reference.predictions.items()
-        }
+        self._dataset = dataset
+        self._reference = reference
+        self._vectors = vectors
 
     def _rebuild(
         self, dataset: Dataset, reference: TruthDiscoveryResult
     ) -> VectorDelta:
-        built = build_truth_vectors(dataset, reference)
-        self._adopt(dataset, reference, built)
+        self._vectors = build_truth_vectors(dataset, reference)
+        self._dataset = dataset
+        self._reference = reference
         self.rebuilds += 1
         return VectorDelta(
-            vectors=self.vectors,
+            vectors=self._vectors,
             rebuilt=True,
             rows_changed=True,
             entries_changed=True,
             mask_changed=True,
         )
-
-    def _grow(self, n_rows: int, n_cols: int) -> None:
-        cap_rows, cap_cols = self._matrix.shape
-        if n_rows <= cap_rows and n_cols <= cap_cols:
-            self._n_rows, self._n_cols = n_rows, n_cols
-            return
-        new_rows = max(n_rows, 2 * cap_rows) if n_rows > cap_rows else cap_rows
-        new_cols = max(n_cols, 2 * cap_cols) if n_cols > cap_cols else cap_cols
-        shape = (new_rows, new_cols)
-        matrix = np.zeros(shape, dtype=np.int8)
-        mask = np.zeros(shape, dtype=bool)
-        used_r, used_c = self._n_rows, self._n_cols
-        matrix[:used_r, :used_c] = self._matrix[:used_r, :used_c]
-        mask[:used_r, :used_c] = self._mask[:used_r, :used_c]
-        self._matrix = matrix
-        self._mask = mask
-        self._n_rows, self._n_cols = n_rows, n_cols
 
     def advance(
         self,
@@ -255,57 +206,44 @@ class TruthVectorStore:
         reference: TruthDiscoveryResult,
         fresh: list,
     ) -> VectorDelta:
-        """Patch the matrix for ``dataset`` = previous dataset + ``fresh``.
+        """The matrix for ``dataset`` = previous dataset + ``fresh``.
 
         ``engine`` is the (delta-compiled) claim-index engine of
         ``dataset``; ``reference`` is the fresh reference pass over the
-        full extended corpus.  Returns the new view plus precise change
+        full extended corpus.  Returns a new matrix plus precise change
         flags.  Falls back to :func:`build_truth_vectors` when no engine
         is available or the source universe grew.
         """
-        if engine is None or len(dataset.sources) != self._n_sources:
+        previous = self._vectors
+        n_sources = len(dataset.sources)
+        if engine is None or n_sources != len(self._dataset.sources):
             return self._rebuild(dataset, reference)
-        new_truth = {
-            (fact.object, fact.attribute): value
-            for fact, value in reference.predictions.items()
-        }
-        old_truth = self._truth_of
+        old_truth = self._reference.predictions
+        new_truth = reference.predictions
         changed_facts = {
-            key for key, value in new_truth.items()
-            if old_truth.get(key) != value
+            fact for fact, value in new_truth.items()
+            if old_truth.get(fact) != value
         }
         changed_facts.update(
-            (claim.object, claim.attribute) for claim in fresh
+            Fact(claim.object, claim.attribute) for claim in fresh
         )
-        rows_changed = len(dataset.attributes) != self._n_rows
-        grew_objects = len(dataset.objects) != self._n_objects
-        self._grow(
-            len(dataset.attributes),
-            len(dataset.objects) * self._n_sources,
-        )
-        if rows_changed:
-            self._attributes = dataset.attributes
-        if grew_objects:
-            sources = dataset.sources
-            self._ranks = self._ranks + tuple(
-                (o, s)
-                for o in dataset.objects[self._n_objects:]
-                for s in sources
-            )
-            self._n_objects = len(dataset.objects)
+        shape = (len(dataset.attributes), len(dataset.objects) * n_sources)
+        matrix = np.zeros(shape, dtype=np.int8)
+        mask = np.zeros(shape, dtype=bool)
+        n_rows, n_cols = previous.matrix.shape
+        matrix[:n_rows, :n_cols] = previous.matrix
+        mask[:n_rows, :n_cols] = previous.mask
         attr_rank = engine._attr_rank
         obj_rank = engine._obj_rank
-        n_sources = self._n_sources
-        matrix, mask = self._matrix, self._mask
         entries_changed = False
-        for obj, attribute in changed_facts:
-            fact_id = engine.fact_id(obj, attribute)
+        for fact in changed_facts:
+            fact_id = engine.fact_id(fact.object, fact.attribute)
             if fact_id < 0:  # pragma: no cover - defensive
                 continue
             src_ids, values = engine.fact_claims(fact_id)
-            row = attr_rank[attribute]
-            cols = obj_rank[obj] * n_sources + src_ids
-            pred = new_truth.get((obj, attribute))
+            row = attr_rank[fact.attribute]
+            cols = obj_rank[fact.object] * n_sources + src_ids
+            pred = new_truth.get(fact)
             confirmed = np.fromiter(
                 (pred is not None and v == pred for v in values),
                 dtype=bool,
@@ -317,12 +255,24 @@ class TruthVectorStore:
                 entries_changed = True
             matrix[row, cols] = confirmed
             mask[row, cols] = True
-        self._truth_of = new_truth
+        old_objects = len(self._dataset.objects)
+        self._vectors = TruthVectorMatrix(
+            matrix=matrix,
+            mask=mask,
+            attributes=dataset.attributes,
+            ranks=previous.ranks + tuple(
+                (o, s)
+                for o in dataset.objects[old_objects:]
+                for s in dataset.sources
+            ),
+        )
+        self._dataset = dataset
+        self._reference = reference
         self.patches += 1
         return VectorDelta(
-            vectors=self.vectors,
+            vectors=self._vectors,
             rebuilt=False,
-            rows_changed=rows_changed,
+            rows_changed=n_rows != len(dataset.attributes),
             entries_changed=entries_changed,
             mask_changed=bool(fresh),
         )

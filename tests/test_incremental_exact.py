@@ -154,6 +154,7 @@ class TestTruthVectorStore:
         store = TruthVectorStore(dataset, reference, seed)
         engine = ClaimIndexEngine.shared(dataset)
         rng = random.Random(3)
+        returned = []
         for step in range(5):
             batch = random_batch(rng, dataset, step, allow_new_attribute=True)
             if not batch:
@@ -175,11 +176,17 @@ class TestTruthVectorStore:
             assert delta.vectors.attributes == built.attributes
             assert delta.vectors.ranks == built.ranks
             assert delta.rebuilt == new_source
+            returned.append(
+                (delta.vectors, built.matrix.copy(), built.mask.copy())
+            )
             dataset = extended
         assert store.patches > 0
-        # The store patches its own copy, never the matrix it was seeded
-        # with (a fit's published truth vectors).
+        # The store never writes a matrix it was seeded with (a fit's
+        # published truth vectors) or one it returned.
         np.testing.assert_array_equal(seed.matrix, seed_matrix)
+        for vectors, matrix, mask in returned:
+            np.testing.assert_array_equal(vectors.matrix, matrix)
+            np.testing.assert_array_equal(vectors.mask, mask)
 
 
 def without_elapsed(outcome):
