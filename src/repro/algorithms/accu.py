@@ -242,6 +242,8 @@ def _pair_structure(index: DatasetIndex) -> tuple:
     independence products are one ``np.multiply.reduceat``; ``row_pos``
     maps each run back to its provider position.  Singleton slots are
     kept separately — their vote is just the provider's weight.
+    ``classes`` groups the multi-provider slots by size: one
+    ``(slot ids, (m, size) claim positions)`` entry per distinct size.
     """
     cached = _PAIR_STRUCTURES.get(index)
     if cached is not None:
@@ -262,15 +264,13 @@ def _pair_structure(index: DatasetIndex) -> tuple:
     single = sizes == 1
     single_slots = np.flatnonzero(single)
     single_pos = starts[:-1][single]
-    multi_slots = np.flatnonzero(~single)
-    multi = list(
-        zip(
-            multi_slots.tolist(),
-            starts[:-1][~single].tolist(),
-            starts[1:][~single].tolist(),
-        )
+    classes = []
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        slots = np.flatnonzero(sizes == size)
+        classes.append((slots, starts[slots][:, None] + np.arange(size)))
+    cached = (
+        row_pos, row_starts, pos_i, pos_j, single_slots, single_pos, classes
     )
-    cached = (row_pos, row_starts, pos_i, pos_j, single_slots, single_pos, multi)
     _PAIR_STRUCTURES[index] = cached
     return cached
 
@@ -290,7 +290,7 @@ def discounted_votes(
     provider of the same slot: ``prod(1 - c * P(dep))``.
 
     Evaluated as segment reductions over the slot-sorted claims rather
-    than a per-slot loop; the products and the per-slot dot run in the
+    than a per-slot loop; the products and the per-slot dots run in the
     loop's order, so the totals are bitwise equal to the per-slot loop
     kept as a test oracle in ``tests/oracles/``.
     """
@@ -310,7 +310,7 @@ def discounted_votes(
     perm = np.argsort(key, kind="stable")
     src = index.claim_source[slot_sorted][perm]
 
-    row_pos, row_starts, pos_i, pos_j, single_slots, single_pos, multi = (
+    row_pos, row_starts, pos_i, pos_j, single_slots, single_pos, classes = (
         _pair_structure(index)
     )
     independence = np.ones(index.n_claims, dtype=float)
@@ -321,10 +321,11 @@ def discounted_votes(
         independence[row_pos] = np.multiply.reduceat(factors, row_starts[:-1])
     weights = vote_weight[src]
     totals[single_slots] = weights[single_pos]
-    # Per-slot np.dot keeps the loop's BLAS summation order, so the
-    # totals are bitwise equal to it.
-    for slot_id, start, stop in multi:
-        totals[slot_id] = np.dot(independence[start:stop], weights[start:stop])
+    # One np.vecdot per slot size: each row is reduced in the same order
+    # as the loop's per-slot np.dot, so the totals are bitwise equal to
+    # it (tests/test_accu.py checks vecdot against dot on the BLAS in use).
+    for slots, pos in classes:
+        totals[slots] = np.vecdot(independence[pos], weights[pos])
     return totals
 
 

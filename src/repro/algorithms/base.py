@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -98,9 +97,8 @@ def merge_by_claim_count(
         confidence.update(result.confidence)
     weights: dict[SourceId, float] = {s: 0.0 for s in dataset.sources}
     trust_sums: dict[SourceId, float] = {s: 0.0 for s in dataset.sources}
-    # One pass over the claims builds the attribute -> claim-count map;
-    # each group then sums its attributes' counts.
-    claims_per_attribute = Counter(a for (_, _, a) in dataset.claims)
+    # Each group sums its attributes' counts, counted once per dataset.
+    claims_per_attribute = dataset.claims_per_attribute
     for attributes, result in parts:
         group_claims = sum(claims_per_attribute[a] for a in attributes)
         weight = float(max(group_claims, 1))

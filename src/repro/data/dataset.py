@@ -225,6 +225,18 @@ class Dataset:
         return MappingProxyType(self._claims)
 
     @cached_property
+    def claims_per_attribute(self) -> Mapping[AttributeId, int]:
+        """Read-only claim count of every attribute, in attribute order.
+
+        Counted once per dataset; :meth:`extended` carries a parent's
+        counts forward, adding only the fresh claims.
+        """
+        counts = dict.fromkeys(self._attributes, 0)
+        for (_, _, a) in self._claims:
+            counts[a] += 1
+        return MappingProxyType(counts)
+
+    @cached_property
     def facts(self) -> tuple[Fact, ...]:
         """All facts covered by at least one claim, in a stable order.
 
@@ -347,7 +359,7 @@ class Dataset:
         sources = dict.fromkeys(self._sources)
         objects = dict.fromkeys(self._objects)
         attributes = dict.fromkeys(self._attributes)
-        changed = False
+        fresh: list[AttributeId] = []
         for claim in batch:
             key = (claim.source, claim.object, claim.attribute)
             existing = merged.get(key)
@@ -363,8 +375,8 @@ class Dataset:
             objects.setdefault(claim.object)
             attributes.setdefault(claim.attribute)
             merged[key] = claim.value
-            changed = True
-        if not changed:
+            fresh.append(claim.attribute)
+        if not fresh:
             return self
         extended = object.__new__(Dataset)
         extended._sources = tuple(sources)
@@ -374,6 +386,12 @@ class Dataset:
         extended._claims = merged
         extended._truth = dict(self._truth)
         extended._attribute_types = dict(self._attribute_types)
+        if "claims_per_attribute" in self.__dict__:
+            counts = dict.fromkeys(extended._attributes, 0)
+            counts.update(self.claims_per_attribute)
+            for a in fresh:
+                counts[a] += 1
+            extended.__dict__["claims_per_attribute"] = MappingProxyType(counts)
         return extended
 
     def restrict_sources(self, sources: Iterable[SourceId]) -> "Dataset":

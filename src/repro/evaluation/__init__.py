@@ -18,7 +18,6 @@ from repro.evaluation.analysis import (
     per_attribute_accuracy,
     trust_calibration,
 )
-from repro.evaluation.bootstrap import ConfidenceInterval, bootstrap_metric
 from repro.evaluation.leaderboard import LeaderboardEntry, leaderboard
 from repro.evaluation.report import build_report, collect_artifacts, write_report
 from repro.evaluation.sweeps import (
@@ -45,12 +44,10 @@ __all__ = [
     "PartitionRow",
     "PerformanceRecord",
     "SweepRecord",
-    "ConfidenceInterval",
     "DisagreementProfile",
     "LeaderboardEntry",
     "TrustCalibration",
     "best_configuration",
-    "bootstrap_metric",
     "build_report",
     "collect_artifacts",
     "disagreement_profile",

@@ -5,7 +5,9 @@ import pytest
 
 from repro.algorithms import Accu, AccuSim, CopyDetector, Depen
 from repro.algorithms.accu import discounted_votes
-from repro.data import DatasetBuilder, DatasetIndex, Fact
+from repro.data import Dataset, DatasetBuilder, DatasetIndex, Fact
+from repro.datasets import load
+from tests.oracles import discounted_votes_loop
 
 
 HONEST = ("h1", "h2", "h3", "h4", "h5")
@@ -94,6 +96,91 @@ class TestDiscountedVotes:
         # With copy rate 1 and certain dependence, every slot counts one
         # effective vote regardless of provider count.
         assert np.allclose(votes[index.votes_per_slot > 0], 1.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _assert_votes_match_loop(index, seed, draws=5):
+    """``discounted_votes`` equals the per-slot loop oracle bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = index.n_sources
+    for _ in range(draws):
+        dependence = rng.random((n, n))
+        np.fill_diagonal(dependence, 0.0)
+        accuracy = rng.random(n)
+        weights = rng.random(n) * 3.0
+        fast = discounted_votes(index, dependence, accuracy, 0.8, weights)
+        loop = discounted_votes_loop(index, dependence, accuracy, 0.8, weights)
+        np.testing.assert_array_equal(_bits(fast), _bits(loop))
+
+
+def _wide_dataset(n_sources=48, n_objects=40, n_values=3, seed=3):
+    """48 sources over 3 values per fact: slots of 6 to 22 providers.
+
+    Past 16 doubles, ``np.dot`` no longer matches a sequential FMA chain
+    on some BLAS builds, so these sizes exercise its blocked reduction.
+    """
+    rng = np.random.default_rng(seed)
+    builder = DatasetBuilder()
+    for o in range(n_objects):
+        for a in ("a1", "a2"):
+            for s in range(n_sources):
+                if rng.random() < 0.9:
+                    value = f"v{rng.integers(n_values)}"
+                    builder.add_claim(f"s{s}", f"o{o}", a, value)
+    return builder.build()
+
+
+class TestDiscountedVotesMatchesLoop:
+    """The per-size ``np.vecdot`` kernel against the per-slot loop."""
+
+    def test_ds2_full_index(self):
+        index = DatasetIndex(load("DS2", seed=0, scale=1.0))
+        # Every slot size from 1 to 8 providers occurs.
+        assert set(np.diff(index.slot_claim_starts)) == set(range(1, 9))
+        _assert_votes_match_loop(index, seed=11, draws=3)
+
+    def test_slots_past_sixteen_providers(self):
+        index = DatasetIndex(_wide_dataset())
+        assert index.n_sources >= 40
+        assert np.diff(index.slot_claim_starts).max() > 16
+        _assert_votes_match_loop(index, seed=12)
+
+    def test_singleton_slots_only(self):
+        builder = DatasetBuilder()
+        for i in range(12):
+            builder.add_claim(f"s{i % 4}", f"o{i}", "a", f"v{i}")
+        index = DatasetIndex(builder.build())
+        assert (np.diff(index.slot_claim_starts) == 1).all()
+        _assert_votes_match_loop(index, seed=13)
+
+    def test_empty_index(self):
+        index = DatasetIndex(Dataset(["s1", "s2"], ["o1"], ["a"], {}))
+        assert index.n_claims == 0
+        _assert_votes_match_loop(index, seed=14, draws=1)
+
+
+def test_vecdot_rows_equal_dot_bitwise():
+    """Host guard: the BLAS in use reduces ``np.vecdot`` rows like ``np.dot``.
+
+    ``discounted_votes`` computes each slot size's totals with one
+    ``np.vecdot`` and is bitwise equal to the per-slot ``np.dot`` loop
+    only while this holds.
+    """
+    rng = np.random.default_rng(20)
+    for length in range(2, 129):
+        a = rng.random((200, length))
+        b = rng.random((200, length)) * 3.0
+        rows = np.vecdot(a, b)
+        dots = np.array([np.dot(x, y) for x, y in zip(a, b)])
+        mismatched = np.flatnonzero(_bits(rows) != _bits(dots))
+        assert not len(mismatched), (
+            f"np.vecdot differs from np.dot on {len(mismatched)} of 200 rows "
+            f"of length {length}; the Accu vote kernel (discounted_votes) "
+            "is exact only while they agree bit for bit on this BLAS build"
+        )
 
 
 class TestAlgorithms:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data import DataError, Dataset, Fact
+from repro.data import Claim, DataError, Dataset, Fact
 
 
 def make(claims, truth=None, **kwargs):
@@ -142,3 +142,39 @@ class TestRestriction:
     def test_renamed(self):
         ds = make(BASIC).renamed("other")
         assert ds.name == "other"
+
+
+class TestClaimsPerAttribute:
+    def test_counts_every_attribute(self):
+        ds = make(BASIC)
+        assert dict(ds.claims_per_attribute) == {"a1": 3, "a2": 1}
+
+    def test_read_only(self):
+        ds = make(BASIC)
+        with pytest.raises(TypeError):
+            ds.claims_per_attribute["a1"] = 0
+
+    def test_extended_carries_counts_forward(self):
+        parent = make(BASIC)
+        parent.claims_per_attribute  # cache the parent's counts
+        fresh = [
+            Claim("s1", "o2", "a1", "x"),  # new claim, known attribute
+            Claim("s1", "o1", "a1", "x"),  # duplicate: a no-op
+            Claim("s3", "o3", "a3", "w"),  # new source, object, attribute
+            Claim("s2", "o3", "a3", "w"),
+        ]
+        child = parent.extended(fresh)
+        assert "claims_per_attribute" in child.__dict__
+        fresh_count = Dataset(
+            child.sources, child.objects, child.attributes, child.claims
+        ).claims_per_attribute
+        assert dict(child.claims_per_attribute) == dict(fresh_count)
+        assert dict(child.claims_per_attribute) == {"a1": 4, "a2": 1, "a3": 2}
+        assert list(child.claims_per_attribute) == list(child.attributes)
+        assert dict(parent.claims_per_attribute) == {"a1": 3, "a2": 1}
+
+    def test_extended_without_cached_parent_counts_lazily(self):
+        parent = make(BASIC)
+        child = parent.extended([Claim("s1", "o2", "a1", "x")])
+        assert "claims_per_attribute" not in child.__dict__
+        assert dict(child.claims_per_attribute) == {"a1": 4, "a2": 1}
