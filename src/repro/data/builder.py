@@ -103,12 +103,13 @@ class DatasetBuilder:
         harmless no-op.
         """
         key = (source, obj, attribute)
-        existing = self._claims.get(key)
-        if existing is not None and existing != value:
-            raise DataError(
-                f"source {source!r} claims two values for "
-                f"({obj!r}, {attribute!r}): {existing!r} and {value!r}"
-            )
+        if key in self._claims:
+            existing = self._claims[key]
+            if existing != value:
+                raise DataError(
+                    f"source {source!r} claims two values for "
+                    f"({obj!r}, {attribute!r}): {existing!r} and {value!r}"
+                )
         self._sources.setdefault(source)
         self._objects.setdefault(obj)
         self._attributes.setdefault(attribute)

@@ -17,11 +17,6 @@ from repro.metrics.typed import (
     tolerant_confusion_counts,
     typed_fact_accuracy,
 )
-from repro.metrics.ranking import (
-    kendall_tau,
-    top_k_precision,
-    trust_ranking_quality,
-)
 from repro.metrics.partition_quality import (
     PartitionAgreement,
     compare_partitions,
@@ -42,13 +37,10 @@ __all__ = [
     "evaluate_typed",
     "fact_accuracy",
     "is_refinement",
-    "kendall_tau",
     "report_from_counts",
     "set_confusion_counts",
     "source_accuracy",
     "tolerant_confusion_counts",
     "tolerant_fact_accuracy",
-    "top_k_precision",
-    "trust_ranking_quality",
     "typed_fact_accuracy",
 ]

@@ -753,6 +753,9 @@ class TruthService:
             outcome = self._incremental.update(claims)
         tracer.count("serve.refit.incremental")
         self._stats["refits_incremental"] += 1
+        # Stamp before taking the lock: the dataset is immutable, so
+        # admission and stats() need not wait behind the hash.
+        fingerprint = self._incremental.dataset.fingerprint
         # Publish under the lock: the applied log, the watermark and the
         # visible snapshot advance as one atomic step, so a concurrent
         # stats() read cannot pair a new watermark with the old version
@@ -767,7 +770,7 @@ class TruthService:
                 silhouette_by_k=dict(outcome.silhouette_by_k),
                 exact=True,
                 pending_claims=self._pending_claims,
-                dataset_fingerprint=self._incremental.dataset.fingerprint,
+                dataset_fingerprint=fingerprint,
                 config_fingerprint=self._config.fingerprint(),
             )
             self._snapshot = snapshot

@@ -24,6 +24,8 @@ concurrent use.
 and the per-row label compaction that the clustering code replaced.
 :mod:`tests.oracles.object_tdac` holds TD-OC's per-claim object vector
 loop and its per-``k`` group selection.
+:mod:`tests.oracles.fingerprint` holds the per-claim hashing loop that
+defines ``Dataset.fingerprint``.
 """
 
 from __future__ import annotations

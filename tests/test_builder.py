@@ -25,6 +25,10 @@ class TestAddClaim:
         builder.add_claim("s1", "o1", "a1", 1)
         with pytest.raises(DataError, match="two values"):
             builder.add_claim("s1", "o1", "a1", 2)
+        # A None value is a claimed value too, not an absent claim.
+        builder.add_claim("s1", "o1", "a2", None)
+        with pytest.raises(DataError, match="two values"):
+            builder.add_claim("s1", "o1", "a2", 2)
 
     def test_same_claim_twice_is_noop(self):
         builder = DatasetBuilder()

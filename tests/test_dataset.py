@@ -1,8 +1,12 @@
 """Unit tests for the immutable Dataset container."""
 
+import random
+
 import pytest
 
 from repro.data import Claim, DataError, Dataset, Fact
+from repro.data.types import CONTINUOUS, MULTI
+from tests.oracles.fingerprint import dataset_fingerprint_loop
 
 
 def make(claims, truth=None, **kwargs):
@@ -178,3 +182,101 @@ class TestClaimsPerAttribute:
         child = parent.extended([Claim("s1", "o2", "a1", "x")])
         assert "claims_per_attribute" not in child.__dict__
         assert dict(child.claims_per_attribute) == {"a1": 4, "a2": 1}
+
+
+#: Identifiers that stress the piece order: quotes, parentheses, commas,
+#: backslashes, the claim separator, non-ASCII and the empty string.
+TRICKY = ["", "a", "a'", 'a"', "a'\"", "a(", "a)", "a,", "a, 'b'", "a\\",
+          "a\x1f", "a\x1e", "é", "日本", "a b", "(", ")", "'", ","]
+
+
+def tricky_claims(n_sources=6, seed=0):
+    rng = random.Random(seed)
+    values = ["x", "it's", 'say "hi"', 3, -1, 2.5, float("inf"), None,
+              ("t", 1), (), "é", ""]
+    sources = TRICKY[:n_sources]
+    claims = {}
+    for s in sources:
+        for o in TRICKY:
+            for a in rng.sample(TRICKY, 4):
+                claims[(s, o, a)] = rng.choice(values)
+    return claims
+
+
+class TestFingerprint:
+    """Every digest, from scratch or carried by ``extended``, equals the
+    per-claim loop in :mod:`tests.oracles.fingerprint`."""
+
+    def test_tricky_identifiers_and_values(self):
+        ds = make(tricky_claims())
+        assert ds.fingerprint == dataset_fingerprint_loop(ds)
+
+    def test_typed_attributes(self):
+        types = {"a": CONTINUOUS, "é": MULTI}
+        ds = make(tricky_claims(), attribute_types=types)
+        assert ds.has_typed_attributes
+        assert ds.fingerprint == dataset_fingerprint_loop(ds)
+        grown = ds.extended([Claim("new", "o", "a", 1.5)])
+        assert grown.fingerprint == dataset_fingerprint_loop(grown)
+
+    def test_extended_chain(self):
+        rng = random.Random(1)
+        claims = tricky_claims(n_sources=3)
+        parent = make(claims)
+        parent.fingerprint
+        # Small batches take the insertion path, the last two the sort.
+        sizes = [1, 2, 5, 3, 200, 1000]
+        ds = parent
+        for step, size in enumerate(sizes):
+            batch = {}
+            for j in range(size):
+                s = rng.choice(TRICKY + [f"src-{step}"])
+                o = rng.choice(TRICKY + [f"obj-{step}-{j}", "é" * (j % 3)])
+                a = rng.choice(TRICKY + [f"attr-{step}"])
+                if (s, o, a) not in ds.claims:
+                    batch[s, o, a] = rng.choice(["v", 2, None])
+            batch = [Claim(*key, value) for key, value in batch.items()]
+            grown = ds.extended(batch)
+            assert grown.fingerprint == dataset_fingerprint_loop(grown)
+            # A duplicate-only batch returns the dataset itself; a second
+            # child of the same parent must not see the first one's pieces.
+            assert grown.extended(batch[:3]) is grown
+            sibling = ds.extended(batch[:3])
+            assert sibling.fingerprint == dataset_fingerprint_loop(sibling)
+            ds = grown
+        assert len(ds.sources) > len(parent.sources)
+        assert len(ds.attributes) > len(parent.attributes)
+        assert parent.fingerprint == dataset_fingerprint_loop(parent)
+
+    def test_parent_never_fingerprinted(self):
+        parent = make(BASIC)
+        child = parent.extended(
+            [Claim("s3", "o3", "a3", "w"), Claim("s1", "o2", "a1", 4)]
+        )
+        grandchild = child.extended([Claim("s2", "o3", "a3", "w")])
+        for ds in (grandchild, child, parent):
+            assert ds.fingerprint == dataset_fingerprint_loop(ds)
+
+    def test_reasserted_none_value_adds_no_piece(self):
+        ds = make({("s1", "o1", "a1"): None, ("s2", "o1", "a1"): "x"})
+        ds.claims_per_attribute  # cache the counts extended carries
+        assert ds.extended([Claim("s1", "o1", "a1", None)]) is ds
+        with pytest.raises(DataError):
+            ds.extended([Claim("s1", "o1", "a1", "x")])
+        child = ds.extended(
+            [Claim("s3", "o1", "a1", None), Claim("s3", "o1", "a1", None)]
+        )
+        assert len(child) == 3
+        assert dict(child.claims_per_attribute) == {"a1": 3}
+        assert child.fingerprint == dataset_fingerprint_loop(child)
+
+    def test_fingerprint_alone_keeps_no_pieces(self):
+        # Offline passes only read fingerprints; the sorted pieces are
+        # streaming state and must not stay on such a dataset.
+        ds = make(BASIC)
+        ds.fingerprint
+        assert ds._pieces is None
+        child = ds.extended([Claim("s1", "o2", "a1", "x")])
+        assert ds._pieces is not None and child._pieces is not None
+        assert ds._pieces is not child._pieces
+        assert len(child._pieces) == len(ds._pieces) + 1

@@ -31,6 +31,7 @@ from repro.data.claim_engine import ClaimIndexEngine
 from repro.data.index import DatasetIndex
 from repro.datasets import make_synthetic
 from repro.serving import ServiceConfig
+from tests.oracles.fingerprint import dataset_fingerprint_loop
 
 CONFIG = TDACConfig(seed=0)
 
@@ -80,7 +81,10 @@ class TestDatasetExtended:
             batch = random_batch(rng, dataset, step, allow_new_attribute=True)
             fast = dataset.extended(batch)
             slow = rebuild_extended(dataset, batch)
+            # Both digests come from Dataset.fingerprint; the loop oracle
+            # pins the carried one to the definition.
             assert fast.fingerprint == slow.fingerprint
+            assert fast.fingerprint == dataset_fingerprint_loop(fast)
             assert fast.sources == slow.sources
             assert fast.objects == slow.objects
             assert fast.attributes == slow.attributes
@@ -100,9 +104,11 @@ class TestDatasetExtended:
     def test_extend_dataset_delegates_to_append_path(self):
         dataset = make_synthetic("DS1", n_objects=5, seed=5).dataset
         batch = [Claim(dataset.sources[0], "brand-new", "attr-x", 1)]
+        extended = extend_dataset(dataset, batch)
         assert (
-            extend_dataset(dataset, batch).fingerprint
+            extended.fingerprint
             == rebuild_extended(dataset, batch).fingerprint
+            == dataset_fingerprint_loop(extended)
         )
 
 
