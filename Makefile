@@ -28,9 +28,11 @@ test-serving:
 # Exact-incremental suites: the streaming delta path (append-only
 # dataset extension, spliced index compile, patched truth vectors,
 # certified partition reuse) pinned bit-identical to offline TDAC.run
-# at every watermark, plus the legacy incremental unit tests.
+# at every watermark, plus the legacy incremental unit tests.  The
+# spliced compile is pinned to the cold compile, so the cold compile's
+# oracle tests (test_index.py, against the per-fact loop) run here too.
 test-incremental:
-	PYTHONPATH=src python -m pytest tests/test_incremental.py tests/test_incremental_exact.py -q
+	PYTHONPATH=src python -m pytest tests/test_index.py tests/test_incremental.py tests/test_incremental_exact.py -q
 
 # Durable store suites: WAL/snapshot units plus crash-recovery
 # bit-identity (kill mid-ingest, restore, compare to offline TDAC.run).

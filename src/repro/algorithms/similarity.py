@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numbers
 import threading
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -138,8 +139,11 @@ class SlotSimilarity:
     _CREATE_LOCK = threading.Lock()
 
     def __init__(self, index: DatasetIndex) -> None:
-        self._index = index
-        self._matrix = lru_cache(maxsize=None)(self._compute_matrix)
+        # The index owns this instance (see :meth:`shared`); a weak
+        # back-reference and a plain dict memo keep the pair out of a
+        # reference cycle, so it is freed as soon as the index is.
+        self._index = weakref.proxy(index)
+        self._matrices: dict[int, np.ndarray] = {}
         self._active: list[tuple[int, int, np.ndarray]] | None = None
         self._groups: list[tuple[np.ndarray, np.ndarray]] | None = None
 
@@ -176,7 +180,10 @@ class SlotSimilarity:
 
     def matrix(self, fact_id: int) -> np.ndarray:
         """Similarity matrix of ``fact_id``'s slots (zero diagonal)."""
-        return self._matrix(fact_id)
+        matrix = self._matrices.get(fact_id)
+        if matrix is None:
+            matrix = self._matrices[fact_id] = self._compute_matrix(fact_id)
+        return matrix
 
     def weighted_support(
         self, slot_score: np.ndarray, weight: float

@@ -15,6 +15,11 @@ correlation — which is what TD-AC clusters.
 :class:`TruthVectorMatrix` also carries the observation mask (which ranks
 were actually covered by a claim), enabling the missing-data-aware
 distance of the paper's first research perspective.
+
+:func:`build_truth_vectors` works on the dataset's compiled claim index:
+all claims of one value slot carry one value, so each slot is compared
+with the reference once and its claims inherit the verdict.
+``tests/oracles/truth_vectors.py`` keeps the per-claim loop it replaced.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
+from repro.data.claim_engine import ClaimIndexEngine
 from repro.data.dataset import Dataset
+from repro.data.index import _KEY_SHIFT, _RANK_MASK
 from repro.data.types import AttributeId, Fact, ObjectId, SourceId
 
 
@@ -80,47 +87,45 @@ def build_truth_vectors(
     dataset) or an already-computed result, so TD-AC can reuse one base
     run for both the vectors and comparison reporting.
 
-    One pass over the claims collects (row, column, confirmed) triplets;
-    the dense matrix and mask are then filled with two fancy-indexed
-    assignments instead of per-claim scalar writes, which is what keeps
-    vector construction off the partition-selection critical path.
+    The cells come from the dataset's compiled claim index
+    (:meth:`ClaimIndexEngine.shared`), so a TD-AC pass reuses the index
+    its reference pass ran on.  Each value slot is compared once with
+    its fact's reference prediction; its claims then take that verdict,
+    at the row of their fact's attribute and the column of their
+    (object, source) rank, in two fancy-indexed assignments.
     """
     if isinstance(reference, TruthDiscoveryAlgorithm):
         reference = reference.discover(dataset)
+    engine = ClaimIndexEngine.shared(dataset)
+    index = engine.full_index
     objects = dataset.objects
     sources = dataset.sources
     attributes = dataset.attributes
     n_sources = len(sources)
-    n_ranks = len(objects) * n_sources
-    row_of = {a: i for i, a in enumerate(attributes)}
-    # Column of rank (o, s) is object-major: base(o) + index(s).
-    column_base = {o: i * n_sources for i, o in enumerate(objects)}
-    source_index = {s: i for i, s in enumerate(sources)}
-    # Re-key the reference predictions by plain (object, attribute)
-    # tuples once, instead of constructing a Fact per claim.
-    truth_of = {
-        (fact.object, fact.attribute): value
-        for fact, value in reference.predictions.items()
-    }
+    predictions = reference.predictions
+    fact_pred = list(map(predictions.get, index.facts))
+    confirmed = np.fromiter(
+        (
+            pred is not None and value == pred
+            for value, pred in zip(
+                index.slot_values,
+                map(fact_pred.__getitem__, index.slot_fact.tolist()),
+            )
+        ),
+        dtype=bool,
+        count=index.n_slots,
+    )
 
-    rows: list[int] = []
-    columns: list[int] = []
-    confirmed: list[bool] = []
-    for (s, o, a), value in dataset.claims.items():
-        rows.append(row_of[a])
-        columns.append(column_base[o] + source_index[s])
-        truth = truth_of.get((o, a))
-        confirmed.append(truth is not None and value == truth)
+    claim_key = engine._fact_keys[index.claim_fact]
+    rows = claim_key & _RANK_MASK
+    columns = (claim_key >> _KEY_SHIFT) * n_sources + index.claim_source
+    hit = confirmed[index.claim_slot]
 
-    row_idx = np.asarray(rows, dtype=np.intp)
-    col_idx = np.asarray(columns, dtype=np.intp)
-    hit = np.asarray(confirmed, dtype=bool)
-
-    shape = (len(attributes), n_ranks)
+    shape = (len(attributes), len(objects) * n_sources)
     matrix = np.zeros(shape, dtype=np.int8)
     mask = np.zeros(shape, dtype=bool)
-    mask[row_idx, col_idx] = True
-    matrix[row_idx[hit], col_idx[hit]] = 1
+    mask[rows, columns] = True
+    matrix[rows[hit], columns[hit]] = 1
     ranks = tuple((o, s) for o in objects for s in sources)
     return TruthVectorMatrix(
         matrix=matrix, mask=mask, attributes=attributes, ranks=ranks

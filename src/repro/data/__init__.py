@@ -10,8 +10,7 @@ Public surface:
   the algorithm engine;
 * :func:`~repro.data.stats.data_coverage_rate` and
   :func:`~repro.data.stats.dataset_stats` — Table 8 statistics;
-* :mod:`~repro.data.io` — JSON / CSV serialisation;
-* :func:`~repro.data.validation.validate_dataset` — integrity checks.
+* :mod:`~repro.data.io` — JSON / CSV serialisation.
 """
 
 from repro.data.builder import DatasetBuilder
@@ -52,7 +51,6 @@ from repro.data.types import (
     Value,
     validate_attribute_type,
 )
-from repro.data.validation import Finding, check_dataset, validate_dataset
 
 __all__ = [
     "ATTRIBUTE_TYPES",
@@ -68,7 +66,6 @@ __all__ = [
     "DatasetIndex",
     "DatasetStats",
     "Fact",
-    "Finding",
     "GroundTruthError",
     "NormalizationReport",
     "ObjectId",
@@ -76,7 +73,6 @@ __all__ = [
     "Value",
     "UnionFind",
     "canonicalize_fact_values",
-    "check_dataset",
     "data_coverage_rate",
     "dataset_from_dict",
     "dataset_stats",
@@ -93,5 +89,4 @@ __all__ = [
     "save_truth_csv",
     "thin_coverage",
     "validate_attribute_type",
-    "validate_dataset",
 ]

@@ -24,7 +24,7 @@ A sliced view is therefore **byte-identical** to compiling
 ``dataset.restrict_attributes(block)`` from scratch (including the
 winner tie-breaker, which is seeded by the block's slot count), while
 costing a few fancy-indexing passes instead of a dict rebuild plus a
-Python compile loop.  ``tests/test_vectorized_engine.py`` pins this
+compile.  ``tests/test_vectorized_engine.py`` pins this
 equivalence.
 
 :meth:`ClaimIndexEngine.shared` caches the engine on the dataset
@@ -36,6 +36,7 @@ dataset object is alive — and the engine is freed with it.
 from __future__ import annotations
 
 import threading
+import weakref
 from functools import cached_property
 from itertools import compress
 from typing import Hashable, Iterable, Sequence
@@ -43,19 +44,14 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.data.index import DatasetIndex
+from repro.data.index import _KEY_SHIFT, _RANK_MASK, DatasetIndex
 from repro.data.types import Claim, DataError, Fact
 
-#: Fact keys pack (object rank, attribute rank) into one int64 as
-#: ``obj_rank << _KEY_SHIFT | attr_rank``.  Ranks only ever append, so a
-#: fact's key is stable across dataset extensions, and keys sort in the
-#: canonical fact order (object-major, then attribute order).
-_KEY_SHIFT = 32
-
 #: Instance attribute under which a dataset holds its own engine.  The
-#: dataset <-> engine cycle is plain garbage once the caller drops the
-#: dataset (a process-wide registry would have to hold one side
-#: strongly, and so would never free either).
+#: engine and its indexes refer back to the dataset weakly, so dropping
+#: the dataset frees them by reference counting (a process-wide
+#: registry would have to hold the engine strongly, and so would never
+#: free either).
 _ENGINE_ATTR = "_claim_engine"
 _CREATE_LOCK = threading.Lock()
 
@@ -66,10 +62,17 @@ _BLOCK_CACHE_SIZE = 128
 
 
 class ClaimIndexEngine:
-    """Per-dataset factory of shared full and per-block claim indexes."""
+    """Per-dataset factory of shared full and per-block claim indexes.
+
+    An engine and the indexes it builds hold their dataset weakly: use
+    them while the dataset is alive.
+    """
 
     def __init__(self, dataset: Dataset) -> None:
-        self._dataset = dataset
+        # Weak: the dataset owns its engine (``_ENGINE_ATTR``), so a
+        # strong back-reference would make the pair a reference cycle,
+        # freed only by a full collection instead of with the dataset.
+        self._dataset = weakref.ref(dataset)
         self._lock = threading.Lock()
         self._blocks: dict[tuple, DatasetIndex] = {}
 
@@ -82,8 +85,8 @@ class ClaimIndexEngine:
         The engine is cached on the dataset instance, so a live dataset
         always gets the same engine — its compiled structure is shared
         across the reference pass, block runs and serving refreshes —
-        and both become unreachable together once the caller drops the
-        dataset.
+        and the engine is freed with the dataset once the caller drops
+        it.
         """
         engine = getattr(dataset, _ENGINE_ATTR, None)
         if engine is None:
@@ -97,17 +100,19 @@ class ClaimIndexEngine:
     @property
     def dataset(self) -> Dataset:
         """The dataset this engine compiles."""
-        return self._dataset
+        return self._dataset()
 
     @cached_property
     def full_index(self) -> DatasetIndex:
         """The compiled index of the whole dataset."""
-        return DatasetIndex(self._dataset)
+        index = DatasetIndex(self.dataset)
+        index._dataset = self._dataset  # weak, as in ``_from_parts``
+        return index
 
     @cached_property
     def _fact_attribute(self) -> np.ndarray:
         """Attribute rank (dataset attribute order) of every fact."""
-        return (self._fact_keys & ((1 << _KEY_SHIFT) - 1)).astype(np.int64)
+        return self._fact_keys & _RANK_MASK
 
     # -- delta-compile support structures ------------------------------
     #
@@ -118,31 +123,23 @@ class ClaimIndexEngine:
 
     @cached_property
     def _src_rank(self) -> dict:
-        return {s: i for i, s in enumerate(self._dataset.sources)}
+        return {s: i for i, s in enumerate(self.dataset.sources)}
 
     @cached_property
     def _obj_rank(self) -> dict:
-        return {o: i for i, o in enumerate(self._dataset.objects)}
+        return {o: i for i, o in enumerate(self.dataset.objects)}
 
     @cached_property
     def _attr_rank(self) -> dict:
-        return {a: i for i, a in enumerate(self._dataset.attributes)}
+        return {a: i for i, a in enumerate(self.dataset.attributes)}
 
-    @cached_property
+    @property
     def _fact_keys(self) -> np.ndarray:
-        """Packed (object, attribute) rank key of every fact, ascending."""
-        full = self.full_index
-        obj_rank = self._obj_rank
-        attr_rank = self._attr_rank
-        return np.fromiter(
-            (
-                (obj_rank[fact.object] << _KEY_SHIFT)
-                | attr_rank[fact.attribute]
-                for fact in full.facts
-            ),
-            dtype=np.int64,
-            count=full.n_facts,
-        )
+        """Packed (object, attribute) rank key of every fact, ascending.
+
+        The compile (cold or spliced) computes them; see ``_KEY_SHIFT``.
+        """
+        return self.full_index._fact_keys
 
     @cached_property
     def _fact_claim_start(self) -> np.ndarray:
@@ -204,16 +201,15 @@ class ClaimIndexEngine:
         their merged claim lists, every other fact's slot and claim
         segments are bulk-copied — so the result is byte-identical to
         ``DatasetIndex(dataset)`` (``tests/test_incremental_exact.py``
-        pins this) at O(batch + corpus memcpy) instead of a full Python
-        compile loop.  Unless ``dataset`` already owns an engine, the
-        child becomes its engine, so any later ``ClaimIndexEngine.shared(
-        dataset)`` — e.g. a full refit over the extended corpus — reuses
-        the spliced compile.
+        pins this) at O(batch + corpus memcpy) instead of a full compile.
+        Unless ``dataset`` already owns an engine, the child becomes its
+        engine, so any later ``ClaimIndexEngine.shared(dataset)`` — e.g. a
+        full refit over the extended corpus — reuses the spliced compile.
 
         Raises :class:`ValueError` when ``dataset`` is not an append-only
         extension (callers fall back to a cold compile).
         """
-        old_ds = self._dataset
+        old_ds = self.dataset
         if (
             dataset.sources[: len(old_ds.sources)] != old_ds.sources
             or dataset.objects[: len(old_ds.objects)] != old_ds.objects
@@ -275,7 +271,8 @@ class ClaimIndexEngine:
         )
 
         # Recompile each changed fact from its merged, source-ranked
-        # claim list — the same per-fact walk the cold compiler does.
+        # claim list: slots in first-appearance order under dict
+        # equality, the layout the cold compile's value codes give.
         old_starts = self._fact_claim_start
         compiled: dict[int, tuple] = {}
         for key, new_id, is_old in zip(
@@ -404,13 +401,13 @@ class ClaimIndexEngine:
             claim_fact=claim_fact,
             claim_slot=claim_slot,
             true_slot=true_slot,
+            fact_keys=fact_keys,
         )
         child = ClaimIndexEngine(dataset)
         child.full_index = index
         child._src_rank = src_rank
         child._obj_rank = obj_rank
         child._attr_rank = attr_rank
-        child._fact_keys = fact_keys
         child._fact_claim_start = fact_claim_start
         child._facts_obj = facts_obj
         child._slot_values_obj = slot_values_obj
@@ -444,14 +441,14 @@ class ClaimIndexEngine:
         return view
 
     def _slice_block(self, block: tuple) -> DatasetIndex:
-        rank = {a: i for i, a in enumerate(self._dataset.attributes)}
+        rank = {a: i for i, a in enumerate(self.dataset.attributes)}
         unknown = [a for a in block if a not in rank]
         if unknown:
             raise DataError(
                 f"unknown attributes in block: {sorted(map(str, unknown))}"
             )
         full = self.full_index
-        keep_attribute = np.zeros(len(self._dataset.attributes), dtype=bool)
+        keep_attribute = np.zeros(len(self.dataset.attributes), dtype=bool)
         keep_attribute[[rank[a] for a in block]] = True
 
         fact_keep = keep_attribute[self._fact_attribute]
@@ -478,7 +475,7 @@ class ClaimIndexEngine:
         ).astype(np.int64)
 
         return DatasetIndex._from_parts(
-            dataset=self._dataset,
+            dataset=self.dataset,
             facts=facts,
             slot_values=slot_values,
             slot_fact=slot_fact,

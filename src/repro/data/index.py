@@ -13,6 +13,16 @@ so they operate on flat integer arrays rather than on dictionaries.  A
 * ``true_slot`` — for every fact, the slot of the ground-truth value if
   some source actually claimed it, else ``-1``.
 
+The compile reads the raw claim dict directly, turning every claim into
+integer codes (source rank, packed fact key, value code), and does the
+rest in numpy: one ``lexsort`` orders claims fact-major and
+source-ordered, and one ``np.unique`` over (fact, value code) pairs
+numbers each fact's slots in first-appearance order.  Value codes come
+from one dict, so two claims of a fact share a slot exactly when a dict
+would hold them as one key (``1 == 1.0 == True``; a NaN only matches
+the same object).  ``tests/oracles/index.py`` keeps the per-fact loop
+this replaced, and the tests pin every array against it.
+
 The segment helpers (:func:`segment_sum`, :func:`segment_max`,
 :func:`segment_argmax`, :func:`segment_mean`) implement the per-fact
 reductions every algorithm needs (vote totals, soft-max normalisation,
@@ -21,12 +31,21 @@ winner selection).
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.types import Fact, Value
+
+#: Fact keys pack (object rank, attribute rank) into one int64 as
+#: ``obj_rank << _KEY_SHIFT | attr_rank``.  Ranks only ever append, so a
+#: fact's key is stable across dataset extensions, and keys sort in the
+#: canonical fact order (object-major, then attribute order).
+_KEY_SHIFT = 32
+_RANK_MASK = (1 << _KEY_SHIFT) - 1
 
 
 def segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -82,48 +101,103 @@ class DatasetIndex:
 
     def __init__(self, dataset: Dataset) -> None:
         self._dataset = dataset
-        facts = dataset.facts
-        self.facts: tuple[Fact, ...] = facts
-        self.n_sources = len(dataset.sources)
-        self.n_facts = len(facts)
-        self._source_id = {s: i for i, s in enumerate(dataset.sources)}
+        sources = dataset.sources
+        objects = dataset.objects
+        attributes = dataset.attributes
+        self.n_sources = len(sources)
+        self._source_id = {s: i for i, s in enumerate(sources)}
+        obj_rank = {o: i for i, o in enumerate(objects)}
+        attr_rank = {a: i for i, a in enumerate(attributes)}
 
-        slot_values: list[Value] = []
-        slot_fact: list[int] = []
-        fact_slot_start = [0]
-        claim_source: list[int] = []
-        claim_fact: list[int] = []
-        claim_slot: list[int] = []
-        true_slot = np.full(self.n_facts, -1, dtype=np.int64)
+        # Integer codes per claim, read straight off the raw claim dict.
+        # Values are factorised by a dict, so two values share a code
+        # exactly when a per-fact dict would put them in one slot
+        # (1 == 1.0 == True; a NaN only matches the same object).
+        claims = dataset.claims
+        n = len(claims)
+        values = list(claims.values())
+        codes: dict[Value, int] = {}
+        code_of = codes.setdefault
+        value_code = np.fromiter(
+            (code_of(v, len(codes)) for v in values), dtype=np.int64, count=n
+        )
+        ranks = (self._source_id, obj_rank, attr_rank)
+        src, obj, attr = (
+            np.fromiter(
+                map(rank.__getitem__, map(itemgetter(field), claims)),
+                dtype=np.int64,
+                count=n,
+            )
+            for field, rank in enumerate(ranks)
+        )
 
-        by_fact = dataset.claims_by_fact
-        for f_id, fact in enumerate(facts):
-            claims = by_fact[fact]
-            local: dict[Value, int] = {}
-            for claim in claims:
-                slot = local.get(claim.value)
-                if slot is None:
-                    slot = len(slot_values)
-                    local[claim.value] = slot
-                    slot_values.append(claim.value)
-                    slot_fact.append(f_id)
-                claim_source.append(self._source_id[claim.source])
-                claim_fact.append(f_id)
-                claim_slot.append(slot)
-            fact_slot_start.append(len(slot_values))
-            truth = dataset.true_value(fact)
-            if truth is not None and truth in local:
-                true_slot[f_id] = local[truth]
+        # Claims fact-major (keys sort object-major, then attribute
+        # order), source-ordered within each fact.
+        key = (obj << _KEY_SHIFT) | attr
+        order = np.lexsort((src, key))
+        claim_key = key[order]
+        claim_code = value_code[order]
+        fact_opens = np.ones(n, dtype=bool)
+        np.not_equal(claim_key[1:], claim_key[:-1], out=fact_opens[1:])
+        claim_fact = np.cumsum(fact_opens) - 1
+        fact_keys = claim_key[fact_opens]
+        n_facts = len(fact_keys)
 
-        self.slot_values: tuple[Value, ...] = tuple(slot_values)
-        self.slot_fact = np.asarray(slot_fact, dtype=np.int64)
-        self.fact_slot_start = np.asarray(fact_slot_start, dtype=np.int64)
-        self.claim_source = np.asarray(claim_source, dtype=np.int64)
-        self.claim_fact = np.asarray(claim_fact, dtype=np.int64)
-        self.claim_slot = np.asarray(claim_slot, dtype=np.int64)
+        # Slots per fact in first-appearance order: a claim opens a slot
+        # when it is the first of its (fact, value code) pair.
+        pairs, first, pair_of = np.unique(
+            claim_fact * len(codes) + claim_code,
+            return_index=True,
+            return_inverse=True,
+        )
+        opener = first[pair_of]
+        slot_opens = opener == np.arange(n)
+        slot_at = np.cumsum(slot_opens) - 1
+        slot_claims = np.flatnonzero(slot_opens)
+        slot_fact = claim_fact[slot_claims]
+        fact_slot_start = np.searchsorted(slot_fact, np.arange(n_facts + 1))
+
+        fact_objects = list(
+            map(objects.__getitem__, (fact_keys >> _KEY_SHIFT).tolist())
+        )
+        fact_attributes = list(
+            map(attributes.__getitem__, (fact_keys & _RANK_MASK).tolist())
+        )
+        self.facts: tuple[Fact, ...] = tuple(
+            map(Fact, fact_objects, fact_attributes)
+        )
+
+        # The true slot is the slot whose value code is the truth's.
+        truth_of = dataset.truth.get
+        true_code = np.fromiter(
+            (
+                -1 if t is None else codes.get(t, -1)
+                for t in map(truth_of, zip(fact_objects, fact_attributes))
+            ),
+            dtype=np.int64,
+            count=n_facts,
+        )
+        true_slot = np.full(n_facts, -1, dtype=np.int64)
+        known = np.flatnonzero(true_code >= 0)
+        wanted = known * len(codes) + true_code[known]
+        at = np.minimum(np.searchsorted(pairs, wanted), len(pairs) - 1)
+        claimed = pairs[at] == wanted
+        true_slot[known[claimed]] = slot_at[first[at[claimed]]]
+
+        # Each slot's value is its first claim's own value object.
+        self.slot_values: tuple[Value, ...] = tuple(
+            map(values.__getitem__, order[slot_claims].tolist())
+        )
+        self.n_facts = n_facts
+        self.slot_fact = slot_fact
+        self.fact_slot_start = fact_slot_start
+        self.claim_source = src[order]
+        self.claim_fact = claim_fact
+        self.claim_slot = slot_at[opener]
         self.true_slot = true_slot
-        self.n_slots = len(slot_values)
-        self.n_claims = len(claim_source)
+        self.n_slots = len(self.slot_values)
+        self.n_claims = n
+        self._fact_keys = fact_keys
 
     @classmethod
     def _from_parts(
@@ -137,6 +211,7 @@ class DatasetIndex:
         claim_fact: np.ndarray,
         claim_slot: np.ndarray,
         true_slot: np.ndarray,
+        fact_keys: np.ndarray | None = None,
     ) -> "DatasetIndex":
         """Assemble an index directly from compiled arrays.
 
@@ -145,9 +220,13 @@ class DatasetIndex:
         the claim dictionaries.  The arrays must satisfy the same layout
         invariants ``__init__`` produces (facts object-major, slots in
         first-appearance order, claims fact-major and source-ordered).
+        ``fact_keys`` are the packed fact keys of a full index (block
+        views leave them out).  The view refers to ``dataset`` weakly:
+        the dataset owns the engine that owns the view, and a strong
+        back-reference would leave all three in a reference cycle.
         """
         index = object.__new__(cls)
-        index._dataset = dataset
+        index._dataset = weakref.ref(dataset)
         index.facts = facts
         index.n_sources = len(dataset.sources)
         index.n_facts = len(facts)
@@ -161,12 +240,17 @@ class DatasetIndex:
         index.true_slot = true_slot
         index.n_slots = len(slot_values)
         index.n_claims = len(claim_source)
+        index._fact_keys = fact_keys
         return index
 
     @property
     def dataset(self) -> Dataset:
-        """The dataset this index was compiled from."""
-        return self._dataset
+        """The dataset this index was compiled from.
+
+        Indexes an engine owns hold it weakly (see :meth:`_from_parts`).
+        """
+        dataset = self._dataset
+        return dataset() if isinstance(dataset, weakref.ref) else dataset
 
     @cached_property
     def claims_per_source(self) -> np.ndarray:

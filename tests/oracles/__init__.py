@@ -11,6 +11,8 @@ swaps them back in from the outside:
   :func:`discounted_votes_loop`;
 * ``SlotSimilarity.weighted_support`` becomes
   :func:`weighted_support_loop`;
+* ``DatasetIndex.__init__`` becomes
+  :func:`tests.oracles.index.dataset_index_loop`, the per-fact compile;
 * every algorithm reports ``supports_index = False``, so the reference
   pass compiles its own index and each block takes the per-block
   ``restrict_attributes`` recompile instead of an engine slice.
@@ -26,6 +28,8 @@ and the per-row label compaction that the clustering code replaced.
 loop and its per-``k`` group selection.
 :mod:`tests.oracles.fingerprint` holds the per-claim hashing loop that
 defines ``Dataset.fingerprint``.
+:mod:`tests.oracles.index` holds the per-fact ``DatasetIndex`` compile
+loop, and :mod:`tests.oracles.truth_vectors` the per-claim Eq. 1 loop.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from repro.algorithms import accu
 from repro.algorithms.base import TruthDiscoveryAlgorithm
 from repro.algorithms.similarity import SlotSimilarity
 from repro.data.index import DatasetIndex
+from tests.oracles.index import dataset_index_loop
 
 
 def discounted_votes_loop(
@@ -107,9 +112,14 @@ def reference_kernels() -> Iterator[set[str]]:
         reached.add("weighted_support")
         return weighted_support_loop(*args)
 
+    def compile_loop(index, dataset):
+        reached.add("dataset_index")
+        dataset_index_loop(index, dataset)
+
     with (
         mock.patch.object(accu, "discounted_votes", votes),
         mock.patch.object(SlotSimilarity, "weighted_support", support),
+        mock.patch.object(DatasetIndex, "__init__", compile_loop),
         mock.patch.object(TruthDiscoveryAlgorithm, "supports_index", False),
     ):
         yield reached

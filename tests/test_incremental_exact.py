@@ -126,6 +126,7 @@ class TestEngineDeltaCompile:
         np.testing.assert_array_equal(spliced.claim_fact, cold.claim_fact)
         np.testing.assert_array_equal(spliced.claim_slot, cold.claim_slot)
         np.testing.assert_array_equal(spliced.true_slot, cold.true_slot)
+        np.testing.assert_array_equal(spliced._fact_keys, cold._fact_keys)
 
     def test_spliced_compile_matches_cold_compile(self):
         dataset = make_synthetic("DS1", n_objects=12, seed=7).dataset
@@ -137,8 +138,13 @@ class TestEngineDeltaCompile:
                 continue
             extended = dataset.extended(batch)
             engine = engine.extended(extended, batch)
-            self.assert_index_equal(
-                engine.full_index, DatasetIndex(extended)
+            cold = ClaimIndexEngine(extended)
+            self.assert_index_equal(engine.full_index, cold.full_index)
+            # The engine's fact keys are the ones its compile packed.
+            assert engine._fact_keys is engine.full_index._fact_keys
+            np.testing.assert_array_equal(engine._fact_keys, cold._fact_keys)
+            np.testing.assert_array_equal(
+                engine._fact_attribute, cold._fact_attribute
             )
             dataset = extended
 

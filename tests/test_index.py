@@ -1,16 +1,23 @@
-"""Unit and property tests for the compiled DatasetIndex and segment ops."""
+"""Unit and property tests for the compiled DatasetIndex and segment ops.
+
+The vectorised compile is pinned array for array against the per-fact
+loop it replaced (``tests/oracles/index.py``).
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.data import DatasetBuilder, DatasetIndex, Fact
+from repro.data import Dataset, DatasetBuilder, DatasetIndex, Fact
 from repro.data.index import (
     segment_argmax,
     segment_max,
     segment_mean,
     segment_sum,
 )
+from repro.datasets import load
+from tests.oracles.index import dataset_index_loop
+from tests.strategies import NAN, OTHER_NAN, claim_datasets
 
 
 def segments_strategy():
@@ -149,3 +156,154 @@ class TestSingleClaimDataset:
         assert index.n_slots == 1
         winners = index.winning_slots(index.votes_per_slot)
         assert index.predictions_from_slots(winners) == {Fact("o1", "a1"): 5}
+
+
+# ----------------------------------------------------------------------
+# The vectorised compile against the per-fact loop
+# ----------------------------------------------------------------------
+
+INDEX_ARRAYS = (
+    "slot_fact",
+    "fact_slot_start",
+    "claim_source",
+    "claim_fact",
+    "claim_slot",
+    "true_slot",
+    "_fact_keys",
+)
+
+
+def loop_index(dataset):
+    index = object.__new__(DatasetIndex)
+    dataset_index_loop(index, dataset)
+    return index
+
+
+def assert_same_values(fast, loop):
+    """Element-wise: same type and value (-0.0 is not 0.0; a NaN is the
+    same object)."""
+    assert len(fast) == len(loop)
+    for a, b in zip(fast, loop):
+        assert type(a) is type(b) and repr(a) == repr(b), (a, b)
+        assert a is b or a == b, (a, b)
+
+
+def assert_matches_loop(dataset):
+    fast, loop = DatasetIndex(dataset), loop_index(dataset)
+    assert fast.facts == loop.facts
+    assert_same_values(fast.slot_values, loop.slot_values)
+    for name in INDEX_ARRAYS:
+        a, b = getattr(fast, name), getattr(loop, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    sizes = ("n_sources", "n_facts", "n_slots", "n_claims")
+    assert [getattr(fast, n) for n in sizes] == [
+        getattr(loop, n) for n in sizes
+    ]
+    return fast
+
+
+class TestCompileMatchesLoop:
+    @pytest.mark.parametrize(
+        "name, scale",
+        [
+            ("DS1", 0.05),
+            ("DS2", 0.05),
+            ("DS3", 0.05),
+            ("Exam 32", 1.0),
+            ("Exam 62", 1.0),
+            ("Exam 124", 1.0),
+            ("Mixed", 0.1),
+            ("Books", 0.2),
+        ],
+    )
+    def test_shipped_corpora(self, name, scale):
+        assert_matches_loop(load(name, seed=0, scale=scale))
+
+    def test_partial_and_unclaimed_truth(self):
+        dataset = load("DS2", seed=0, scale=0.05)
+        facts = dataset.facts
+        truth = {
+            (f.object, f.attribute): dataset.true_value(f)
+            for f in facts[::2]
+        }
+        # Truth no source claimed, on a covered fact and an uncovered one.
+        truth[(facts[1].object, facts[1].attribute)] = "nobody said this"
+        dataset = Dataset(
+            dataset.sources,
+            dataset.objects + ("silent",),
+            dataset.attributes,
+            dataset.claims,
+            {**truth, ("silent", dataset.attributes[0]): "v"},
+        )
+        index = assert_matches_loop(dataset)
+        assert index.true_slot[1] == -1
+        assert (index.true_slot[::2] >= 0).any()
+        assert (index.true_slot[3::2] == -1).all()
+
+    def test_empty_dataset(self):
+        index = assert_matches_loop(Dataset([], [], [], {}))
+        assert index.n_facts == index.n_slots == index.n_claims == 0
+        np.testing.assert_array_equal(index.fact_slot_start, [0])
+
+    def test_equal_numbers_share_a_slot_valued_by_the_first_claim(self):
+        # Source order is s3, s1, s2: True is the fact's first claim.
+        claims = {
+            ("s1", "o", "a"): 1,
+            ("s2", "o", "a"): 1.0,
+            ("s3", "o", "a"): True,
+            ("s1", "p", "a"): 1.0,
+            ("s2", "p", "a"): 1,
+            ("s1", "q", "a"): 0.0,
+            ("s3", "q", "a"): -0.0,
+        }
+        dataset = Dataset(
+            ["s3", "s1", "s2"], ["p", "o", "q"], ["a"], claims,
+            {("o", "a"): 1.0, ("q", "a"): False},
+        )
+        index = assert_matches_loop(dataset)
+        assert index.n_slots == 3
+        assert_same_values(index.slot_values, (1.0, True, -0.0))
+        np.testing.assert_array_equal(index.true_slot, [-1, 1, 2])
+
+    def test_nan_slots_follow_object_identity(self):
+        claims = {
+            ("s1", "o", "a"): NAN,
+            ("s2", "o", "a"): NAN,
+            ("s3", "o", "a"): OTHER_NAN,
+            ("s1", "o", "b"): OTHER_NAN,
+            ("s2", "o", "b"): None,
+            ("s3", "o", "b"): None,
+        }
+        dataset = Dataset(
+            ["s1", "s2", "s3"], ["o"], ["a", "b"], claims,
+            {("o", "a"): OTHER_NAN, ("o", "b"): None},
+        )
+        index = assert_matches_loop(dataset)
+        assert index.slot_values[0] is NAN
+        assert index.slot_values[1] is OTHER_NAN
+        np.testing.assert_array_equal(index.claim_slot, [0, 0, 1, 2, 3, 3])
+        # A NaN truth finds the slot of its own object; None never does.
+        np.testing.assert_array_equal(index.true_slot, [1, -1])
+
+    def test_tuples_and_non_ascii_strings(self):
+        claims = {
+            ("s1", "o", "a"): (1, "é"),
+            ("s2", "o", "a"): (1.0, "é"),
+            ("s3", "o", "a"): ("ü",),
+            ("s1", "p", "a"): "é",
+            ("s2", "p", "a"): "ü",
+            ("s3", "p", "a"): "é",
+        }
+        dataset = Dataset(
+            ["s1", "s2", "s3"], ["o", "p"], ["a"], claims,
+            {("o", "a"): (True, "é"), ("p", "a"): "ü"},
+        )
+        index = assert_matches_loop(dataset)
+        np.testing.assert_array_equal(index.claim_slot, [0, 0, 1, 2, 3, 2])
+        np.testing.assert_array_equal(index.true_slot, [0, 3])
+
+    @settings(max_examples=150, deadline=None)
+    @given(claim_datasets())
+    def test_random_adversarial_datasets(self, dataset):
+        assert_matches_loop(dataset)
