@@ -26,13 +26,16 @@ test-serving:
 	PYTHONPATH=src python -m repro serve --smoke
 
 # Exact-incremental suites: the streaming delta path (append-only
-# dataset extension, spliced index compile, patched truth vectors,
+# dataset extension, delta index compile, patched truth vectors,
 # certified partition reuse) pinned bit-identical to offline TDAC.run
-# at every watermark, plus the legacy incremental unit tests.  The
-# spliced compile is pinned to the cold compile, so the cold compile's
-# oracle tests (test_index.py, against the per-fact loop) run here too.
+# at every watermark, plus the legacy incremental unit tests.  The delta
+# compile runs the cold compile's kernel and the block views' slice,
+# and the Eq. 1 patch the cells build_truth_vectors writes, so the cold
+# compile's oracle tests (test_index.py, against the per-fact loop), the
+# engine's block-view tests (test_vectorized_engine.py) and the Eq. 1
+# oracle tests (test_truth_vectors.py) run here too.
 test-incremental:
-	PYTHONPATH=src python -m pytest tests/test_index.py tests/test_incremental.py tests/test_incremental_exact.py -q
+	PYTHONPATH=src python -m pytest tests/test_index.py tests/test_incremental.py tests/test_incremental_exact.py tests/test_vectorized_engine.py tests/test_truth_vectors.py -q
 
 # Durable store suites: WAL/snapshot units plus crash-recovery
 # bit-identity (kill mid-ingest, restore, compare to offline TDAC.run).

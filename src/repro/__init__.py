@@ -122,7 +122,7 @@ from repro.serving import (
 )
 from repro.store import TruthStore
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 #: The stable public surface: every name here imports from ``repro``
 #: directly and is covered by the API-stability tests.  Additions are

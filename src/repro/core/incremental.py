@@ -12,14 +12,16 @@ at delta cost while keeping a proof that the published result equals
 
 * the dataset grows through :meth:`Dataset.extended` (append-only,
   fingerprint-identical to a full rebuild) and the claim-index engine
-  delta-compiles via :meth:`ClaimIndexEngine.extended` (spliced arrays,
-  byte-identical to a cold compile);
+  delta-compiles via :meth:`ClaimIndexEngine.extended` (the untouched
+  facts sliced from the previous index, the touched ones run through the
+  cold compile's kernel; byte-identical to a cold compile);
 * the reference pass is recomputed over the extended corpus (global
   source trust couples every claim; there is no sound per-fact patch),
   but it runs on the delta-compiled index, not a recompile;
 * the Eq. 1 truth-vector matrix is copied forward and patched by a
-  :class:`~repro.core.truth_vectors.TruthVectorStore`, which returns a
-  new matrix with exact change flags;
+  :class:`~repro.core.truth_vectors.TruthVectorStore`, which rewrites
+  the changed facts' cells with the helper ``build_truth_vectors``
+  uses and returns a new matrix with exact change flags;
 * steps 3–4 (partition selection, block runs, merge) are
   ``TDAC._finish`` itself, the stage :meth:`TDAC.run` ends with.  The
   delta path only tells it what provably cannot change: the previous
@@ -178,7 +180,14 @@ class IncrementalTDAC:
     ) -> TDACResult:
         tdac = self._tdac
         previous = self._last_outcome
-        engine = self._extend_engine(new_dataset, fresh)
+        # The extended dataset's engine: a delta compile of the current
+        # dataset's (``fresh`` is exactly their difference), or none when
+        # the base algorithm does not consume index views.
+        engine = (
+            ClaimIndexEngine.shared(self._dataset).extended(new_dataset, fresh)
+            if self.base.supports_index
+            else None
+        )
 
         # Stage 1 — reference pass.  Source trust is globally coupled
         # (and the discovery tie-breaker is seeded by the view's slot
@@ -237,25 +246,6 @@ class IncrementalTDAC:
             if self._dataset.value(*key) is None:
                 fresh.append(claim)
         return fresh
-
-    def _extend_engine(
-        self, new_dataset: Dataset, fresh: list[Claim]
-    ) -> ClaimIndexEngine | None:
-        """Delta-compile the claim engine for the extended dataset.
-
-        The current dataset owns its engine (:meth:`ClaimIndexEngine.
-        shared`), and the spliced child becomes the extended dataset's
-        own engine, so a later full fit over the same dataset object
-        also rides the spliced compile.  The splice always applies:
-        ``new_dataset`` is ``Dataset.extended`` of the current dataset
-        and ``fresh`` their deduplicated difference.  ``None`` when the
-        base algorithm does not consume index views.
-        """
-        if not self.base.supports_index:
-            return None
-        return ClaimIndexEngine.shared(self._dataset).extended(
-            new_dataset, fresh
-        )
 
     # ------------------------------------------------------------------
 

@@ -25,14 +25,15 @@ with the reference once and its claims inherit the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.algorithms.base import TruthDiscoveryAlgorithm, TruthDiscoveryResult
 from repro.data.claim_engine import ClaimIndexEngine
 from repro.data.dataset import Dataset
-from repro.data.index import _KEY_SHIFT, _RANK_MASK
-from repro.data.types import AttributeId, Fact, ObjectId, SourceId
+from repro.data.index import _KEY_SHIFT, _RANK_MASK, DatasetIndex
+from repro.data.types import AttributeId, ObjectId, SourceId
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,54 @@ class TruthVectorMatrix:
         return float(self.mask.mean()) if self.mask.size else 0.0
 
 
+def _write_eq1(
+    index: DatasetIndex,
+    predictions,
+    matrix: np.ndarray,
+    mask: np.ndarray,
+    facts: np.ndarray | None = None,
+) -> bool:
+    """Write the Eq. 1 cells of the claims of ``facts`` (all if None).
+
+    ``facts`` is a boolean mask over the facts of ``index``, a full
+    index.  Each of their slots is compared once with its fact's
+    prediction (``pred is not None and value == pred``), and each claim
+    writes its slot's verdict at row ``attr_rank``, column ``obj_rank *
+    n_sources + claim_source``.  Returns whether a written cell changed.
+    """
+    if facts is None:
+        slots, claims = np.arange(index.n_slots), slice(None)
+        fact_pred = list(map(predictions.get, index.facts))
+    else:
+        ids = np.flatnonzero(facts).tolist()
+        slots = np.flatnonzero(facts[index.slot_fact])
+        claims = facts[index.claim_fact]
+        fact_pred = dict(
+            zip(ids, map(predictions.get, map(index.facts.__getitem__, ids)))
+        )
+    confirmed = np.zeros(index.n_slots, dtype=bool)
+    confirmed[slots] = np.fromiter(
+        (
+            pred is not None and value == pred
+            for value, pred in zip(
+                map(index.slot_values.__getitem__, slots.tolist()),
+                map(fact_pred.__getitem__, index.slot_fact[slots].tolist()),
+            )
+        ),
+        dtype=bool,
+        count=len(slots),
+    )
+    claim_key = index._fact_keys[index.claim_fact[claims]]
+    columns = (claim_key >> _KEY_SHIFT) * index.n_sources
+    cells = (claim_key & _RANK_MASK, columns + index.claim_source[claims])
+    hit = confirmed[index.claim_slot[claims]]
+    # Distinct claims write distinct cells: compare, then write.
+    changed = not np.array_equal(matrix[cells], hit)
+    matrix[cells] = hit
+    mask[cells] = True
+    return changed
+
+
 def build_truth_vectors(
     dataset: Dataset,
     reference: TruthDiscoveryResult | TruthDiscoveryAlgorithm,
@@ -89,46 +138,25 @@ def build_truth_vectors(
 
     The cells come from the dataset's compiled claim index
     (:meth:`ClaimIndexEngine.shared`), so a TD-AC pass reuses the index
-    its reference pass ran on.  Each value slot is compared once with
-    its fact's reference prediction; its claims then take that verdict,
-    at the row of their fact's attribute and the column of their
-    (object, source) rank, in two fancy-indexed assignments.
+    its reference pass ran on; :func:`_write_eq1` writes every claim's
+    cell.
     """
     if isinstance(reference, TruthDiscoveryAlgorithm):
         reference = reference.discover(dataset)
-    engine = ClaimIndexEngine.shared(dataset)
-    index = engine.full_index
     objects = dataset.objects
     sources = dataset.sources
-    attributes = dataset.attributes
-    n_sources = len(sources)
-    predictions = reference.predictions
-    fact_pred = list(map(predictions.get, index.facts))
-    confirmed = np.fromiter(
-        (
-            pred is not None and value == pred
-            for value, pred in zip(
-                index.slot_values,
-                map(fact_pred.__getitem__, index.slot_fact.tolist()),
-            )
-        ),
-        dtype=bool,
-        count=index.n_slots,
-    )
-
-    claim_key = engine._fact_keys[index.claim_fact]
-    rows = claim_key & _RANK_MASK
-    columns = (claim_key >> _KEY_SHIFT) * n_sources + index.claim_source
-    hit = confirmed[index.claim_slot]
-
-    shape = (len(attributes), len(objects) * n_sources)
+    shape = (len(dataset.attributes), len(objects) * len(sources))
     matrix = np.zeros(shape, dtype=np.int8)
     mask = np.zeros(shape, dtype=bool)
-    mask[rows, columns] = True
-    matrix[rows[hit], columns[hit]] = 1
+    _write_eq1(
+        ClaimIndexEngine.shared(dataset).full_index,
+        reference.predictions,
+        matrix,
+        mask,
+    )
     ranks = tuple((o, s) for o in objects for s in sources)
     return TruthVectorMatrix(
-        matrix=matrix, mask=mask, attributes=attributes, ranks=ranks
+        matrix=matrix, mask=mask, attributes=dataset.attributes, ranks=ranks
     )
 
 
@@ -189,21 +217,6 @@ class TruthVectorStore:
         self._reference = reference
         self._vectors = vectors
 
-    def _rebuild(
-        self, dataset: Dataset, reference: TruthDiscoveryResult
-    ) -> VectorDelta:
-        self._vectors = build_truth_vectors(dataset, reference)
-        self._dataset = dataset
-        self._reference = reference
-        self.rebuilds += 1
-        return VectorDelta(
-            vectors=self._vectors,
-            rebuilt=True,
-            rows_changed=True,
-            entries_changed=True,
-            mask_changed=True,
-        )
-
     def advance(
         self,
         dataset: Dataset,
@@ -221,63 +234,60 @@ class TruthVectorStore:
         """
         previous = self._vectors
         n_sources = len(dataset.sources)
-        if engine is None or n_sources != len(self._dataset.sources):
-            return self._rebuild(dataset, reference)
-        old_truth = self._reference.predictions
-        new_truth = reference.predictions
-        changed_facts = {
-            fact for fact, value in new_truth.items()
-            if old_truth.get(fact) != value
-        }
-        changed_facts.update(
-            Fact(claim.object, claim.attribute) for claim in fresh
-        )
-        shape = (len(dataset.attributes), len(dataset.objects) * n_sources)
-        matrix = np.zeros(shape, dtype=np.int8)
-        mask = np.zeros(shape, dtype=bool)
-        n_rows, n_cols = previous.matrix.shape
-        matrix[:n_rows, :n_cols] = previous.matrix
-        mask[:n_rows, :n_cols] = previous.mask
-        attr_rank = engine._attr_rank
-        obj_rank = engine._obj_rank
-        entries_changed = False
-        for fact in changed_facts:
-            fact_id = engine.fact_id(fact.object, fact.attribute)
-            if fact_id < 0:  # pragma: no cover - defensive
-                continue
-            src_ids, values = engine.fact_claims(fact_id)
-            row = attr_rank[fact.attribute]
-            cols = obj_rank[fact.object] * n_sources + src_ids
-            pred = new_truth.get(fact)
-            confirmed = np.fromiter(
-                (pred is not None and v == pred for v in values),
-                dtype=bool,
-                count=len(values),
-            ).astype(np.int8)
-            if not entries_changed and not np.array_equal(
-                matrix[row, cols], confirmed
-            ):
-                entries_changed = True
-            matrix[row, cols] = confirmed
-            mask[row, cols] = True
-        old_objects = len(self._dataset.objects)
-        self._vectors = TruthVectorMatrix(
-            matrix=matrix,
-            mask=mask,
-            attributes=dataset.attributes,
-            ranks=previous.ranks + tuple(
-                (o, s)
-                for o in dataset.objects[old_objects:]
-                for s in dataset.sources
-            ),
-        )
+        rebuilt = engine is None or n_sources != len(self._dataset.sources)
+        if rebuilt:
+            self._vectors = build_truth_vectors(dataset, reference)
+            self.rebuilds += 1
+            rows_changed = entries_changed = True
+        else:
+            # Facts receiving batch claims, facts whose prediction changed,
+            # and facts that lost theirs (a fact without one confirms
+            # nothing).  Sets of exact dicts compare by stored hashes.
+            old_truth = self._reference.predictions
+            new_truth = reference.predictions
+            changed = {
+                fact for fact, value in new_truth.items()
+                if old_truth.get(fact) != value
+            }
+            changed.update(set(old_truth).difference(new_truth))
+            # Facts and claims both name their object and attribute.
+            obj_rank, attr_rank = engine._ranks[1:]
+            keys = np.fromiter(
+                (
+                    (obj_rank[f.object] << _KEY_SHIFT) | attr_rank[f.attribute]
+                    for f in chain(changed, fresh)
+                ),
+                dtype=np.int64,
+            )
+            shape = (len(dataset.attributes), len(dataset.objects) * n_sources)
+            matrix = np.zeros(shape, dtype=np.int8)
+            mask = np.zeros(shape, dtype=bool)
+            n_rows, n_cols = previous.matrix.shape
+            matrix[:n_rows, :n_cols] = previous.matrix
+            mask[:n_rows, :n_cols] = previous.mask
+            index = engine.full_index
+            entries_changed = _write_eq1(
+                index, new_truth, matrix, mask, np.isin(index._fact_keys, keys)
+            )
+            old_objects = len(self._dataset.objects)
+            self._vectors = TruthVectorMatrix(
+                matrix=matrix,
+                mask=mask,
+                attributes=dataset.attributes,
+                ranks=previous.ranks + tuple(
+                    (o, s)
+                    for o in dataset.objects[old_objects:]
+                    for s in dataset.sources
+                ),
+            )
+            rows_changed = n_rows != len(dataset.attributes)
+            self.patches += 1
         self._dataset = dataset
         self._reference = reference
-        self.patches += 1
         return VectorDelta(
             vectors=self._vectors,
-            rebuilt=False,
-            rows_changed=n_rows != len(dataset.attributes),
+            rebuilt=rebuilt,
+            rows_changed=rows_changed,
             entries_changed=entries_changed,
-            mask_changed=bool(fresh),
+            mask_changed=rebuilt or bool(fresh),
         )

@@ -27,6 +27,10 @@ costing a few fancy-indexing passes instead of a dict rebuild plus a
 compile.  ``tests/test_vectorized_engine.py`` pins this
 equivalence.
 
+The delta compile (:meth:`ClaimIndexEngine.extended`) slices out the
+facts a batch leaves untouched with the same code, runs the touched
+facts' claims through the cold compile's kernel and merges the parts.
+
 :meth:`ClaimIndexEngine.shared` caches the engine on the dataset
 itself, so the reference pass, the block runs, repeated partition sweeps
 and the serving refit path all reuse one structure for as long as the
@@ -38,14 +42,20 @@ from __future__ import annotations
 import threading
 import weakref
 from functools import cached_property
-from itertools import compress
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.data.index import _KEY_SHIFT, _RANK_MASK, DatasetIndex
-from repro.data.types import Claim, DataError, Fact
+from repro.data.index import (
+    _RANK_MASK,
+    DatasetIndex,
+    IndexParts,
+    code_claims,
+    compile_claims,
+    rank_maps,
+)
+from repro.data.types import Claim, DataError
 
 #: Instance attribute under which a dataset holds its own engine.  The
 #: engine and its indexes refer back to the dataset weakly, so dropping
@@ -116,76 +126,34 @@ class ClaimIndexEngine:
 
     # -- delta-compile support structures ------------------------------
     #
-    # Everything below is computed lazily from the full index on a cold
-    # engine and *spliced* (not recomputed) when an engine is derived via
-    # :meth:`extended`, so per-batch compile cost stays proportional to
+    # Computed lazily on a cold engine and carried forward by
+    # :meth:`extended`, so a batch's Python work stays proportional to
     # the batch, not the corpus.
 
     @cached_property
-    def _src_rank(self) -> dict:
-        return {s: i for i, s in enumerate(self.dataset.sources)}
-
-    @cached_property
-    def _obj_rank(self) -> dict:
-        return {o: i for i, o in enumerate(self.dataset.objects)}
-
-    @cached_property
-    def _attr_rank(self) -> dict:
-        return {a: i for i, a in enumerate(self.dataset.attributes)}
+    def _ranks(self) -> tuple[dict, dict, dict]:
+        """Source, object and attribute rank maps (see ``rank_maps``)."""
+        return rank_maps(self.dataset)
 
     @property
     def _fact_keys(self) -> np.ndarray:
         """Packed (object, attribute) rank key of every fact, ascending.
 
-        The compile (cold or spliced) computes them; see ``_KEY_SHIFT``.
+        The compile (cold or delta) computes them; see ``_KEY_SHIFT``.
         """
         return self.full_index._fact_keys
 
     @cached_property
-    def _fact_claim_start(self) -> np.ndarray:
-        """Start offset of every fact's claim segment (plus sentinel)."""
-        full = self.full_index
-        return np.searchsorted(
-            full.claim_fact, np.arange(full.n_facts + 1)
-        ).astype(np.int64)
-
-    @cached_property
     def _facts_obj(self) -> np.ndarray:
-        """The fact tuple as an object ndarray (for vectorised splicing)."""
+        """The fact tuple as an object ndarray (for slicing)."""
         full = self.full_index
-        out = np.empty(full.n_facts, dtype=object)
-        out[:] = list(full.facts)
-        return out
+        return np.fromiter(full.facts, dtype=object, count=full.n_facts)
 
     @cached_property
     def _slot_values_obj(self) -> np.ndarray:
-        """The slot-value tuple as an object ndarray (for splicing)."""
+        """The slot-value tuple as an object ndarray (for slicing)."""
         full = self.full_index
-        out = np.empty(full.n_slots, dtype=object)
-        out[:] = list(full.slot_values)
-        return out
-
-    def fact_id(self, obj, attribute) -> int:
-        """Full-index fact id of ``(obj, attribute)``, or -1 if unclaimed."""
-        obj_rank = self._obj_rank.get(obj)
-        attr_rank = self._attr_rank.get(attribute)
-        if obj_rank is None or attr_rank is None:
-            return -1
-        key = (obj_rank << _KEY_SHIFT) | attr_rank
-        keys = self._fact_keys
-        pos = int(np.searchsorted(keys, key))
-        if pos < len(keys) and keys[pos] == key:
-            return pos
-        return -1
-
-    def fact_claims(self, fact_id: int) -> tuple[np.ndarray, list]:
-        """Source ids and claimed values of one full-index fact."""
-        full = self.full_index
-        starts = self._fact_claim_start
-        lo, hi = int(starts[fact_id]), int(starts[fact_id + 1])
-        slots = full.claim_slot[lo:hi]
-        values = [full.slot_values[int(slot)] for slot in slots]
-        return full.claim_source[lo:hi], values
+        return np.fromiter(full.slot_values, dtype=object, count=full.n_slots)
 
     # ------------------------------------------------------------------
 
@@ -196,26 +164,23 @@ class ClaimIndexEngine:
 
         ``dataset`` must be the append-only extension of this engine's
         dataset by exactly the (deduplicated) claims in ``fresh``.  The
-        compiled arrays of the child's full index are *spliced*: facts a
-        new claim touches (plus brand-new facts) are recompiled from
-        their merged claim lists, every other fact's slot and claim
-        segments are bulk-copied — so the result is byte-identical to
-        ``DatasetIndex(dataset)`` (``tests/test_incremental_exact.py``
-        pins this) at O(batch + corpus memcpy) instead of a full compile.
-        Unless ``dataset`` already owns an engine, the child becomes its
-        engine, so any later ``ClaimIndexEngine.shared(dataset)`` — e.g. a
-        full refit over the extended corpus — reuses the spliced compile.
+        facts no fresh claim touches are sliced out of this engine's full
+        index, the touched facts' claims go through the cold compile's
+        kernel, and the two parts merge by fact key.  An old claim enters
+        the kernel with its slot's value object, which gives the same
+        slots: an added claim never makes an old non-opener its slot's
+        opener, and a NaN slot keeps its one object.
+        The result is byte-identical to ``DatasetIndex(dataset)`` at
+        O(batch) Python work.  Unless ``dataset`` already owns an engine,
+        the child becomes its engine.
 
         Raises :class:`ValueError` when ``dataset`` is not an append-only
-        extension (callers fall back to a cold compile).
+        extension.
         """
         old_ds = self.dataset
-        if (
-            dataset.sources[: len(old_ds.sources)] != old_ds.sources
-            or dataset.objects[: len(old_ds.objects)] != old_ds.objects
-            or dataset.attributes[: len(old_ds.attributes)]
-            != old_ds.attributes
-        ):
+        ids = (dataset.sources, dataset.objects, dataset.attributes)
+        old_ids = (old_ds.sources, old_ds.objects, old_ds.attributes)
+        if any(new[: len(old)] != old for new, old in zip(ids, old_ids)):
             raise ValueError(
                 "dataset is not an append-only extension of this engine's"
             )
@@ -224,193 +189,29 @@ class ClaimIndexEngine:
                 f"expected {old_ds.n_claims} + {len(fresh)} claims, "
                 f"dataset holds {dataset.n_claims}"
             )
-        old = self.full_index
-
-        # Extended rank maps: new identifiers append at the tail.
-        src_rank = dict(self._src_rank)
-        for s in dataset.sources[len(src_rank):]:
-            src_rank[s] = len(src_rank)
-        obj_rank = dict(self._obj_rank)
-        for o in dataset.objects[len(obj_rank):]:
-            obj_rank[o] = len(obj_rank)
-        attr_rank = dict(self._attr_rank)
-        for a in dataset.attributes[len(attr_rank):]:
-            attr_rank[a] = len(attr_rank)
-
-        # Group the fresh claims by fact key.
-        new_by_key: dict[int, list[Claim]] = {}
-        for claim in fresh:
-            key = (obj_rank[claim.object] << _KEY_SHIFT) | attr_rank[
-                claim.attribute
-            ]
-            new_by_key.setdefault(key, []).append(claim)
-
-        old_keys = self._fact_keys
-        changed_keys = np.sort(
-            np.fromiter(new_by_key, dtype=np.int64, count=len(new_by_key))
+        full = self.full_index
+        ranks = tuple(map(_appended, self._ranks, ids))
+        fresh_src, fresh_key, fresh_values = code_claims(
+            [(c.source, c.object, c.attribute) for c in fresh],
+            [c.value for c in fresh],
+            ranks,
         )
-        pos = np.searchsorted(old_keys, changed_keys)
-        exists = (pos < old.n_facts) & (
-            old_keys[np.minimum(pos, max(old.n_facts - 1, 0))] == changed_keys
+        untouched = ~np.isin(full._fact_keys, fresh_key)
+        old = np.flatnonzero(~untouched[full.claim_fact])
+        touched = compile_claims(
+            dataset,
+            np.concatenate([full.claim_source[old], fresh_src]),
+            np.concatenate([full._fact_keys[full.claim_fact[old]], fresh_key]),
+            self._slot_values_obj[full.claim_slot[old]].tolist()
+            + fresh_values,
         )
-        created_keys = changed_keys[~exists]
-        n_created = len(created_keys)
-        n_facts = old.n_facts + n_created
-        # New id of every old fact: shifted by the created facts that
-        # sort before it; created facts slot into the gaps in key order.
-        old_to_new = np.arange(old.n_facts) + np.searchsorted(
-            created_keys, old_keys
-        )
-        created_new_ids = pos[~exists] + np.arange(n_created)
-        touched_old_ids = pos[exists]
-        changed_new_ids = np.concatenate(
-            [old_to_new[touched_old_ids], created_new_ids]
-        ).astype(np.int64)
-        changed_order = np.concatenate(
-            [changed_keys[exists], created_keys]
-        )
+        parts = _merge(self._slice(untouched, keys=True), touched)
 
-        # Recompile each changed fact from its merged, source-ranked
-        # claim list: slots in first-appearance order under dict
-        # equality, the layout the cold compile's value codes give.
-        old_starts = self._fact_claim_start
-        compiled: dict[int, tuple] = {}
-        for key, new_id, is_old in zip(
-            changed_order.tolist(),
-            changed_new_ids.tolist(),
-            np.concatenate(
-                [np.ones(len(touched_old_ids), bool), np.zeros(n_created, bool)]
-            ).tolist(),
-        ):
-            batch_claims = new_by_key[key]
-            merged: list[tuple[int, object]] = [
-                (src_rank[c.source], c.value) for c in batch_claims
-            ]
-            if is_old:
-                old_id = int(np.searchsorted(old_keys, key))
-                src_ids, values = self.fact_claims(old_id)
-                merged.extend(zip(src_ids.tolist(), values))
-                fact = old.facts[old_id]
-            else:
-                first = batch_claims[0]
-                fact = Fact(first.object, first.attribute)
-            merged.sort(key=lambda item: item[0])
-            local: dict = {}
-            slot_vals: list = []
-            claim_srcs: list[int] = []
-            claim_slots: list[int] = []
-            for rank_id, value in merged:
-                slot = local.get(value)
-                if slot is None:
-                    slot = len(slot_vals)
-                    local[value] = slot
-                    slot_vals.append(value)
-                claim_srcs.append(rank_id)
-                claim_slots.append(slot)
-            truth = dataset.true_value(fact)
-            true_local = local.get(truth, -1) if truth is not None else -1
-            compiled[new_id] = (fact, slot_vals, claim_srcs, claim_slots, true_local)
-
-        # Per-fact slot/claim counts: bulk-place the old counts, then
-        # overwrite the changed facts'.
-        slot_counts = np.zeros(n_facts, dtype=np.int64)
-        claim_counts = np.zeros(n_facts, dtype=np.int64)
-        slot_counts[old_to_new] = np.diff(old.fact_slot_start)
-        claim_counts[old_to_new] = np.diff(old_starts)
-        for new_id, (_, slot_vals, claim_srcs, _, _) in compiled.items():
-            slot_counts[new_id] = len(slot_vals)
-            claim_counts[new_id] = len(claim_srcs)
-        fact_slot_start = np.zeros(n_facts + 1, dtype=np.int64)
-        np.cumsum(slot_counts, out=fact_slot_start[1:])
-        fact_claim_start = np.zeros(n_facts + 1, dtype=np.int64)
-        np.cumsum(claim_counts, out=fact_claim_start[1:])
-        n_slots = int(fact_slot_start[-1])
-        n_claims = int(fact_claim_start[-1])
-        slot_fact = np.repeat(np.arange(n_facts, dtype=np.int64), slot_counts)
-        claim_fact = np.repeat(np.arange(n_facts, dtype=np.int64), claim_counts)
-
-        # Bulk-copy the unchanged facts' claim and slot segments into
-        # their new positions (vectorised scatter; changed facts' slots
-        # are filled from the recompiles below).
-        touched_mask = np.zeros(old.n_facts, dtype=bool)
-        touched_mask[touched_old_ids] = True
-        claim_source = np.empty(n_claims, dtype=np.int64)
-        claim_slot_local = np.empty(n_claims, dtype=np.int64)
-        if old.n_claims:
-            keep = ~touched_mask[old.claim_fact]
-            old_local = np.arange(old.n_claims) - old_starts[old.claim_fact]
-            new_pos = (
-                fact_claim_start[old_to_new[old.claim_fact]] + old_local
-            )
-            claim_source[new_pos[keep]] = old.claim_source[keep]
-            old_slot_local = old.claim_slot - old.fact_slot_start[
-                old.claim_fact
-            ]
-            claim_slot_local[new_pos[keep]] = old_slot_local[keep]
-        slot_values_obj = np.empty(n_slots, dtype=object)
-        if old.n_slots:
-            slot_keep = ~touched_mask[old.slot_fact]
-            old_slot_off = np.arange(old.n_slots) - old.fact_slot_start[
-                old.slot_fact
-            ]
-            new_slot_pos = (
-                fact_slot_start[old_to_new[old.slot_fact]] + old_slot_off
-            )
-            slot_values_obj[new_slot_pos[slot_keep]] = self._slot_values_obj[
-                slot_keep
-            ]
-        true_local_all = np.full(n_facts, -1, dtype=np.int64)
-        if old.n_facts:
-            old_true_local = np.where(
-                old.true_slot >= 0,
-                old.true_slot - old.fact_slot_start[:-1],
-                -1,
-            )
-            true_local_all[old_to_new] = old_true_local
-        facts_obj = np.empty(n_facts, dtype=object)
-        facts_obj[old_to_new] = self._facts_obj
-
-        for new_id, (fact, slot_vals, claim_srcs, claim_slots, t_local) in (
-            compiled.items()
-        ):
-            s0 = int(fact_slot_start[new_id])
-            slot_values_obj[s0:s0 + len(slot_vals)] = slot_vals
-            c0 = int(fact_claim_start[new_id])
-            claim_source[c0:c0 + len(claim_srcs)] = claim_srcs
-            claim_slot_local[c0:c0 + len(claim_slots)] = claim_slots
-            true_local_all[new_id] = t_local
-            facts_obj[new_id] = fact
-
-        claim_slot = claim_slot_local + fact_slot_start[claim_fact]
-        true_slot = np.where(
-            true_local_all >= 0,
-            true_local_all + fact_slot_start[:-1],
-            -1,
-        ).astype(np.int64)
-        fact_keys = np.empty(n_facts, dtype=np.int64)
-        fact_keys[old_to_new] = old_keys
-        fact_keys[created_new_ids] = created_keys
-
-        index = DatasetIndex._from_parts(
-            dataset=dataset,
-            facts=tuple(facts_obj),
-            slot_values=tuple(slot_values_obj),
-            slot_fact=slot_fact,
-            fact_slot_start=fact_slot_start,
-            claim_source=claim_source,
-            claim_fact=claim_fact,
-            claim_slot=claim_slot,
-            true_slot=true_slot,
-            fact_keys=fact_keys,
-        )
         child = ClaimIndexEngine(dataset)
-        child.full_index = index
-        child._src_rank = src_rank
-        child._obj_rank = obj_rank
-        child._attr_rank = attr_rank
-        child._fact_claim_start = fact_claim_start
-        child._facts_obj = facts_obj
-        child._slot_values_obj = slot_values_obj
+        child.full_index = DatasetIndex._from_parts(dataset, parts)
+        child._ranks = ranks
+        child._facts_obj = parts.facts
+        child._slot_values_obj = parts.slot_values
         with _CREATE_LOCK:
             if getattr(dataset, _ENGINE_ATTR, None) is None:
                 setattr(dataset, _ENGINE_ATTR, child)
@@ -430,7 +231,18 @@ class ClaimIndexEngine:
             cached = self._blocks.get(key)
         if cached is not None:
             return cached
-        view = self._slice_block(key)
+        rank = self._ranks[2]
+        unknown = [a for a in key if a not in rank]
+        if unknown:
+            raise DataError(
+                f"unknown attributes in block: {sorted(map(str, unknown))}"
+            )
+        keep_attribute = np.zeros(len(rank), dtype=bool)
+        keep_attribute[[rank[a] for a in key]] = True
+        view = DatasetIndex._from_parts(
+            self.dataset,
+            self._slice(keep_attribute[self._fact_attribute], keys=False),
+        )
         with self._lock:
             if len(self._blocks) >= _BLOCK_CACHE_SIZE:
                 # Drop the oldest half; plain dicts preserve insertion
@@ -440,48 +252,81 @@ class ClaimIndexEngine:
             self._blocks[key] = view
         return view
 
-    def _slice_block(self, block: tuple) -> DatasetIndex:
-        rank = {a: i for i, a in enumerate(self.dataset.attributes)}
-        unknown = [a for a in block if a not in rank]
-        if unknown:
-            raise DataError(
-                f"unknown attributes in block: {sorted(map(str, unknown))}"
-            )
-        full = self.full_index
-        keep_attribute = np.zeros(len(self.dataset.attributes), dtype=bool)
-        keep_attribute[[rank[a] for a in block]] = True
+    def _slice(self, fact_keep: np.ndarray, keys: bool) -> IndexParts:
+        """The full index's facts ``fact_keep`` selects, in their order.
 
-        fact_keep = keep_attribute[self._fact_attribute]
+        The parts equal a compile of just those facts' claims (fact keys
+        included when ``keys``; a block view leaves them out).
+        """
+        full = self.full_index
         slot_keep = fact_keep[full.slot_fact]
         claim_keep = fact_keep[full.claim_fact]
-
         # Old id -> new id maps (only valid where the element is kept).
         new_fact_id = np.cumsum(fact_keep, dtype=np.int64) - 1
         new_slot_id = np.cumsum(slot_keep, dtype=np.int64) - 1
-
-        facts = tuple(compress(full.facts, fact_keep))
-        slot_values = tuple(compress(full.slot_values, slot_keep))
         slot_fact = new_fact_id[full.slot_fact[slot_keep]]
-        slots_of_kept = np.diff(full.fact_slot_start)[fact_keep]
-        fact_slot_start = np.concatenate(
-            ([0], np.cumsum(slots_of_kept))
-        ).astype(np.int64)
-        claim_source = full.claim_source[claim_keep]
-        claim_fact = new_fact_id[full.claim_fact[claim_keep]]
-        claim_slot = new_slot_id[full.claim_slot[claim_keep]]
         kept_true = full.true_slot[fact_keep]
-        true_slot = np.where(
-            kept_true >= 0, new_slot_id[np.maximum(kept_true, 0)], -1
-        ).astype(np.int64)
-
-        return DatasetIndex._from_parts(
-            dataset=self.dataset,
-            facts=facts,
-            slot_values=slot_values,
+        return IndexParts(
+            facts=self._facts_obj[fact_keep],
+            slot_values=self._slot_values_obj[slot_keep],
             slot_fact=slot_fact,
-            fact_slot_start=fact_slot_start,
-            claim_source=claim_source,
-            claim_fact=claim_fact,
-            claim_slot=claim_slot,
-            true_slot=true_slot,
+            fact_slot_start=np.searchsorted(
+                slot_fact, np.arange(np.count_nonzero(fact_keep) + 1)
+            ),
+            claim_source=full.claim_source[claim_keep],
+            claim_fact=new_fact_id[full.claim_fact[claim_keep]],
+            claim_slot=new_slot_id[full.claim_slot[claim_keep]],
+            true_slot=np.where(kept_true >= 0, new_slot_id[kept_true], -1),
+            fact_keys=full._fact_keys[fact_keep] if keys else None,
         )
+
+
+def _appended(rank: dict, ids: tuple) -> dict:
+    """``rank`` plus the identifiers ``ids`` appends (shared if none)."""
+    if len(ids) == len(rank):
+        return rank
+    rank = dict(rank)
+    for identifier in ids[len(rank):]:
+        rank[identifier] = len(rank)
+    return rank
+
+
+def _merge(a: IndexParts, b: IndexParts) -> IndexParts:
+    """Insert the facts of part ``b`` into the fact-disjoint part ``a``.
+
+    Each fact of ``b``, with its slots and claims, goes before the first
+    fact of ``a`` with a higher key, so the result is in fact-key order;
+    every id moves up by the number of elements inserted before it.
+    """
+    at = np.searchsorted(a.fact_keys, b.fact_keys)
+    slot_at = a.fact_slot_start[at][b.slot_fact]
+    claim_at = np.searchsorted(a.claim_fact, at)[b.claim_fact]
+    a_fact, a_slot = (
+        np.arange(n) + np.searchsorted(inserted, np.arange(n), side="right")
+        for n, inserted in ((len(a.facts), at), (len(a.slot_values), slot_at))
+    )
+    b_fact = at + np.arange(len(b.facts))
+    b_slot = slot_at + np.arange(len(b.slot_values))
+
+    def true_slot(part, slot_to):
+        return np.where(part.true_slot >= 0, slot_to[part.true_slot], -1)
+
+    slot_fact = np.insert(a_fact[a.slot_fact], slot_at, b_fact[b.slot_fact])
+    n_facts = len(a.facts) + len(b.facts)
+    return IndexParts(
+        facts=np.insert(a.facts, at, b.facts),
+        slot_values=np.insert(a.slot_values, slot_at, b.slot_values),
+        slot_fact=slot_fact,
+        fact_slot_start=np.searchsorted(slot_fact, np.arange(n_facts + 1)),
+        claim_source=np.insert(a.claim_source, claim_at, b.claim_source),
+        claim_fact=np.insert(
+            a_fact[a.claim_fact], claim_at, b_fact[b.claim_fact]
+        ),
+        claim_slot=np.insert(
+            a_slot[a.claim_slot], claim_at, b_slot[b.claim_slot]
+        ),
+        true_slot=np.insert(
+            true_slot(a, a_slot), at, true_slot(b, b_slot)
+        ),
+        fact_keys=np.insert(a.fact_keys, at, b.fact_keys),
+    )

@@ -14,14 +14,16 @@ so they operate on flat integer arrays rather than on dictionaries.  A
   some source actually claimed it, else ``-1``.
 
 The compile reads the raw claim dict directly, turning every claim into
-integer codes (source rank, packed fact key, value code), and does the
-rest in numpy: one ``lexsort`` orders claims fact-major and
-source-ordered, and one ``np.unique`` over (fact, value code) pairs
-numbers each fact's slots in first-appearance order.  Value codes come
-from one dict, so two claims of a fact share a slot exactly when a dict
-would hold them as one key (``1 == 1.0 == True``; a NaN only matches
-the same object).  ``tests/oracles/index.py`` keeps the per-fact loop
-this replaced, and the tests pin every array against it.
+integer codes (source rank, packed fact key) plus its value object, and
+:func:`compile_claims` does the rest in numpy: one ``lexsort`` orders
+claims fact-major and source-ordered, and one ``np.unique`` over (fact,
+value code) pairs numbers each fact's slots in first-appearance order.
+Value codes come from one dict, so two claims of a fact share a slot
+exactly when a dict would hold them as one key (``1 == 1.0 == True``; a
+NaN only matches the same object).  The claim engine's delta compile
+runs the same kernel over the claims of the facts a batch touches.
+``tests/oracles/index.py`` keeps the per-fact loop this replaced, and
+the tests pin every array against it.
 
 The segment helpers (:func:`segment_sum`, :func:`segment_max`,
 :func:`segment_argmax`, :func:`segment_mean`) implement the per-fact
@@ -34,6 +36,7 @@ from __future__ import annotations
 import weakref
 from functools import cached_property
 from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,6 +95,138 @@ def segment_mean(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return means
 
 
+class IndexParts(NamedTuple):
+    """A :class:`DatasetIndex`'s arrays, with ``facts`` and ``slot_values``
+    as object arrays (for fancy indexing) and optional packed fact keys.
+    """
+
+    facts: np.ndarray
+    slot_values: np.ndarray
+    slot_fact: np.ndarray
+    fact_slot_start: np.ndarray
+    claim_source: np.ndarray
+    claim_fact: np.ndarray
+    claim_slot: np.ndarray
+    true_slot: np.ndarray
+    fact_keys: np.ndarray | None
+
+
+def rank_maps(dataset: Dataset) -> tuple[dict, dict, dict]:
+    """The source, object and attribute rank maps of ``dataset``."""
+    return tuple(
+        {x: i for i, x in enumerate(ids)}
+        for ids in (dataset.sources, dataset.objects, dataset.attributes)
+    )
+
+
+def code_claims(
+    keys: Sequence[tuple], values: Iterable[Value], ranks: tuple
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Source ranks and packed fact keys of the claims ``keys`` (their
+    (source, object, attribute) triples, coded by ``ranks``), plus their
+    values: the input of :func:`compile_claims`.
+    """
+    n = len(keys)
+    src, obj, attr = (
+        np.fromiter(
+            map(rank.__getitem__, map(itemgetter(field), keys)),
+            dtype=np.int64,
+            count=n,
+        )
+        for field, rank in enumerate(ranks)
+    )
+    return src, (obj << _KEY_SHIFT) | attr, list(values)
+
+
+def compile_claims(
+    dataset: Dataset, src: np.ndarray, key: np.ndarray, values: list
+) -> IndexParts:
+    """Compile claims given as integer codes into index arrays.
+
+    Claim ``i`` is source rank ``src[i]`` claiming ``values[i]`` for
+    the fact with packed key ``key[i]``, ranks being ``dataset``'s.  The
+    claims are every claim of some facts (or of all), in any order.
+    Values are factorised by a dict, so two claims of a fact share a
+    slot exactly when a per-fact dict would hold them as one key (1 ==
+    1.0 == True; a NaN only matches the same object), and each slot's
+    value is its first claim's own object.
+    """
+    n = len(values)
+    codes: dict[Value, int] = {}
+    code_of = codes.setdefault
+    value_code = np.fromiter(
+        (code_of(v, len(codes)) for v in values), dtype=np.int64, count=n
+    )
+
+    # Claims fact-major (keys sort object-major, then attribute
+    # order), source-ordered within each fact.
+    order = np.lexsort((src, key))
+    claim_key = key[order]
+    claim_code = value_code[order]
+    fact_opens = np.ones(n, dtype=bool)
+    np.not_equal(claim_key[1:], claim_key[:-1], out=fact_opens[1:])
+    claim_fact = np.cumsum(fact_opens) - 1
+    fact_keys = claim_key[fact_opens]
+    n_facts = len(fact_keys)
+
+    # Slots per fact in first-appearance order: a claim opens a slot
+    # when it is the first of its (fact, value code) pair.
+    pairs, first, pair_of = np.unique(
+        claim_fact * len(codes) + claim_code,
+        return_index=True,
+        return_inverse=True,
+    )
+    opener = first[pair_of]
+    slot_opens = opener == np.arange(n)
+    slot_at = np.cumsum(slot_opens) - 1
+    slot_claims = np.flatnonzero(slot_opens)
+    slot_fact = claim_fact[slot_claims]
+
+    fact_objects = list(
+        map(dataset.objects.__getitem__, (fact_keys >> _KEY_SHIFT).tolist())
+    )
+    fact_attributes = list(
+        map(dataset.attributes.__getitem__, (fact_keys & _RANK_MASK).tolist())
+    )
+    facts = np.fromiter(
+        map(Fact, fact_objects, fact_attributes), dtype=object, count=n_facts
+    )
+
+    # The true slot is the slot whose value code is the truth's.  The
+    # stored truth map is read in place (``Dataset.truth`` copies it).
+    truth_of = dataset._truth.get
+    true_code = np.fromiter(
+        (
+            -1 if t is None else codes.get(t, -1)
+            for t in map(truth_of, zip(fact_objects, fact_attributes))
+        ),
+        dtype=np.int64,
+        count=n_facts,
+    )
+    true_slot = np.full(n_facts, -1, dtype=np.int64)
+    known = np.flatnonzero(true_code >= 0)
+    wanted = known * len(codes) + true_code[known]
+    at = np.minimum(np.searchsorted(pairs, wanted), len(pairs) - 1)
+    claimed = pairs[at] == wanted
+    true_slot[known[claimed]] = slot_at[first[at[claimed]]]
+
+    return IndexParts(
+        facts=facts,
+        slot_values=np.fromiter(
+            map(values.__getitem__, order[slot_claims].tolist()),
+            dtype=object,
+            count=len(slot_claims),
+        ),
+        slot_fact=slot_fact,
+        fact_slot_start=np.searchsorted(slot_fact, np.arange(n_facts + 1)),
+        claim_source=src[order],
+        claim_fact=claim_fact,
+        claim_slot=slot_at[opener],
+        true_slot=true_slot,
+        fact_keys=fact_keys,
+    )
+
+
 class DatasetIndex:
     """Flat integer-array view of a dataset for vectorised algorithms.
 
@@ -100,148 +235,46 @@ class DatasetIndex:
     """
 
     def __init__(self, dataset: Dataset) -> None:
-        self._dataset = dataset
-        sources = dataset.sources
-        objects = dataset.objects
-        attributes = dataset.attributes
-        self.n_sources = len(sources)
-        self._source_id = {s: i for i, s in enumerate(sources)}
-        obj_rank = {o: i for i, o in enumerate(objects)}
-        attr_rank = {a: i for i, a in enumerate(attributes)}
-
         # Integer codes per claim, read straight off the raw claim dict.
-        # Values are factorised by a dict, so two values share a code
-        # exactly when a per-fact dict would put them in one slot
-        # (1 == 1.0 == True; a NaN only matches the same object).
         claims = dataset.claims
-        n = len(claims)
-        values = list(claims.values())
-        codes: dict[Value, int] = {}
-        code_of = codes.setdefault
-        value_code = np.fromiter(
-            (code_of(v, len(codes)) for v in values), dtype=np.int64, count=n
-        )
-        ranks = (self._source_id, obj_rank, attr_rank)
-        src, obj, attr = (
-            np.fromiter(
-                map(rank.__getitem__, map(itemgetter(field), claims)),
-                dtype=np.int64,
-                count=n,
-            )
-            for field, rank in enumerate(ranks)
-        )
-
-        # Claims fact-major (keys sort object-major, then attribute
-        # order), source-ordered within each fact.
-        key = (obj << _KEY_SHIFT) | attr
-        order = np.lexsort((src, key))
-        claim_key = key[order]
-        claim_code = value_code[order]
-        fact_opens = np.ones(n, dtype=bool)
-        np.not_equal(claim_key[1:], claim_key[:-1], out=fact_opens[1:])
-        claim_fact = np.cumsum(fact_opens) - 1
-        fact_keys = claim_key[fact_opens]
-        n_facts = len(fact_keys)
-
-        # Slots per fact in first-appearance order: a claim opens a slot
-        # when it is the first of its (fact, value code) pair.
-        pairs, first, pair_of = np.unique(
-            claim_fact * len(codes) + claim_code,
-            return_index=True,
-            return_inverse=True,
-        )
-        opener = first[pair_of]
-        slot_opens = opener == np.arange(n)
-        slot_at = np.cumsum(slot_opens) - 1
-        slot_claims = np.flatnonzero(slot_opens)
-        slot_fact = claim_fact[slot_claims]
-        fact_slot_start = np.searchsorted(slot_fact, np.arange(n_facts + 1))
-
-        fact_objects = list(
-            map(objects.__getitem__, (fact_keys >> _KEY_SHIFT).tolist())
-        )
-        fact_attributes = list(
-            map(attributes.__getitem__, (fact_keys & _RANK_MASK).tolist())
-        )
-        self.facts: tuple[Fact, ...] = tuple(
-            map(Fact, fact_objects, fact_attributes)
-        )
-
-        # The true slot is the slot whose value code is the truth's.
-        truth_of = dataset.truth.get
-        true_code = np.fromiter(
-            (
-                -1 if t is None else codes.get(t, -1)
-                for t in map(truth_of, zip(fact_objects, fact_attributes))
-            ),
-            dtype=np.int64,
-            count=n_facts,
-        )
-        true_slot = np.full(n_facts, -1, dtype=np.int64)
-        known = np.flatnonzero(true_code >= 0)
-        wanted = known * len(codes) + true_code[known]
-        at = np.minimum(np.searchsorted(pairs, wanted), len(pairs) - 1)
-        claimed = pairs[at] == wanted
-        true_slot[known[claimed]] = slot_at[first[at[claimed]]]
-
-        # Each slot's value is its first claim's own value object.
-        self.slot_values: tuple[Value, ...] = tuple(
-            map(values.__getitem__, order[slot_claims].tolist())
-        )
-        self.n_facts = n_facts
-        self.slot_fact = slot_fact
-        self.fact_slot_start = fact_slot_start
-        self.claim_source = src[order]
-        self.claim_fact = claim_fact
-        self.claim_slot = slot_at[opener]
-        self.true_slot = true_slot
-        self.n_slots = len(self.slot_values)
-        self.n_claims = n
-        self._fact_keys = fact_keys
+        codes = code_claims(claims, claims.values(), rank_maps(dataset))
+        self._assign(dataset, compile_claims(dataset, *codes))
 
     @classmethod
     def _from_parts(
-        cls,
-        dataset: Dataset,
-        facts: tuple[Fact, ...],
-        slot_values: tuple[Value, ...],
-        slot_fact: np.ndarray,
-        fact_slot_start: np.ndarray,
-        claim_source: np.ndarray,
-        claim_fact: np.ndarray,
-        claim_slot: np.ndarray,
-        true_slot: np.ndarray,
-        fact_keys: np.ndarray | None = None,
+        cls, dataset: Dataset, parts: IndexParts
     ) -> "DatasetIndex":
         """Assemble an index directly from compiled arrays.
 
-        Used by :class:`~repro.data.claim_engine.ClaimIndexEngine` to
-        slice per-block views out of the full index without re-walking
-        the claim dictionaries.  The arrays must satisfy the same layout
-        invariants ``__init__`` produces (facts object-major, slots in
+        Used by :class:`~repro.data.claim_engine.ClaimIndexEngine` for
+        block views and delta compiles, which slice and merge the parts
+        of a full index instead of re-walking the claim dictionaries.
+        The arrays must satisfy the same layout invariants
+        :func:`compile_claims` produces (facts object-major, slots in
         first-appearance order, claims fact-major and source-ordered).
-        ``fact_keys`` are the packed fact keys of a full index (block
-        views leave them out).  The view refers to ``dataset`` weakly:
-        the dataset owns the engine that owns the view, and a strong
-        back-reference would leave all three in a reference cycle.
+        The view refers to ``dataset`` weakly: the dataset owns the
+        engine that owns the view, and a strong back-reference would
+        leave all three in a reference cycle.
         """
         index = object.__new__(cls)
-        index._dataset = weakref.ref(dataset)
-        index.facts = facts
-        index.n_sources = len(dataset.sources)
-        index.n_facts = len(facts)
-        index._source_id = {s: i for i, s in enumerate(dataset.sources)}
-        index.slot_values = slot_values
-        index.slot_fact = slot_fact
-        index.fact_slot_start = fact_slot_start
-        index.claim_source = claim_source
-        index.claim_fact = claim_fact
-        index.claim_slot = claim_slot
-        index.true_slot = true_slot
-        index.n_slots = len(slot_values)
-        index.n_claims = len(claim_source)
-        index._fact_keys = fact_keys
+        index._assign(weakref.ref(dataset), parts)
         return index
+
+    def _assign(self, dataset, parts: IndexParts) -> None:
+        self._dataset = dataset
+        self.facts: tuple[Fact, ...] = tuple(parts.facts.tolist())
+        self.slot_values: tuple[Value, ...] = tuple(parts.slot_values.tolist())
+        self.slot_fact = parts.slot_fact
+        self.fact_slot_start = parts.fact_slot_start
+        self.claim_source = parts.claim_source
+        self.claim_fact = parts.claim_fact
+        self.claim_slot = parts.claim_slot
+        self.true_slot = parts.true_slot
+        self._fact_keys = parts.fact_keys
+        self.n_sources = len(self.dataset.sources)
+        self.n_facts = len(self.facts)
+        self.n_slots = len(self.slot_values)
+        self.n_claims = len(self.claim_source)
 
     @property
     def dataset(self) -> Dataset:

@@ -21,7 +21,7 @@ pipeline into a serving engine:
   to an offline :meth:`TDAC.run <repro.core.tdac.TDAC.run>` over the
   claims at its watermark.  :meth:`start` runs one full fit; every
   batch after it goes through the exact delta path of
-  :meth:`IncrementalTDAC.update` — spliced index compile, patched
+  :meth:`IncrementalTDAC.update` — delta index compile, patched
   truth-vector matrix, certified partition reuse and touched-block-only
   base runs — so each snapshot is ``exact=True`` with a populated
   ``silhouette_by_k``.  A restore fits the checkpointed corpus plus the

@@ -4,10 +4,14 @@ Every layer of the streaming stack promises bit-identity with its batch
 counterpart; this module pins each promise:
 
 * ``Dataset.extended`` is fingerprint-identical to a full builder replay;
-* ``ClaimIndexEngine.extended`` splices arrays byte-identical to a cold
-  ``DatasetIndex`` compile;
+* ``ClaimIndexEngine.extended`` (a slice of the untouched facts merged
+  with the compile kernel's output for the touched ones) is
+  byte-identical to a cold ``DatasetIndex`` compile;
 * ``TruthVectorStore.advance`` patches the Eq. 1 matrix cell-for-cell
   identical to ``build_truth_vectors``;
+* both also hold on hypothesis-drawn adversarial datasets (1/1.0/True,
+  NaN objects, None, tuples; partial and unclaimed truth; identifiers
+  appended by the extension) split into a prefix and 1-3 batches;
 * ``IncrementalTDAC.update`` returns results bit-identical to an offline
   ``TDAC.run`` over the accumulated dataset at every watermark — through
   new objects, new attributes, new sources and batches of any size;
@@ -20,18 +24,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import Accu, MajorityVote, TruthFinder
+from repro.algorithms.base import TruthDiscoveryResult
 from repro.core import IncrementalTDAC, TDAC, TDACConfig
 from repro.core.incremental import extend_dataset
 from repro.core.truth_vectors import TruthVectorStore, build_truth_vectors
-from repro.data import Claim, DataError
+from repro.data import Claim, DataError, Dataset, Fact
 from repro.data.builder import DatasetBuilder
 from repro.data.claim_engine import ClaimIndexEngine
 from repro.data.index import DatasetIndex
 from repro.datasets import make_synthetic
 from repro.serving import ServiceConfig
 from tests.oracles.fingerprint import dataset_fingerprint_loop
+from tests.strategies import ADVERSARIAL_VALUES, claim_datasets
 
 CONFIG = TDACConfig(seed=0)
 
@@ -199,6 +206,170 @@ class TestTruthVectorStore:
         for vectors, matrix, mask in returned:
             np.testing.assert_array_equal(vectors.matrix, matrix)
             np.testing.assert_array_equal(vectors.mask, mask)
+
+
+@st.composite
+def extension_streams(draw):
+    """A ``claim_datasets()`` draw split into a prefix and 1-3 batches.
+
+    The prefix declares the identifiers its claims use plus a drawn
+    subset of the others, in the drawn dataset's order; the rest are
+    appended by the batch that first claims them.  Truth is the drawn
+    dataset's on the facts the prefix can name, so it stays partial and
+    may name values or facts no claim covers.
+    """
+    full = draw(claim_datasets())
+    claims = draw(st.permutations(list(full.iter_claims())))
+    n_batches = draw(st.integers(1, 3))
+    cuts = sorted(
+        draw(
+            st.lists(
+                st.integers(0, len(claims)),
+                min_size=n_batches,
+                max_size=n_batches,
+            )
+        )
+    )
+    prefix = claims[: cuts[0]]
+    batches = [
+        claims[start:stop]
+        for start, stop in zip(cuts, cuts[1:] + [len(claims)])
+    ]
+    declared = [
+        tuple(
+            x for x in ids
+            if x in {getattr(c, field) for c in prefix} or draw(st.booleans())
+        )
+        for ids, field in (
+            (full.sources, "source"),
+            (full.objects, "object"),
+            (full.attributes, "attribute"),
+        )
+    ]
+    sources, objects, attributes = declared
+    truth = {
+        (o, a): value
+        for (o, a), value in full.truth.items()
+        if o in objects and a in attributes
+    }
+    dataset = Dataset(
+        sources, objects, attributes,
+        {(c.source, c.object, c.attribute): c.value for c in prefix},
+        truth,
+    )
+    return dataset, [batch for batch in batches if batch]
+
+
+def drawn_reference(data, dataset):
+    """A reference predicting drawn adversarial values for some facts."""
+    omitted = object()
+    choices = st.one_of(
+        st.just(omitted), st.sampled_from(ADVERSARIAL_VALUES + ("unclaimed",))
+    )
+    drawn = data.draw(
+        st.lists(
+            choices, min_size=len(dataset.facts), max_size=len(dataset.facts)
+        )
+    )
+    predictions = {
+        fact: value
+        for fact, value in zip(dataset.facts, drawn)
+        if value is not omitted
+    }
+    return TruthDiscoveryResult(
+        algorithm="drawn",
+        predictions=predictions,
+        confidence={fact: 1.0 for fact in predictions},
+        source_trust={s: 1.0 for s in dataset.sources},
+        iterations=1,
+        elapsed_seconds=0.0,
+    )
+
+
+class TestAdversarialExtensions:
+    """The delta compile and the Eq. 1 patch on adversarial values."""
+
+    def assert_same_index(self, spliced: DatasetIndex, cold: DatasetIndex):
+        assert spliced.facts == cold.facts
+        assert len(spliced.slot_values) == len(cold.slot_values)
+        for a, b in zip(spliced.slot_values, cold.slot_values):
+            assert a is b, (a, b)
+        for name in (
+            "slot_fact",
+            "fact_slot_start",
+            "claim_source",
+            "claim_fact",
+            "claim_slot",
+            "true_slot",
+            "_fact_keys",
+        ):
+            a, b = getattr(spliced, name), getattr(cold, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        sizes = ("n_sources", "n_facts", "n_slots", "n_claims")
+        assert [getattr(spliced, n) for n in sizes] == [
+            getattr(cold, n) for n in sizes
+        ]
+
+    def test_dropped_prediction_clears_its_cells(self):
+        # A fact the new reference no longer predicts confirms nothing;
+        # the patch once rewrote only facts whose new prediction
+        # differed, so the fact's stale 1 survived.
+        dataset = Dataset(
+            ["s1", "s2"], ["o", "p"], ["a"],
+            {("s1", "o", "a"): 1, ("s1", "p", "a"): 2},
+        )
+        engine = ClaimIndexEngine.shared(dataset)
+
+        def predicting(predictions):
+            return TruthDiscoveryResult(
+                algorithm="fixed", predictions=predictions, confidence={},
+                source_trust={}, iterations=1, elapsed_seconds=0.0,
+            )
+
+        before = predicting({Fact("o", "a"): 1, Fact("p", "a"): 2})
+        store = TruthVectorStore(
+            dataset, before, build_truth_vectors(dataset, before)
+        )
+        batch = [Claim("s2", "p", "a", 3)]
+        extended = dataset.extended(batch)
+        after = predicting({Fact("p", "a"): 2})
+        delta = store.advance(
+            extended, engine.extended(extended, batch), after, batch
+        )
+        assert delta.vectors.matrix.tolist() == [[0, 0, 1, 0]]
+        assert delta.entries_changed
+
+    @settings(max_examples=150, deadline=None)
+    @given(extension_streams(), st.data())
+    def test_extensions_match_cold_compile_and_build(self, stream, data):
+        dataset, batches = stream
+        engine = ClaimIndexEngine.shared(dataset)
+        reference = drawn_reference(data, dataset)
+        store = TruthVectorStore(
+            dataset, reference, build_truth_vectors(dataset, reference)
+        )
+        for batch in batches:
+            extended = dataset.extended(batch)
+            engine = engine.extended(extended, batch)
+            self.assert_same_index(engine.full_index, DatasetIndex(extended))
+
+            reference = drawn_reference(data, extended)
+            delta = store.advance(extended, engine, reference, batch)
+            # A copy of the dataset owns no engine: a cold compile.
+            cold = Dataset(
+                extended.sources, extended.objects, extended.attributes,
+                extended.claims, extended.truth,
+            )
+            built = build_truth_vectors(cold, reference)
+            np.testing.assert_array_equal(delta.vectors.matrix, built.matrix)
+            np.testing.assert_array_equal(delta.vectors.mask, built.mask)
+            assert delta.vectors.ranks == built.ranks
+            assert delta.vectors.attributes == built.attributes
+            assert delta.rebuilt == (
+                len(extended.sources) != len(dataset.sources)
+            )
+            dataset = extended
 
 
 def without_elapsed(outcome):
