@@ -18,11 +18,12 @@ lint:
 	python -m compileall -q src tests/oracles
 
 # Serving, tenancy and API-stability suites (including the golden
-# API-surface snapshot for the v1 promise) plus a live `repro serve
+# API-surface snapshot for the v1 promise), the serve path's import
+# guard (no scipy for a MajorityVote run) plus a live `repro serve
 # --smoke` round trip (service snapshots bit-identical to an offline
 # replay).
 test-serving:
-	PYTHONPATH=src python -m pytest tests/test_serving.py tests/test_tenancy.py tests/test_api_stability.py tests/test_api_surface.py -q
+	PYTHONPATH=src python -m pytest tests/test_serving.py tests/test_tenancy.py tests/test_api_stability.py tests/test_api_surface.py tests/test_import_cost.py -q
 	PYTHONPATH=src python -m repro serve --smoke
 
 # Exact-incremental suites: the streaming delta path (append-only

@@ -28,7 +28,6 @@ from __future__ import annotations
 from weakref import WeakKeyDictionary
 
 import numpy as np
-from scipy import sparse
 
 from repro.algorithms.base import EngineState, TruthDiscoveryAlgorithm
 from repro.algorithms.convergence import ConvergenceCriterion
@@ -109,6 +108,8 @@ class CopyDetector:
         honest sources get branded copiers of each other exactly on the
         facts that matter most.
         """
+        from scipy import sparse  # lazy: keeps scipy out of `import repro`
+
         index = self._index
         claim_is_true = (
             winners[index.claim_fact] == index.claim_slot

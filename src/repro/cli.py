@@ -279,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     recover = store_sub.add_parser(
         "recover",
         help="restore the service state from the store, report what was "
-        "replayed, and cut a fresh checkpoint",
+        "replayed, and stop once the batcher has cut the checkpoint at "
+        "the restored version",
     )
     recover.add_argument("store_dir", help="store directory to recover")
     recover.add_argument(
@@ -582,8 +583,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 None if args.algorithm is None else create(args.algorithm)
             )
             service = TruthService.restore(store, base)
+            # The batcher cuts the restore's checkpoint before it exits.
+            service.stop(checkpoint=False)
             recovery_stats = service.stats
-            service.stop()
             print(
                 json.dumps(
                     {

@@ -104,7 +104,8 @@ class Dataset:
                 types[a] = kind
         self._attribute_types = types
         # Sorted fingerprint pieces, kept only on the streaming path: set
-        # by :meth:`extended` on the dataset it extends and on the one it
+        # by :meth:`keep_pieces` (which :meth:`extended` calls on the
+        # dataset it extends) and on the dataset :meth:`extended`
         # returns.  A dataset that is only fingerprinted builds them
         # transiently, so an offline pass pays no memory for them.
         self._pieces: list[bytes] | None = None
@@ -207,6 +208,18 @@ class Dataset:
                 repr(sorted(self._attribute_types.items())).encode("utf-8")
             )
         return hasher.hexdigest()
+
+    def keep_pieces(self) -> list[bytes]:
+        """Sort the fingerprint pieces once and keep them on this dataset.
+
+        Only for a dataset on the streaming path: :meth:`extended` calls
+        it, and a restore calls it on the checkpoint's dataset before
+        checking its fingerprint, so the check and the extend by the WAL
+        tail share one sort of the corpus.
+        """
+        if self._pieces is None:
+            self._pieces = self._sorted_pieces()
+        return self._pieces
 
     def _sorted_pieces(self) -> list[bytes]:
         """Every claim's fingerprint piece, in fingerprint order.
@@ -410,9 +423,7 @@ class Dataset:
             fresh.append(claim)
         if not fresh:
             return self
-        if self._pieces is None:
-            self._pieces = self._sorted_pieces()
-        pieces = self._pieces.copy()
+        pieces = self.keep_pieces().copy()
         new = [
             _claim_piece((c.source, c.object, c.attribute), c.value)
             for c in fresh

@@ -30,8 +30,7 @@ def dataset_to_dict(dataset: Dataset) -> dict:
         "objects": list(dataset.objects),
         "attributes": list(dataset.attributes),
         "claims": [
-            [c.source, c.object, c.attribute, c.value]
-            for c in dataset.iter_claims()
+            [s, o, a, v] for (s, o, a), v in dataset.claims.items()
         ],
         "truth": [
             [o, a, v] for (o, a), v in sorted(dataset.truth.items())

@@ -191,7 +191,8 @@ class TruthService:
         or a directory path for one.  When set, every admitted batch is
         appended to the claim WAL *before* its ticket is returned, every
         applied batch writes a commit record before its ticket resolves,
-        and checkpoints are cut on start, every ``snapshot_every``
+        and checkpoints are cut on start (after a restore, by the
+        batcher before its first batch), every ``snapshot_every``
         batches and on clean :meth:`stop`.  ``None`` (default) keeps the
         service purely in-memory.
     """
@@ -216,6 +217,9 @@ class TruthService:
         self._incremental = IncrementalTDAC(base, config=self._config)
         self._tracer = tracer
         self._cond = threading.Condition()
+        # One checkpoint at a time: the batcher's due checkpoint and a
+        # caller's checkpoint() would write the same temp file.
+        self._checkpoint_lock = threading.Lock()
         self._pending: deque[IngestTicket] = deque()
         self._pending_claims = 0
         self._in_flight = 0
@@ -231,6 +235,7 @@ class TruthService:
         self._version_base = 0
         self._watermark_base = 0
         self._resuming = False
+        self._unsettled: Sequence[tuple[int, Sequence[Claim]]] = ()
         self._batches_since_checkpoint = 0
         self._stop_complete = False
         self._stats = {
@@ -241,6 +246,7 @@ class TruthService:
             "retry_after_last_seconds": 0.0,
             "batches": 0,
             "batch_errors": 0,
+            "checkpoint_errors": 0,
             "applied_claims": 0,
             "refits_incremental": 0,
             "queue_depth_peak": 0,
@@ -293,7 +299,11 @@ class TruthService:
             config_fingerprint=self._config.fingerprint(),
         )
         self._snapshot = snapshot
-        if self.store is not None and not self._resuming:
+        if self._resuming:
+            # Before the batcher starts, so its due checkpoint sees the
+            # settled snapshot and dataset.
+            self._settle_admits()
+        elif self.store is not None:
             # Baseline checkpoint: the initial dataset is otherwise only
             # held in memory, and recovery needs it to replay from 0.
             self.checkpoint()
@@ -343,22 +353,24 @@ class TruthService:
         Returns the written path, or None without a store.  Meant to be
         called from the batcher between batches or while the service is
         quiescent, so the snapshot and the accumulated dataset agree.
+        A call made while the batcher cuts a checkpoint waits for it.
         """
         if self.store is None:
             return None
-        snapshot = self.snapshot()
-        with self._cond:
-            next_sequence = self._next_sequence
-        with activate(self._tracer):
-            path = self.store.record_snapshot(
-                snapshot,
-                self._incremental.dataset,
-                next_sequence=next_sequence,
-                base_algorithm=self._base.name,
-                reference_algorithm=self._base.name,
-                config=self._config,
-            )
-        self._batches_since_checkpoint = 0
+        with self._checkpoint_lock:
+            snapshot = self.snapshot()
+            with self._cond:
+                next_sequence = self._next_sequence
+            with activate(self._tracer):
+                path = self.store.record_snapshot(
+                    snapshot,
+                    self._incremental.dataset,
+                    next_sequence=next_sequence,
+                    base_algorithm=self._base.name,
+                    reference_algorithm=self._base.name,
+                    config=self._config,
+                )
+            self._batches_since_checkpoint = 0
         return path
 
     def __enter__(self) -> "TruthService":
@@ -388,10 +400,12 @@ class TruthService:
         Admitted-but-unsettled batches are then applied one at a time,
         each with its own commit or abort record (acknowledged
         admissions survive the crash; batches whose abort record made it
-        to disk stay rejected).  Finishes by cutting a fresh checkpoint
-        so the next restore replays nothing.  If a step fails once the
-        service is built, the service is stopped (which closes the
-        store) before the error propagates.
+        to disk stay rejected).  It returns without writing a checkpoint:
+        the batcher cuts one before it takes its first batch, so the
+        next restore replays nothing, and the WAL already holds every
+        acknowledged batch meanwhile.  If a step fails once the service
+        is built, the service is stopped (which closes the store) before
+        the error propagates.
 
         ``base`` and ``config`` default to what the checkpoint recorded
         (the base algorithm is resolved through the
@@ -426,6 +440,9 @@ class TruthService:
                 "key's state"
             )
         dataset = dataset_from_dict(recovery.checkpoint["dataset"])
+        # The service extends this dataset: its fingerprint check and
+        # the extend by the WAL tail share one sort of the pieces.
+        dataset.keep_pieces()
         if dataset.fingerprint != serving.get("dataset_fingerprint"):
             warnings.warn(
                 f"restored dataset fingerprint {dataset.fingerprint} does "
@@ -442,8 +459,9 @@ class TruthService:
             tracer=tracer,
             store=store,
         )
-        # start() fits checkpoint dataset + committed tail once and
-        # publishes the last committed version and watermark.
+        # start() fits checkpoint dataset + committed tail once,
+        # publishes the last committed version and watermark, and
+        # settles the unsettled admits before the batcher starts.
         service._applied = [c for b in recovery.batches for c in b.claims]
         service._version_base = (
             int(serving.get("version", 1)) - 1 + len(recovery.batches)
@@ -451,23 +469,9 @@ class TruthService:
         service._watermark_base = int(serving.get("watermark", 0))
         service._next_sequence = recovery.next_sequence
         service._resuming = True
+        service._unsettled = recovery.uncommitted
         try:
             service.start()
-            with activate(tracer):
-                for offset, claims in recovery.uncommitted:
-                    try:
-                        settled = service._apply(list(claims))
-                    except Exception as exc:
-                        store.append_abort(
-                            [(offset, len(claims))], repr(exc)
-                        )
-                    else:
-                        store.append_commit(
-                            settled.version,
-                            settled.watermark,
-                            [(offset, len(claims))],
-                        )
-            service.checkpoint()
         except BaseException:
             # Leave no batcher running and no store open behind an error.
             service.stop(checkpoint=False)
@@ -645,6 +649,49 @@ class TruthService:
         if self._tracer is not None:
             self._tracer.gauge(name, value)
 
+    def _settle_admits(self) -> None:
+        """Apply a resume's unsettled admits, then mark a checkpoint due.
+
+        Each admit is applied on its own and settled by a commit or an
+        abort record.  The batcher cuts the due checkpoint before it
+        takes its first batch, off the path of the first answer.
+        """
+        with activate(self._tracer):
+            for offset, claims in self._unsettled:
+                try:
+                    settled = self._apply(list(claims))
+                except Exception as exc:
+                    self.store.append_abort([(offset, len(claims))], repr(exc))
+                else:
+                    self.store.append_commit(
+                        settled.version,
+                        settled.watermark,
+                        [(offset, len(claims))],
+                    )
+        self._unsettled = ()
+        self._batches_since_checkpoint = self.service_config.snapshot_every
+
+    def _cadence_checkpoint(self) -> None:
+        """Cut a checkpoint if one is due; a failure keeps the batcher up.
+
+        The WAL still holds every acknowledged batch, so a failed
+        checkpoint only lengthens the next replay: it is counted and
+        retried ``snapshot_every`` batches later.
+        """
+        if (
+            self.store is None
+            or self._batches_since_checkpoint
+            < self.service_config.snapshot_every
+        ):
+            return
+        try:
+            self.checkpoint()
+        except Exception:
+            self._batches_since_checkpoint = 0
+            with self._cond:
+                self._stats["checkpoint_errors"] += 1
+            self._trace_count("serve.checkpoint.errors")
+
     def _take_batch(self) -> list[IngestTicket] | None:
         """Pop one micro-batch, or None when stopped and fully drained.
 
@@ -682,6 +729,9 @@ class TruthService:
         with activate(self._tracer):
             tracer = current_tracer()
             while True:
+                # Before the closed check in _take_batch, so a stop right
+                # after a restore still leaves the due checkpoint.
+                self._cadence_checkpoint()
                 tickets = self._take_batch()
                 if tickets is None:
                     break
@@ -731,11 +781,7 @@ class TruthService:
                     )
                 for ticket in tickets:
                     ticket._resolve(snapshot)
-                if self.store is not None:
-                    self._batches_since_checkpoint += 1
-                    every = self.service_config.snapshot_every
-                    if self._batches_since_checkpoint >= every:
-                        self.checkpoint()
+                self._batches_since_checkpoint += 1
 
     def _apply(self, claims: list[Claim]) -> TruthSnapshot:
         """Absorb ``claims`` on the delta path; publish the covering snapshot.

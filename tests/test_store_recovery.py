@@ -21,9 +21,10 @@ import pytest
 from repro import MajorityVote, SpanTracer, TDAC, TDACConfig, TruthService
 from repro.serving import ServiceConfig
 from repro.core import extend_dataset
-from repro.data import Claim
+from repro.data import Claim, Dataset
 from repro.datasets import make_synthetic
 from repro.store import (
+    SnapshotStore,
     StoreError,
     TruthStore,
     WALCorruptionWarning,
@@ -190,6 +191,125 @@ class TestStop:
         assert len(service.store.wal.segments()) == 1
 
 
+def disk_full(*args, **kwargs):
+    raise OSError("disk full")
+
+
+class TestPostRestoreCheckpoint:
+    """Restore returns after its fit; the batcher cuts the checkpoint."""
+
+    def crashed_store(self, tmp_path, dataset):
+        """A store with a two-batch committed WAL tail past its checkpoint."""
+        store_dir = tmp_path / "store"
+        service = TruthService(
+            MajorityVote(), dataset, config=CONFIG, store=store_dir,
+            service_config=ServiceConfig(
+                snapshot_every=100, max_wait_ms=1.0
+            ),
+        )
+        service.start()
+        service.ingest(fresh_claims(dataset, "a", 3), wait=True)
+        service.ingest(fresh_claims(dataset, "b", 2), wait=True)
+        service.stop(checkpoint=False)
+        return store_dir
+
+    def test_the_batcher_cuts_the_checkpoint_before_any_batch(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        store_dir = self.crashed_store(tmp_path, dataset)
+        writers = []
+        record = SnapshotStore.record
+
+        def spy(self, *args, **kwargs):
+            writers.append(threading.current_thread())
+            return record(self, *args, **kwargs)
+
+        monkeypatch.setattr(SnapshotStore, "record", spy)
+        restored = TruthService.restore(store_dir)
+        calling = threading.current_thread()
+        try:
+            assert calling not in writers
+            version = restored.snapshot().version
+        finally:
+            restored.stop(checkpoint=False)
+        assert writers and calling not in writers
+        latest = TruthStore(store_dir).snapshots.entries()[0]
+        assert latest.version == version
+
+    def test_a_checkpoint_call_waits_for_the_batchers(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        # Both would write the same temp file: the later rename fails.
+        store_dir = self.crashed_store(tmp_path, dataset)
+        record = SnapshotStore.record
+        active, overlaps = [], []
+
+        def slow(self, *args, **kwargs):
+            active.append(None)
+            overlaps.append(len(active))
+            time.sleep(0.1)
+            try:
+                return record(self, *args, **kwargs)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(SnapshotStore, "record", slow)
+        restored = TruthService.restore(store_dir)
+        try:
+            restored.checkpoint()
+        finally:
+            restored.stop(checkpoint=False)
+        assert overlaps == [1, 1]
+
+    def test_restore_sorts_the_fingerprint_pieces_once(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        store_dir = self.crashed_store(tmp_path, dataset)
+        sorted_pieces = Dataset._sorted_pieces
+        calls = []
+
+        def spy(self):
+            calls.append(self)
+            return sorted_pieces(self)
+
+        monkeypatch.setattr(Dataset, "_sorted_pieces", spy)
+        tracer = SpanTracer()
+        restored = TruthService.restore(store_dir, tracer=tracer)
+        restored.stop(checkpoint=False)
+        assert tracer.counters["store.replayed_claims"] == 5
+        assert len(calls) == 1
+
+
+class TestFailedCheckpoint:
+    def test_a_failed_checkpoint_keeps_the_batcher_serving(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        tracer = SpanTracer()
+        service = TruthService(
+            MajorityVote(), dataset, config=CONFIG,
+            store=tmp_path / "store", tracer=tracer,
+            service_config=ServiceConfig(snapshot_every=2, max_wait_ms=1.0),
+        )
+        service.start()
+        monkeypatch.setattr(TruthStore, "record_snapshot", disk_full)
+        try:
+            for j in range(5):
+                ticket = service.ingest(fresh_claims(dataset, f"f{j}", 1))
+                snapshot = ticket.wait(timeout=30)
+            assert snapshot.watermark == 5
+            # Tried after batches 2 and 4; each failure waits a cadence.
+            assert service.stats["checkpoint_errors"] == 2
+            assert tracer.counters["serve.checkpoint.errors"] == 2
+        finally:
+            monkeypatch.undo()
+            service.stop()
+        restored = TruthService.restore(tmp_path / "store")
+        try:
+            assert restored.snapshot().watermark == 5
+        finally:
+            restored.stop()
+
+
 class TestFailedRestore:
     def test_failed_restore_stops_the_batcher_and_closes_the_store(
         self, tmp_path, dataset, monkeypatch
@@ -202,16 +322,23 @@ class TestFailedRestore:
         service.start()
         service.ingest(fresh_claims(dataset, "a", 3), wait=True)
         service.stop(checkpoint=False)
-        # An admit with no outcome: restore settles it, so its commit
-        # record opens the WAL for writing before the checkpoint fails.
+        # Two admits with no outcome: restore settles them after its
+        # fit.  The first commit record opens the WAL for writing; the
+        # second fails.
         store = TruthStore(store_dir)
         store.append_admit(3, fresh_claims(dataset, "b", 2))
+        store.append_admit(5, fresh_claims(dataset, "c", 2))
         store.close()
+        append_commit = TruthStore.append_commit
+        commits = []
 
-        def disk_full(*args, **kwargs):
-            raise OSError("disk full")
+        def second_commit_fails(self, *args, **kwargs):
+            commits.append(args)
+            if len(commits) == 2:
+                raise OSError("disk full")
+            return append_commit(self, *args, **kwargs)
 
-        monkeypatch.setattr(TruthStore, "record_snapshot", disk_full)
+        monkeypatch.setattr(TruthStore, "append_commit", second_commit_fails)
         before = set(threading.enumerate())
         with pytest.raises(OSError, match="disk full"):
             TruthService.restore(store)
