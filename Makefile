@@ -39,9 +39,11 @@ test-incremental:
 	PYTHONPATH=src python -m pytest tests/test_index.py tests/test_incremental.py tests/test_incremental_exact.py tests/test_vectorized_engine.py tests/test_truth_vectors.py -q
 
 # Durable store suites: WAL/snapshot units plus crash-recovery
-# bit-identity (kill mid-ingest, restore, compare to offline TDAC.run).
+# bit-identity (kill mid-ingest, restore, compare to offline TDAC.run),
+# and the crash/restore state machine's derandomized profile (~10 s),
+# which checkpoints, restores and compacts on the checkpoint format.
 test-store:
-	PYTHONPATH=src python -m pytest tests/test_store.py tests/test_store_recovery.py -q
+	PYTHONPATH=src python -m pytest tests/test_store.py tests/test_store_recovery.py tests/test_restore_machine.py -q
 
 # Network front-end suites: TCP round trips over the JSON-lines
 # protocol, framing/backpressure edges, client reconnect behaviour,

@@ -89,18 +89,19 @@ def config_from_dict(payload: dict) -> TDACConfig:
     """Rebuild a :class:`TDACConfig` from its :meth:`~TDACConfig.to_dict`.
 
     Used by the durable store to resume a service under the exact config
-    it checkpointed with.  Keys that are not fields are dropped: 1.8.0
-    and earlier checkpoints also store seven placement knobs (worker
-    count and pool, CSR switch and cutover, working dtype, memmap
-    cutover, worker-failure policy) that no longer exist.  When the
-    payload carries a ``fingerprint`` it is checked against the rebuilt
-    config, so a hand-edited checkpoint cannot silently serve results
-    under the wrong knobs — and a float32 checkpoint, whose fingerprint
-    covered its dtype, is refused.
+    it checkpointed with.  A key that is neither a field nor
+    ``fingerprint`` raises :class:`ValueError`.  When the payload carries
+    a ``fingerprint`` it is checked against the rebuilt config, so a
+    hand-edited checkpoint cannot silently serve results under the wrong
+    knobs.
     """
-    recorded = payload.get("fingerprint")
-    names = [field.name for field in dataclasses.fields(TDACConfig)]
-    config = TDACConfig(**{n: payload[n] for n in names if n in payload})
+    fields = dict(payload)
+    recorded = fields.pop("fingerprint", None)
+    names = {field.name for field in dataclasses.fields(TDACConfig)}
+    unknown = sorted(set(fields) - names)
+    if unknown:
+        raise ValueError(f"stored config has unknown keys {unknown}")
+    config = TDACConfig(**fields)
     if recorded is not None and config.fingerprint() != recorded:
         raise ValueError(
             f"stored config fingerprint {recorded} does not match its "

@@ -168,7 +168,7 @@ class IncrementalTDAC:
         if new_dataset is self._dataset:
             return self._last_outcome
         return self._delta_update(
-            new_dataset, self._fresh_claims(batch), started
+            new_dataset, self._fresh_claims(batch, new_dataset), started
         )
 
     # ------------------------------------------------------------------
@@ -234,8 +234,11 @@ class IncrementalTDAC:
         self._n_delta_updates += 1
         return outcome
 
-    def _fresh_claims(self, batch: list[Claim]) -> list[Claim]:
-        """The batch minus duplicates (within itself and vs the corpus)."""
+    def _fresh_claims(
+        self, batch: list[Claim], new_dataset: Dataset
+    ) -> list[Claim]:
+        """The batch minus duplicates (within itself and vs the corpus),
+        each with the value ``new_dataset`` stores (NaN canonicalised)."""
         seen: set[tuple] = set()
         fresh: list[Claim] = []
         for claim in batch:
@@ -244,7 +247,7 @@ class IncrementalTDAC:
                 continue
             seen.add(key)
             if self._dataset.value(*key) is None:
-                fresh.append(claim)
+                fresh.append(Claim(*key, new_dataset.value(*key)))
         return fresh
 
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.data.normalize import (
     canonicalize_fact_values,
     normalize_dataset,
 )
-from repro.data.sampling import sample_objects, sample_sources, thin_coverage
+from repro.data.sampling import thin_coverage
 from repro.data.stats import DatasetStats, data_coverage_rate, dataset_stats
 from repro.data.types import (
     ATTRIBUTE_TYPES,
@@ -81,8 +81,6 @@ __all__ = [
     "load_csv",
     "load_json",
     "normalize_dataset",
-    "sample_objects",
-    "sample_sources",
     "save_claims_csv",
     "save_claims_jsonl",
     "save_json",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, canonical_value
 from repro.data.types import (
     AttributeId,
     Claim,
@@ -104,8 +104,10 @@ class DatasetBuilder:
         """
         key = (source, obj, attribute)
         if key in self._claims:
-            existing = self._claims[key]
-            if existing != value:
+            # As the built dataset will compare them: NaN objects as one.
+            existing = canonical_value(self._claims[key])
+            canonical = canonical_value(value)
+            if existing is not canonical and existing != canonical:
                 raise DataError(
                     f"source {source!r} claims two values for "
                     f"({obj!r}, {attribute!r}): {existing!r} and {value!r}"

@@ -47,7 +47,8 @@ class Dataset:
     claims:
         Mapping from ``(source, object, attribute)`` to the claimed value.
         A source claims at most one value per fact (one-truth setting);
-        facts a source does not cover are simply absent.
+        facts a source does not cover are simply absent.  Every float
+        NaN, in claims and truth alike, is stored as :data:`NAN`.
     truth:
         Optional mapping from ``(object, attribute)`` to the true value,
         used for evaluation only.  May be partial.
@@ -88,8 +89,8 @@ class Dataset:
                 raise DataError(f"claim references unknown object {o!r}")
             if a not in attribute_set:
                 raise DataError(f"claim references unknown attribute {a!r}")
-        self._claims = dict(claims)
-        truth = dict(truth or {})
+        self._claims = _canonical_values(dict(claims))
+        truth = _canonical_values(dict(truth or {}))
         for (o, a) in truth:
             if o not in object_set or a not in attribute_set:
                 raise DataError(
@@ -395,7 +396,9 @@ class Dataset:
         inserted in order, so its :attr:`fingerprint` costs one hash of
         the carried bytes instead of a sort of the whole corpus.
 
-        Returns ``self`` unchanged when every claim is a duplicate.
+        Batch values are canonicalised as the constructor's are (every
+        float NaN becomes :data:`NAN`).  Returns ``self`` unchanged when
+        every claim is a duplicate.
         """
         batch = list(claims)
         if not batch:
@@ -404,30 +407,29 @@ class Dataset:
         sources = dict.fromkeys(self._sources)
         objects = dict.fromkeys(self._objects)
         attributes = dict.fromkeys(self._attributes)
-        fresh: list[Claim] = []
+        fresh: list[tuple[tuple, Value]] = []
         for claim in batch:
             key = (claim.source, claim.object, claim.attribute)
+            value = canonical_value(claim.value)
             if key in merged:
                 existing = merged[key]
-                if existing != claim.value:
+                # Identity first, as a slot dict compares: NaN != NaN.
+                if existing is not value and existing != value:
                     raise DataError(
                         f"source {claim.source!r} claims two values for "
                         f"({claim.object!r}, {claim.attribute!r}): "
-                        f"{existing!r} and {claim.value!r}"
+                        f"{existing!r} and {value!r}"
                     )
                 continue
             sources.setdefault(claim.source)
             objects.setdefault(claim.object)
             attributes.setdefault(claim.attribute)
-            merged[key] = claim.value
-            fresh.append(claim)
+            merged[key] = value
+            fresh.append((key, value))
         if not fresh:
             return self
         pieces = self.keep_pieces().copy()
-        new = [
-            _claim_piece((c.source, c.object, c.attribute), c.value)
-            for c in fresh
-        ]
+        new = [_claim_piece(key, value) for key, value in fresh]
         if len(new) <= _INSORT_MAX:
             for piece in new:
                 insort(pieces, piece)
@@ -449,8 +451,8 @@ class Dataset:
         if "claims_per_attribute" in self.__dict__:
             counts = dict.fromkeys(extended._attributes, 0)
             counts.update(self.claims_per_attribute)
-            for claim in fresh:
-                counts[claim.attribute] += 1
+            for key, _ in fresh:
+                counts[key[2]] += 1
             extended.__dict__["claims_per_attribute"] = MappingProxyType(counts)
         return extended
 
@@ -499,6 +501,32 @@ class Dataset:
             name=name,
             attribute_types=self._attribute_types,
         )
+
+
+#: The one float NaN object datasets hold.  JSON (the wire, the WAL, a
+#: checkpoint) decodes every NaN as one object, while dict equality, and
+#: so a slot, tells two NaN objects apart.
+NAN = float("nan")
+
+
+def canonical_value(value: Value) -> Value:
+    """``value`` with every float NaN, also inside tuples, made :data:`NAN`."""
+    if isinstance(value, float):
+        return NAN if value != value else value
+    if isinstance(value, tuple):
+        items = tuple(map(canonical_value, value))
+        return value if items == value else items  # unequal iff a NaN moved
+    return value
+
+
+def _canonical_values(mapping: dict) -> dict:
+    """:func:`canonical_value` over ``mapping``'s values, in place; a
+    corpus of strings pays one scan of the value types."""
+    kinds = set(map(type, mapping.values()))
+    if any(issubclass(kind, (float, tuple)) for kind in kinds):
+        for key, value in mapping.items():
+            mapping[key] = canonical_value(value)
+    return mapping
 
 
 #: Pieces hashed per ``sha256.update`` call in :attr:`Dataset.fingerprint`.

@@ -1,4 +1,4 @@
-"""Dataset subsampling utilities (coverage sweeps, quick replicas).
+"""Dataset subsampling for coverage sweeps.
 
 The paper's main qualitative finding is that TD-AC's advantage grows
 with the Data Coverage Rate.  To turn that observation into a proper
@@ -44,43 +44,3 @@ def thin_coverage(
                     claim.source, claim.object, claim.attribute, claim.value
                 )
     return builder.build()
-
-
-def sample_objects(dataset: Dataset, n_objects: int, seed: int = 0) -> Dataset:
-    """Restrict the dataset to a random subset of its objects."""
-    if n_objects < 1:
-        raise ValueError("n_objects must be at least 1")
-    if n_objects >= len(dataset.objects):
-        return dataset
-    rng = np.random.default_rng(seed)
-    chosen = set(
-        rng.choice(len(dataset.objects), size=n_objects, replace=False).tolist()
-    )
-    keep = {o for i, o in enumerate(dataset.objects) if i in chosen}
-    builder = DatasetBuilder(name=f"{dataset.name}|{n_objects}objects")
-    builder.declare_sources(dataset.sources)
-    builder.declare_objects([o for o in dataset.objects if o in keep])
-    builder.declare_attributes(dataset.attributes)
-    for claim in dataset.iter_claims():
-        if claim.object in keep:
-            builder.add_claim(
-                claim.source, claim.object, claim.attribute, claim.value
-            )
-    builder.set_truths(
-        {(o, a): v for (o, a), v in dataset.truth.items() if o in keep}
-    )
-    return builder.build()
-
-
-def sample_sources(dataset: Dataset, n_sources: int, seed: int = 0) -> Dataset:
-    """Restrict the dataset to a random subset of its sources."""
-    if n_sources < 1:
-        raise ValueError("n_sources must be at least 1")
-    if n_sources >= len(dataset.sources):
-        return dataset
-    rng = np.random.default_rng(seed)
-    chosen = set(
-        rng.choice(len(dataset.sources), size=n_sources, replace=False).tolist()
-    )
-    keep = [s for i, s in enumerate(dataset.sources) if i in chosen]
-    return dataset.restrict_sources(keep)

@@ -306,7 +306,11 @@ class TruthService:
         elif self.store is not None:
             # Baseline checkpoint: the initial dataset is otherwise only
             # held in memory, and recovery needs it to replay from 0.
-            self.checkpoint()
+            try:
+                self.checkpoint()
+            except BaseException:
+                self.stop(checkpoint=False)
+                raise
         self._thread = threading.Thread(
             target=self._worker, name="tdac-truth-service", daemon=True
         )
@@ -348,7 +352,7 @@ class TruthService:
         self._stop_complete = True
 
     def checkpoint(self) -> Path | None:
-        """Persist the current snapshot (plus dataset) as a checkpoint.
+        """Persist the current snapshot's stamp and dataset as a checkpoint.
 
         Returns the written path, or None without a store.  Meant to be
         called from the batcher between batches or while the service is
@@ -367,7 +371,6 @@ class TruthService:
                     self._incremental.dataset,
                     next_sequence=next_sequence,
                     base_algorithm=self._base.name,
-                    reference_algorithm=self._base.name,
                     config=self._config,
                 )
             self._batches_since_checkpoint = 0
@@ -425,12 +428,12 @@ class TruthService:
                 "restore (was the service ever started with this store?)"
             )
         meta = recovery.checkpoint["store"]
-        serving = recovery.checkpoint["result"].get("serving", {})
+        stamp = recovery.checkpoint["stamp"]
         if base is None:
             from repro.algorithms import create
 
             base = create(meta["base_algorithm"])
-        recorded = serving.get("config_fingerprint")
+        recorded = stamp["config_fingerprint"]
         if config is None:
             config = config_from_dict(meta["config"])
         elif config.fingerprint() != recorded:
@@ -443,11 +446,10 @@ class TruthService:
         # The service extends this dataset: its fingerprint check and
         # the extend by the WAL tail share one sort of the pieces.
         dataset.keep_pieces()
-        if dataset.fingerprint != serving.get("dataset_fingerprint"):
+        if dataset.fingerprint != stamp["dataset_fingerprint"]:
             warnings.warn(
                 f"restored dataset fingerprint {dataset.fingerprint} does "
-                "not match the checkpoint's "
-                f"{serving.get('dataset_fingerprint')}",
+                f"not match the checkpoint's {stamp['dataset_fingerprint']}",
                 WALCorruptionWarning,
                 stacklevel=2,
             )
@@ -463,10 +465,8 @@ class TruthService:
         # publishes the last committed version and watermark, and
         # settles the unsettled admits before the batcher starts.
         service._applied = [c for b in recovery.batches for c in b.claims]
-        service._version_base = (
-            int(serving.get("version", 1)) - 1 + len(recovery.batches)
-        )
-        service._watermark_base = int(serving.get("watermark", 0))
+        service._version_base = stamp["version"] - 1 + len(recovery.batches)
+        service._watermark_base = stamp["watermark"]
         service._next_sequence = recovery.next_sequence
         service._resuming = True
         service._unsettled = recovery.uncommitted

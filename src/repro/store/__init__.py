@@ -5,9 +5,10 @@ backing directory:
 
 * :class:`ClaimWAL` — append-only, checksummed JSON-lines log of every
   admitted claim batch, rotated into sealed segments;
-* :class:`SnapshotStore` — versioned, content-addressed checkpoints of
-  the served :class:`~repro.serving.TruthSnapshot` (persisted in the
-  shared ``tdac-result/v1`` schema) plus the accumulated dataset;
+* :class:`SnapshotStore` — versioned, content-addressed
+  ``tdac-snapshot/v2`` checkpoints: the served
+  :class:`~repro.serving.TruthSnapshot`'s stamp plus the accumulated
+  dataset, under a SHA-256 of the bytes written;
 * :class:`TruthStore` — the facade combining both, with
   :meth:`~TruthStore.recover` (rebuild the applied history from disk)
   and :meth:`~TruthStore.compact` (fold sealed WAL segments below the

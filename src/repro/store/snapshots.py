@@ -1,31 +1,34 @@
 """Versioned, content-addressed on-disk snapshot store.
 
-Each persisted snapshot is one self-contained JSON file,
-``snapshot-<version>-<address>.json``, where the address is a digest of
-``(Dataset.fingerprint, TDACConfig.fingerprint, watermark)`` — the
-triple that fully determines an exact snapshot's content.  The payload
-carries:
+Each persisted snapshot is one file, ``snapshot-<version>-<address>.json``,
+where the address is a digest of ``(Dataset.fingerprint,
+TDACConfig.fingerprint, watermark)`` — the triple that determines an
+exact snapshot's content.  A restore refits the checkpointed corpus, so
+a file holds only what recovery, compaction and inspection read.  Its
+first line is ``tdac-snapshot/v2 <sha256 of the body>``; the body is one
+``json.dumps(payload, sort_keys=True)`` of:
 
-* the served state in the shared ``tdac-result/v1`` schema (the
-  ``result`` key, exactly ``TruthSnapshot.to_dict()``);
-* the **accumulated dataset** at the snapshot's watermark
-  (:func:`repro.data.io.dataset_to_dict`), which is what makes a
-  snapshot a true checkpoint: recovery rebuilds the dataset from here
-  and only replays the WAL tail above the watermark, so WAL segments
-  below it can be compacted away;
-* store metadata (``wal_lsn``, ``min_live_lsn``, ``next_sequence``,
-  the base/reference algorithm names and the full config) plus a
-  SHA-256 checksum over the rest of the payload.
+* ``stamp`` — the snapshot's version, watermark and fingerprints;
+* ``dataset`` — the **accumulated dataset** at the watermark
+  (:func:`repro.data.io.dataset_to_dict`): recovery rebuilds the corpus
+  from it and replays only the WAL tail above the watermark, so WAL
+  segments below it can be compacted away;
+* ``store`` — ``min_live_lsn``, ``next_sequence``, the base algorithm
+  name and the full config.
 
-Recovery parses exactly one file: the newest snapshot that loads
-(:meth:`SnapshotStore.latest_valid`).  Older files are read only as the
-fallback when a newer one is corrupt.
+:meth:`SnapshotStore.load` checks the header and the digest of the bytes
+read before it parses once; a file of another schema (``v1`` included)
+is refused by name.  Recovery parses exactly one file, the newest that
+loads (:meth:`SnapshotStore.latest_valid`); older files are read only as
+the fallback when a newer one is corrupt.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,11 +42,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.data.dataset import Dataset
     from repro.serving.snapshot import TruthSnapshot
 
-#: Version tag of the persisted snapshot payload.
-SNAPSHOT_SCHEMA = "tdac-snapshot/v1"
+#: Version tag of the persisted snapshot file (its header's first word).
+SNAPSHOT_SCHEMA = "tdac-snapshot/v2"
 
 SNAPSHOT_PREFIX = "snapshot-"
 SNAPSHOT_SUFFIX = ".json"
+
+#: A single-document (v1) file's snapshot schema, named when it is
+#: refused; its served result nests a ``tdac-result/v1`` schema first.
+_EMBEDDED_SCHEMA = re.compile(rb'"schema": ?"(tdac-snapshot/[^"]{1,32})"')
 
 
 def snapshot_address(
@@ -54,14 +61,11 @@ def snapshot_address(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _payload_checksum(payload: dict[str, Any]) -> str:
-    """SHA-256 over the canonical payload with the checksum field blanked."""
-    scrubbed = dict(payload)
-    store_meta = dict(scrubbed.get("store", {}))
-    store_meta.pop("checksum", None)
-    scrubbed["store"] = store_meta
-    blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def _found_schema(header: bytes) -> str:
+    """A refused file's schema: a v1 document's field, else its first word."""
+    match = _EMBEDDED_SCHEMA.search(header) if header[:1] == b"{" else None
+    found = match.group(1) if match else header.partition(b" ")[0][:64]
+    return found.decode("ascii", "replace")
 
 
 @dataclass(frozen=True)
@@ -108,65 +112,81 @@ class SnapshotStore:
         snapshot: "TruthSnapshot",
         dataset: "Dataset",
         *,
-        wal_lsn: int,
         min_live_lsn: int,
         next_sequence: int,
         base_algorithm: str,
-        reference_algorithm: str,
         config: "TDACConfig",
     ) -> Path:
-        """Persist ``snapshot`` (plus its dataset) as a checkpoint file.
+        """Persist ``snapshot``'s stamp plus its dataset as a checkpoint.
 
-        The write is atomic (temp file + rename) so a crash mid-write
-        leaves at worst an ignorable ``.tmp`` file, never a half
-        snapshot that shadows an older valid one.
+        The payload is serialised once; a value JSON cannot hold raises
+        :class:`StoreError` naming its type.  The write is atomic and
+        durable (temp file, fsync, rename, directory fsync), so a crash
+        mid-write leaves at worst an ignorable ``.tmp`` file, and a
+        checkpoint that compaction trusts is on disk.
         """
         from repro.data.io import dataset_to_dict
 
+        payload = {
+            "stamp": {
+                "version": snapshot.version,
+                "watermark": snapshot.watermark,
+                "dataset_fingerprint": snapshot.dataset_fingerprint,
+                "config_fingerprint": snapshot.config_fingerprint,
+            },
+            "dataset": dataset_to_dict(dataset),
+            "store": {
+                "min_live_lsn": min_live_lsn,
+                "next_sequence": next_sequence,
+                "base_algorithm": base_algorithm,
+                "config": config.to_dict(),
+            },
+        }
+        try:
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        except TypeError as exc:
+            raise StoreError(f"cannot checkpoint the dataset: {exc}") from exc
+        digest = hashlib.sha256(body).hexdigest()
         address = snapshot_address(
             snapshot.dataset_fingerprint,
             snapshot.config_fingerprint,
             snapshot.watermark,
         )
-        payload: dict[str, Any] = {
-            "schema": SNAPSHOT_SCHEMA,
-            "result": snapshot.to_dict(),
-            "dataset": dataset_to_dict(dataset),
-            "store": {
-                "address": address,
-                "wal_lsn": wal_lsn,
-                "min_live_lsn": min_live_lsn,
-                "next_sequence": next_sequence,
-                "base_algorithm": base_algorithm,
-                "reference_algorithm": reference_algorithm,
-                "config": config.to_dict(),
-            },
-        }
-        payload["store"]["checksum"] = _payload_checksum(payload)
         name = f"{SNAPSHOT_PREFIX}{snapshot.version:010d}-{address}{SNAPSHOT_SUFFIX}"
         path = self.directory / name
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, default=str) + "\n"
-        )
+        with open(tmp, "wb") as handle:
+            handle.write(f"{SNAPSHOT_SCHEMA} {digest}\n".encode("ascii"))
+            handle.write(body)
+            handle.flush()
+            os.fsync(handle.fileno())
         tmp.replace(path)
+        directory = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
         return path
 
     def load(self, path: Path) -> dict[str, Any]:
-        """Read and validate one snapshot file."""
+        """Read one snapshot file; check its header and digest, then parse."""
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            data = path.read_bytes()
+        except OSError as exc:
             raise StoreError(f"unreadable snapshot {path.name}: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("schema") != SNAPSHOT_SCHEMA:
+        header, _, body = data.partition(b"\n")
+        schema, _, digest = header.partition(b" ")
+        if schema != SNAPSHOT_SCHEMA.encode("ascii"):
             raise StoreError(
-                f"snapshot {path.name} does not carry the "
-                f"{SNAPSHOT_SCHEMA} schema"
+                f"snapshot {path.name} carries schema "
+                f"{_found_schema(header)!r}; only {SNAPSHOT_SCHEMA} is read"
             )
-        recorded = payload.get("store", {}).get("checksum")
-        if recorded != _payload_checksum(payload):
+        if digest != hashlib.sha256(body).hexdigest().encode("ascii"):
             raise StoreError(f"snapshot {path.name} failed its checksum")
-        return payload
+        try:
+            return json.loads(body)
+        except ValueError as exc:
+            raise StoreError(f"unreadable snapshot {path.name}: {exc}") from exc
 
     def latest_valid(self) -> tuple[dict[str, Any], Path] | None:
         """Newest snapshot that validates, falling back over corrupt ones.

@@ -16,8 +16,8 @@ and exposes exactly the operations the serving layer needs:
   that was rejected (one-truth conflict) or still pending at the crash
   is surfaced, never silently re-applied, because the uninterrupted
   service did not apply it either;
-* **record_snapshot** — checkpoint the full served state (result +
-  accumulated dataset) so recovery replays only the WAL tail above the
+* **record_snapshot** — checkpoint the served snapshot's stamp and
+  accumulated dataset so recovery replays only the WAL tail above the
   snapshot watermark;
 * **recover** — the read path behind ``TruthService.restore``: latest
   valid snapshot, committed tail batches in commit order, uncommitted
@@ -91,12 +91,10 @@ class StoreRecovery:
 
     def summary(self) -> dict:
         """JSON-ready condensation (CLI / logs)."""
-        serving = {}
-        if self.checkpoint is not None:
-            serving = self.checkpoint.get("result", {}).get("serving", {})
+        stamp = self.checkpoint["stamp"] if self.checkpoint else {}
         return {
-            "checkpoint_version": serving.get("version"),
-            "checkpoint_watermark": serving.get("watermark"),
+            "checkpoint_version": stamp.get("version"),
+            "checkpoint_watermark": stamp.get("watermark"),
             "replayed_batches": len(self.batches),
             "replayed_claims": self.replayed_claims,
             "uncommitted_claims": self.uncommitted_claims,
@@ -257,7 +255,6 @@ class TruthStore:
         *,
         next_sequence: int,
         base_algorithm: str,
-        reference_algorithm: str,
         config: "TDACConfig",
     ) -> Path:
         """Checkpoint the served state; fsyncs the WAL first."""
@@ -269,11 +266,9 @@ class TruthStore:
             path = self.snapshots.record(
                 snapshot,
                 dataset,
-                wal_lsn=self.wal.next_lsn - 1,
                 min_live_lsn=self.min_live_lsn,
                 next_sequence=next_sequence,
                 base_algorithm=base_algorithm,
-                reference_algorithm=reference_algorithm,
                 config=config,
             )
         self._snapshots_written += 1
@@ -307,10 +302,9 @@ class TruthStore:
             base_watermark = 0
             if latest is not None:
                 recovery.checkpoint, recovery.checkpoint_path = latest
-                serving = recovery.checkpoint["result"].get("serving", {})
-                base_watermark = int(serving.get("watermark", 0))
-                recovery.next_sequence = int(
-                    recovery.checkpoint["store"].get("next_sequence", 0)
+                base_watermark = recovery.checkpoint["stamp"]["watermark"]
+                recovery.next_sequence = (
+                    recovery.checkpoint["store"]["next_sequence"]
                 )
             scan = self.wal.scan()
             recovery.warnings.extend(scan.warnings)
@@ -409,7 +403,7 @@ class TruthStore:
             if latest is None:
                 return {"removed_segments": [], "keep_from_lsn": 0}
             payload, _path = latest
-            keep_from = int(payload["store"].get("min_live_lsn", 0))
+            keep_from = payload["store"]["min_live_lsn"]
             removed = self.wal.compact(keep_from)
         self._compactions += 1
         tracer.count("store.compactions")
@@ -434,9 +428,6 @@ class TruthStore:
         by_type: dict[str, int] = {}
         for record in scan.records:
             by_type[record.type] = by_type.get(record.type, 0) + 1
-        serving = {}
-        if latest is not None:
-            serving = latest[0]["result"].get("serving", {})
         return {
             "root": str(self.root),
             "wal": {
@@ -455,12 +446,7 @@ class TruthStore:
                 }
                 for entry in self.snapshots.entries()
             ],
-            "latest": {
-                "version": serving.get("version"),
-                "watermark": serving.get("watermark"),
-                "dataset_fingerprint": serving.get("dataset_fingerprint"),
-                "config_fingerprint": serving.get("config_fingerprint"),
-            },
+            "latest": latest[0]["stamp"] if latest is not None else None,
         }
 
 

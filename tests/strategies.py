@@ -11,10 +11,11 @@ OTHER_NAN = float("nan")
 
 #: Claim values whose equality a slot dict treats unlike plain identity:
 #: 1 == 1.0 == True and 0 == 0.0 == -0.0 == False share a slot, a NaN
-#: matches only the same object, tuples compare element-wise.
+#: matches only the same object (a ``Dataset`` stores every NaN, also
+#: inside tuples, as one object), tuples compare element-wise.
 ADVERSARIAL_VALUES = (
     1, 1.0, True, 0, 0.0, -0.0, False, NAN, OTHER_NAN, None,
-    (1, "a"), (1.0, "a"), (NAN,), "é", "ü", "x",
+    (1, "a"), (1.0, "a"), (NAN,), (OTHER_NAN,), "é", "ü", "x",
 )
 
 SOURCES = ("s2", "s0", "s1", "s3")

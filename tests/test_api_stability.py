@@ -74,7 +74,7 @@ class TestPublicSurface:
         from repro import TruthService, TruthSnapshot  # noqa: F401
 
     def test_version_matches_package_metadata(self):
-        assert repro.__version__ == "1.23.0"
+        assert repro.__version__ == "1.24.0"
 
     def test_store_symbols_are_top_level(self):
         from repro import TruthStore, store  # noqa: F401
@@ -120,7 +120,9 @@ class TestTDACConfig:
 
 class TestOldCheckpointConfigs:
     """1.8.0 checkpoints store seven retired placement knobs beside the
-    five fields; they restore, and a float32 one is refused."""
+    five fields.  Only ``tdac-snapshot/v1`` files carried them, and those
+    are no longer read, so a stored config with any unknown key is
+    refused."""
 
     LEGACY = {
         "distance": "hamming", "k_min": 2, "k_max": None, "n_init": 10,
@@ -130,15 +132,19 @@ class TestOldCheckpointConfigs:
         "fingerprint": "bbd566bb65d39e1f",
     }
 
-    def test_legacy_payload_restores(self):
-        config = config_from_dict(self.LEGACY)
-        assert config == TDACConfig()
-        assert config.fingerprint() == "bbd566bb65d39e1f"
+    def test_legacy_payload_is_refused(self):
+        with pytest.raises(ValueError, match="unknown keys .*'backend'"):
+            config_from_dict(self.LEGACY)
 
     def test_float32_payload_is_refused(self):
         payload = dict(
             self.LEGACY, dtype="float32", fingerprint="29e05815635d2f6e"
         )
+        with pytest.raises(ValueError, match="unknown keys .*'dtype'"):
+            config_from_dict(payload)
+
+    def test_fingerprint_mismatch_is_refused(self):
+        payload = dict(TDACConfig().to_dict(), seed=1)
         with pytest.raises(ValueError, match="fingerprint"):
             config_from_dict(payload)
 

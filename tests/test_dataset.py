@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.data import Claim, DataError, Dataset, Fact
+from repro.data import Claim, DataError, Dataset, DatasetBuilder, Fact
+from repro.data.dataset import NAN
 from repro.data.types import CONTINUOUS, MULTI
 from tests.oracles.fingerprint import dataset_fingerprint_loop
 
@@ -51,6 +52,35 @@ class TestConstruction:
     def test_rejects_truth_for_unknown_fact(self):
         with pytest.raises(DataError, match="unknown fact"):
             Dataset(["s1"], ["o1"], ["a1"], {}, truth={("oX", "a1"): 1})
+
+
+class TestOneNaN:
+    """Every float NaN a dataset stores, also inside a tuple, is one
+    object, so a fact has one NaN slot whatever objects came in."""
+
+    def test_construction_and_extension_store_one_nan(self):
+        ds = make(
+            {("s1", "o1", "a1"): float("nan"), ("s2", "o1", "a1"): 1},
+            truth={("o1", "a1"): float("nan")},
+        )
+        grown = ds.extended([
+            Claim("s3", "o1", "a1", float("nan")),
+            Claim("s3", "o1", "a2", (1, float("nan"))),
+        ])
+        assert ds.value("s1", "o1", "a1") is NAN
+        assert ds.true_value(Fact("o1", "a1")) is NAN
+        assert grown.value("s3", "o1", "a1") is NAN
+        assert grown.value("s3", "o1", "a2")[1] is NAN
+
+    def test_a_nan_claim_retried_is_a_duplicate(self):
+        ds = make({("s1", "o1", "a1"): "x"})
+        claim = Claim("s1", "o1", "a2", float("nan"))
+        grown = ds.extended([claim])
+        assert grown.extended([claim]) is grown
+        assert grown.extended([Claim("s1", "o1", "a2", float("nan"))]) is grown
+        builder = DatasetBuilder().add_claim("s1", "o1", "a1", float("nan"))
+        builder.add_claim("s1", "o1", "a1", float("nan"))
+        assert builder.build().value("s1", "o1", "a1") is NAN
 
 
 class TestAccess:

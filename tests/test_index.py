@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data import Dataset, DatasetBuilder, DatasetIndex, Fact
+from repro.data.dataset import NAN as DATASET_NAN
 from repro.data.index import (
     segment_argmax,
     segment_max,
@@ -280,11 +281,12 @@ class TestCompileMatchesLoop:
             {("o", "a"): OTHER_NAN, ("o", "b"): None},
         )
         index = assert_matches_loop(dataset)
-        assert index.slot_values[0] is NAN
-        assert index.slot_values[1] is OTHER_NAN
-        np.testing.assert_array_equal(index.claim_slot, [0, 0, 1, 2, 3, 3])
-        # A NaN truth finds the slot of its own object; None never does.
-        np.testing.assert_array_equal(index.true_slot, [1, -1])
+        # The dataset stores every NaN as one object, so distinct NaN
+        # claims share a slot, and a NaN truth finds it; None never does.
+        assert index.slot_values[0] is DATASET_NAN
+        assert index.slot_values[1] is DATASET_NAN
+        np.testing.assert_array_equal(index.claim_slot, [0, 0, 0, 1, 2, 2])
+        np.testing.assert_array_equal(index.true_slot, [0, -1])
 
     def test_tuples_and_non_ascii_strings(self):
         claims = {

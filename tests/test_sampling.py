@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data import data_coverage_rate, sample_objects, sample_sources, thin_coverage
+from repro.data import data_coverage_rate, thin_coverage
 from repro.datasets import make_synthetic
 
 
@@ -43,30 +43,3 @@ class TestThinCoverage:
         a = thin_coverage(dataset, 0.5, seed=7)
         b = thin_coverage(dataset, 0.5, seed=7)
         assert list(a.iter_claims()) == list(b.iter_claims())
-
-
-class TestSampleObjects:
-    def test_restricts_objects(self, dataset):
-        sampled = sample_objects(dataset, 10, seed=0)
-        assert len(sampled.objects) == 10
-        assert all(c.object in set(sampled.objects) for c in sampled.iter_claims())
-
-    def test_oversized_request_is_identity(self, dataset):
-        assert sample_objects(dataset, 10_000) is dataset
-
-    def test_validated(self, dataset):
-        with pytest.raises(ValueError):
-            sample_objects(dataset, 0)
-
-
-class TestSampleSources:
-    def test_restricts_sources(self, dataset):
-        sampled = sample_sources(dataset, 4, seed=0)
-        assert len(sampled.sources) == 4
-
-    def test_oversized_request_is_identity(self, dataset):
-        assert sample_sources(dataset, 10_000) is dataset
-
-    def test_validated(self, dataset):
-        with pytest.raises(ValueError):
-            sample_sources(dataset, 0)

@@ -6,15 +6,30 @@ offset with a loud :class:`WALCorruptionWarning` — never a silent skip
 of interior records.
 """
 
+import hashlib
 import json
+import os
+import stat
+import tempfile
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from repro import MajorityVote, TDACConfig, TruthService
-from repro.data import Claim
+import numpy as np
+
+from repro import TDAC, MajorityVote, TDACConfig, TruthService
+from repro.data import (
+    Claim,
+    Dataset,
+    DatasetIndex,
+    dataset_from_dict,
+    dataset_to_dict,
+)
 from repro.datasets import make_synthetic
+from repro.core.config import RESULT_AFFECTING_FIELDS
 from repro.serving import ServiceConfig
 from repro.store import (
+    SNAPSHOT_SCHEMA,
     ClaimWAL,
     RecordCorruptError,
     SnapshotStore,
@@ -29,6 +44,8 @@ from repro.store import (
     snapshot_address,
 )
 from repro.store.wal import segment_first_lsn, segment_name
+from tests.strategies import claim_datasets
+from tests.test_index import INDEX_ARRAYS, assert_same_values
 
 
 @pytest.fixture
@@ -205,11 +222,11 @@ class TestSnapshotStore:
         entries = store.snapshots.entries()
         assert entries  # newest first
         payload, path = store.snapshots.latest_valid()
-        serving = payload["result"]["serving"]
+        stamp = payload["stamp"]
         expected = snapshot_address(
-            serving["dataset_fingerprint"],
-            serving["config_fingerprint"],
-            serving["watermark"],
+            stamp["dataset_fingerprint"],
+            stamp["config_fingerprint"],
+            stamp["watermark"],
         )
         assert entries[0].address == expected
         assert expected in path.name
@@ -218,13 +235,205 @@ class TestSnapshotStore:
         store_dir = _stopped_service(tmp_path, dataset, claims=3)
         snapshots = SnapshotStore(store_dir / "snapshots")
         newest = snapshots.entries()[0].path
-        payload = json.loads(newest.read_text())
-        payload["result"]["serving"]["watermark"] += 1  # breaks checksum
-        newest.write_text(json.dumps(payload))
-        with pytest.warns(WALCorruptionWarning, match="falling back"):
+        data = newest.read_bytes()
+        assert data.count(b'"watermark": 3') == 1
+        # The stamp's watermark, one higher, breaks the header's digest.
+        newest.write_bytes(data.replace(b'"watermark": 3', b'"watermark": 4'))
+        with pytest.warns(WALCorruptionWarning, match="failed its checksum"):
             fallback, path = snapshots.latest_valid()
         assert path != newest
-        assert fallback["store"]["checksum"]
+        assert fallback["stamp"]["watermark"] < 3
+
+
+@pytest.fixture(scope="module")
+def checkpoint_files(tmp_path_factory):
+    """``(name, bytes)`` of a stopped service's checkpoints, newest first."""
+    dataset = make_synthetic("DS1", n_objects=15, seed=11).dataset
+    store_dir = _stopped_service(
+        tmp_path_factory.mktemp("v2"), dataset, claims=3
+    )
+    entries = SnapshotStore(store_dir / "snapshots").entries()
+    assert len(entries) >= 2
+    return [(e.path.name, e.path.read_bytes()) for e in entries]
+
+
+def _started(dataset):
+    """An in-memory service's first snapshot (no store, stopped)."""
+    service = TruthService(MajorityVote(), dataset, config=TDACConfig(seed=3))
+    snapshot = service.start()
+    service.stop()
+    return snapshot
+
+
+class TestSnapshotFormat:
+    """A v2 checkpoint: ``tdac-snapshot/v2 <sha256 of the body>``, then
+    the body, which holds only the stamp, the dataset and the store
+    metadata."""
+
+    def test_file_is_a_header_line_over_the_body(self, checkpoint_files):
+        _, data = checkpoint_files[0]
+        header, _, body = data.partition(b"\n")
+        schema, _, digest = header.decode("ascii").partition(" ")
+        assert schema == SNAPSHOT_SCHEMA == "tdac-snapshot/v2"
+        assert digest == hashlib.sha256(body).hexdigest()
+        payload = json.loads(body)
+        assert set(payload) == {"stamp", "dataset", "store"}
+        assert set(payload["stamp"]) == {
+            "version", "watermark", "dataset_fingerprint",
+            "config_fingerprint",
+        }
+        assert set(payload["store"]) == {
+            "min_live_lsn", "next_sequence", "base_algorithm", "config",
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @example(position=0, mask=1)  # the schema
+    @example(position=len(SNAPSHOT_SCHEMA), mask=1)  # the separator
+    @example(position=len(SNAPSHOT_SCHEMA) + 1, mask=1)  # the digest
+    @example(position=len(SNAPSHOT_SCHEMA) + 65, mask=0x24)  # the newline
+    @example(position=len(SNAPSHOT_SCHEMA) + 66, mask=1)  # the body
+    @given(
+        position=st.integers(min_value=0, max_value=10**6),
+        mask=st.integers(min_value=1, max_value=255),
+    )
+    def test_any_flipped_byte_is_refused_and_falls_back(
+        self, checkpoint_files, position, mask
+    ):
+        (newest_name, newest), (older_name, older) = checkpoint_files[:2]
+        flipped = bytearray(newest)
+        flipped[position % len(flipped)] ^= mask
+        with tempfile.TemporaryDirectory() as directory:
+            snapshots = SnapshotStore(directory)
+            (snapshots.directory / newest_name).write_bytes(bytes(flipped))
+            (snapshots.directory / older_name).write_bytes(older)
+            with pytest.raises(StoreError):
+                snapshots.load(snapshots.directory / newest_name)
+            with pytest.warns(WALCorruptionWarning, match="falling back"):
+                payload, path = snapshots.latest_valid()
+            assert path.name == older_name
+            assert (snapshots.directory / newest_name).exists()
+        assert payload == json.loads(older.partition(b"\n")[2])
+
+    def test_a_v1_file_is_refused_by_its_schema(self, tmp_path):
+        snapshots = SnapshotStore(tmp_path)
+        path = tmp_path / "snapshot-0000000001-0123456789abcdef.json"
+        v1 = {  # as 1.23.0 wrote it: the served result nests its schema
+            "dataset": {"format_version": 1},
+            "result": {"schema": "tdac-result/v1", "serving": {}},
+            "schema": "tdac-snapshot/v1", "store": {"checksum": "0" * 64},
+        }
+        path.write_text(json.dumps(v1, sort_keys=True) + "\n")
+        with pytest.raises(StoreError, match="'tdac-snapshot/v1'"):
+            snapshots.load(path)
+        with pytest.warns(WALCorruptionWarning, match="tdac-snapshot/v1"):
+            assert snapshots.latest_valid() is None
+        assert path.exists()  # refused, never deleted
+
+    def test_record_serialises_once_and_load_never(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        snapshot = _started(dataset)
+        snapshots = SnapshotStore(tmp_path)
+        calls = []
+        dumps = json.dumps
+
+        def spy(obj, *args, **kwargs):
+            calls.append(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        path = snapshots.record(
+            snapshot, dataset, min_live_lsn=0, next_sequence=0,
+            base_algorithm="MajorityVote", config=TDACConfig(seed=3),
+        )
+        payloads = [c for c in calls if "stamp" in c]
+        assert len(payloads) == 1
+        # The only other encode is the config's own fingerprint.
+        assert all(
+            set(c) == set(RESULT_AFFECTING_FIELDS)
+            for c in calls if "stamp" not in c
+        )
+        calls.clear()
+        assert snapshots.load(path) == json.loads(dumps(payloads[0]))
+        assert calls == []
+
+    def test_record_fsyncs_the_file_then_the_directory(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        snapshot = _started(dataset)
+        snapshots = SnapshotStore(tmp_path / "snapshots")
+        fsync = os.fsync
+        events = []
+
+        def spy(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            files = sorted(p.name for p in snapshots.directory.iterdir())
+            events.append((kind, files))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        path = snapshots.record(
+            snapshot, dataset, min_live_lsn=0, next_sequence=0,
+            base_algorithm="MajorityVote", config=TDACConfig(seed=3),
+        )
+        # The temp file is durable before the rename publishes it, and
+        # the rename is durable before record returns.
+        assert events == [
+            ("file", [path.with_suffix(".tmp").name]),
+            ("dir", [path.name]),
+        ]
+
+
+def assert_same_slots(restored: Dataset, original: Dataset):
+    """Same facts, slot arrays and slot values."""
+    a, b = DatasetIndex(restored), DatasetIndex(original)
+    assert a.facts == b.facts
+    for name in INDEX_ARRAYS:
+        np.testing.assert_array_equal(
+            getattr(a, name), getattr(b, name), err_msg=name
+        )
+    assert_same_values(a.slot_values, b.slot_values)
+
+
+def assert_same_run(restored: Dataset, original: Dataset):
+    tdac = TDAC(MajorityVote(), config=TDACConfig(seed=0))
+    a, b = tdac.run(restored), tdac.run(original)
+    # Prediction dicts compare equal only where a NaN is one object.
+    assert dict(a.result.predictions) == dict(b.result.predictions)
+    assert dict(a.result.source_trust) == dict(b.result.source_trust)
+    assert a.partition.blocks == b.partition.blocks
+
+
+class TestAdversarialRoundTrip:
+    """Claims over every adversarial value (1/1.0/True, -0.0, distinct
+    NaN objects, tuples holding them, None, non-ASCII) keep their slots
+    and their TD-AC result through a checkpoint and through the WAL."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(claim_datasets())
+    def test_checkpoint_dataset_codec(self, dataset):
+        assume(dataset.n_claims)  # the builder refuses an empty corpus
+        text = json.dumps(dataset_to_dict(dataset), sort_keys=True)
+        restored = dataset_from_dict(json.loads(text))
+        assert restored.fingerprint == dataset.fingerprint
+        assert_same_slots(restored, dataset)
+        assert_same_run(restored, dataset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(claim_datasets())
+    def test_wal_claim_codec(self, dataset):
+        claims = [encode_claim(c) for c in dataset.iter_claims()]
+        record = decode_record(encode_record(0, "admit", {"claims": claims}))
+        empty = Dataset(
+            dataset.sources, dataset.objects, dataset.attributes, {},
+            dataset.truth,
+        )
+        restored = empty.extended(
+            decode_claim(c) for c in record.body["claims"]
+        )
+        assert restored.fingerprint == dataset.fingerprint
+        assert_same_slots(restored, dataset)
+        assert_same_run(restored, dataset)
 
 
 class TestTruthStore:

@@ -8,6 +8,7 @@ logs (torn tail, flipped bytes) recover to the last valid record with a
 loud :class:`WALCorruptionWarning`, never a silent interior skip.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ import pytest
 from repro import MajorityVote, SpanTracer, TDAC, TDACConfig, TruthService
 from repro.serving import ServiceConfig
 from repro.core import extend_dataset
-from repro.data import Claim, Dataset
+from repro.data import Claim, Dataset, Fact
 from repro.datasets import make_synthetic
 from repro.store import (
     SnapshotStore,
@@ -350,6 +351,69 @@ class TestFailedRestore:
         assert store.wal._handle is None
 
 
+class TestValuesAcrossARestore:
+    def test_a_value_json_cannot_hold_fails_the_checkpoint_loudly(
+        self, tmp_path, dataset
+    ):
+        # A checkpoint that stringified it would restore a different
+        # value, served as exact.
+        sources, attribute = dataset.sources, dataset.attributes[0]
+        frozen = dataset.extended([
+            Claim(sources[0], "o-frozen", attribute, frozenset({1})),
+            Claim(sources[1], "o-frozen", attribute, frozenset({1})),
+            Claim(sources[2], "o-frozen", attribute, 5),
+        ])
+        store_dir = tmp_path / "store"
+        service = TruthService(
+            MajorityVote(), frozen, config=CONFIG, store=store_dir,
+            service_config=ServiceConfig(max_wait_ms=1.0),
+        )
+        before = set(threading.enumerate())
+        with pytest.raises(StoreError, match="frozenset"):
+            service.start()
+        leaked = [
+            t for t in set(threading.enumerate()) - before
+            if t.name == "tdac-truth-service" and t.is_alive()
+        ]
+        assert leaked == []
+        assert service.store.wal._handle is None
+        assert SnapshotStore(store_dir / "snapshots").is_empty()
+
+    def test_distinct_nan_claims_share_one_slot_across_a_restore(
+        self, tmp_path, dataset
+    ):
+        sources, attribute = dataset.sources, dataset.attributes[0]
+        batch = [
+            Claim(sources[0], "o-nan", attribute, float("nan")),
+            Claim(sources[1], "o-nan", attribute, float("nan")),
+            Claim(sources[2], "o-nan", attribute, 7),
+        ]
+        store_dir = tmp_path / "store"
+        service = TruthService(
+            MajorityVote(), dataset, config=CONFIG, store=store_dir,
+            service_config=ServiceConfig(snapshot_every=1000, max_wait_ms=1.0),
+        )
+        service.start()
+        service.ingest(batch, wait=True)
+        live = service.snapshot()
+        service.stop(checkpoint=False)
+        restored = TruthService.restore(store_dir)
+        try:
+            again = restored.snapshot()
+            assert_bit_identical(restored, dataset, batch)
+        finally:
+            restored.stop(checkpoint=False)
+        fact = Fact("o-nan", attribute)
+        for snapshot in (live, again):
+            assert snapshot.watermark == 3
+            assert math.isnan(snapshot.predictions[fact])
+            assert snapshot.result.confidence[fact] == pytest.approx(2 / 3)
+        assert live.dataset_fingerprint == again.dataset_fingerprint
+        # Equal because both hold the dataset's one NaN object.
+        assert dict(live.predictions) == dict(again.predictions)
+        assert dict(live.source_trust) == dict(again.source_trust)
+
+
 CRASH_CHILD = """\
 import os, sys
 from repro import MajorityVote, TDACConfig, TruthService
@@ -401,9 +465,9 @@ class TestCrashRecovery:
         service.stop()
         store.compact()
         newest = store.snapshots.entries()[0].path
-        newest.write_text(
-            newest.read_text().replace('"checksum": "', '"checksum": "0')
-        )
+        data = bytearray(newest.read_bytes())
+        data[-2] ^= 0x01  # one body byte: the digest check fails
+        newest.write_bytes(bytes(data))
         with pytest.warns(WALCorruptionWarning, match="falling back"):
             with pytest.raises(StoreError, match="does not continue"):
                 TruthService.restore(store_dir)
