@@ -7,15 +7,15 @@ test: lint test-serving test-incremental test-store test-net test-scenarios benc
 	pytest tests/
 
 # Static checks: ruff when the container ships it, plus a bytecode
-# compile of the whole source tree and the test oracles (catches syntax
-# errors everywhere, with or without ruff).
+# compile of every tree ruff checks (catches syntax errors everywhere,
+# with or without ruff).
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 	    ruff check src tests benchmarks examples; \
 	else \
 	    echo "ruff not installed; skipping ruff check"; \
 	fi
-	python -m compileall -q src tests/oracles
+	python -m compileall -q src tests benchmarks examples
 
 # Serving, tenancy and API-stability suites (including the golden
 # API-surface snapshot for the v1 promise), the serve path's import

@@ -239,6 +239,7 @@ class IncrementalTDAC:
     ) -> list[Claim]:
         """The batch minus duplicates (within itself and vs the corpus),
         each with the value ``new_dataset`` stores (NaN canonicalised)."""
+        stored = self._dataset.claims
         seen: set[tuple] = set()
         fresh: list[Claim] = []
         for claim in batch:
@@ -246,7 +247,7 @@ class IncrementalTDAC:
             if key in seen:
                 continue
             seen.add(key)
-            if self._dataset.value(*key) is None:
+            if key not in stored:  # a stored value may itself be None
                 fresh.append(Claim(*key, new_dataset.value(*key)))
         return fresh
 

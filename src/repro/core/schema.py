@@ -49,13 +49,6 @@ RESULT_SCHEMA_KEYS = (
 )
 
 
-def _freeze_value(value: Any) -> Any:
-    """Turn JSON lists back into the tuples the data model uses."""
-    if isinstance(value, list):
-        return tuple(_freeze_value(v) for v in value)
-    return value
-
-
 def result_from_dict(payload: Mapping[str, Any]) -> "TruthDiscoveryResult":
     """Rebuild a :class:`TruthDiscoveryResult` from its v1 rendering.
 
@@ -69,7 +62,7 @@ def result_from_dict(payload: Mapping[str, Any]) -> "TruthDiscoveryResult":
     directly.
     """
     from repro.algorithms.base import TruthDiscoveryResult
-    from repro.data.types import Fact
+    from repro.data.types import Fact, freeze_value
 
     if payload.get("schema") != RESULT_SCHEMA:
         raise ValueError(
@@ -80,7 +73,7 @@ def result_from_dict(payload: Mapping[str, Any]) -> "TruthDiscoveryResult":
     confidence: dict[Any, float] = {}
     for entry in payload.get("predictions", ()):
         fact = Fact(entry["object"], entry["attribute"])
-        predictions[fact] = _freeze_value(entry["value"])
+        predictions[fact] = freeze_value(entry["value"])
         if entry.get("confidence") is not None:
             confidence[fact] = float(entry["confidence"])
     return TruthDiscoveryResult(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.data.dataset import Dataset, canonical_value
+from repro.data.dataset import Dataset, check_resent
 from repro.data.types import (
     AttributeId,
     Claim,
@@ -104,14 +104,7 @@ class DatasetBuilder:
         """
         key = (source, obj, attribute)
         if key in self._claims:
-            # As the built dataset will compare them: NaN objects as one.
-            existing = canonical_value(self._claims[key])
-            canonical = canonical_value(value)
-            if existing is not canonical and existing != canonical:
-                raise DataError(
-                    f"source {source!r} claims two values for "
-                    f"({obj!r}, {attribute!r}): {existing!r} and {value!r}"
-                )
+            check_resent(key, self._claims[key], value)
         self._sources.setdefault(source)
         self._objects.setdefault(obj)
         self._attributes.setdefault(attribute)

@@ -412,14 +412,7 @@ class Dataset:
             key = (claim.source, claim.object, claim.attribute)
             value = canonical_value(claim.value)
             if key in merged:
-                existing = merged[key]
-                # Identity first, as a slot dict compares: NaN != NaN.
-                if existing is not value and existing != value:
-                    raise DataError(
-                        f"source {claim.source!r} claims two values for "
-                        f"({claim.object!r}, {claim.attribute!r}): "
-                        f"{existing!r} and {value!r}"
-                    )
+                check_resent(key, merged[key], value)
                 continue
             sources.setdefault(claim.source)
             objects.setdefault(claim.object)
@@ -517,6 +510,22 @@ def canonical_value(value: Value) -> Value:
         items = tuple(map(canonical_value, value))
         return value if items == value else items  # unequal iff a NaN moved
     return value
+
+
+def check_resent(key: tuple, existing: Value, value: Value) -> None:
+    """Raise :class:`DataError` unless ``value``, re-sent for the claim
+    ``key`` = (source, object, attribute), equals the ``existing`` one.
+
+    Canonical values compare identity first, as a slot dict does, so a
+    re-sent NaN is the same value.
+    """
+    existing, value = canonical_value(existing), canonical_value(value)
+    if existing is not value and existing != value:
+        source, obj, attribute = key
+        raise DataError(
+            f"source {source!r} claims two values for "
+            f"({obj!r}, {attribute!r}): {existing!r} and {value!r}"
+        )
 
 
 def _canonical_values(mapping: dict) -> dict:

@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.data.builder import DatasetBuilder
-from repro.data.dataset import Dataset
-from repro.data.types import DataError, Value
+from repro.data.dataset import Dataset, check_resent
+from repro.data.types import DataError, freeze_value
 
 _FORMAT_VERSION = 1
 
@@ -48,20 +48,41 @@ def dataset_to_dict(dataset: Dataset) -> dict:
 
 
 def dataset_from_dict(payload: Mapping) -> Dataset:
-    """Decode a dataset from :func:`dataset_to_dict` output."""
+    """Decode a dataset from :func:`dataset_to_dict` output.
+
+    Identifiers the payload does not declare are added as a
+    :class:`~repro.data.builder.DatasetBuilder` would: typed attributes,
+    then claims, then truths, each in order.  A payload with no claims
+    decodes to an empty dataset (a service may checkpoint one).
+    """
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise DataError(f"unsupported dataset format version: {version!r}")
-    builder = DatasetBuilder(name=payload.get("name", "dataset"))
-    builder.declare_sources(payload.get("sources", []))
-    builder.declare_objects(payload.get("objects", []))
-    builder.declare_attributes(payload.get("attributes", []))
-    builder.declare_attribute_types(payload.get("attribute_types", {}))
+    types = payload.get("attribute_types", {})
+    sources = dict.fromkeys(payload.get("sources", []))
+    objects = dict.fromkeys(payload.get("objects", []))
+    attributes = dict.fromkeys([*payload.get("attributes", []), *types])
+    claims: dict = {}
     for source, obj, attribute, value in payload.get("claims", []):
-        builder.add_claim(source, obj, attribute, _freeze(value))
+        key = (source, obj, attribute)
+        value = freeze_value(value)
+        if key in claims:
+            check_resent(key, claims[key], value)
+        sources[source] = objects[obj] = attributes[attribute] = None
+        claims[key] = value
+    truth = {}
     for obj, attribute, value in payload.get("truth", []):
-        builder.set_truth(obj, attribute, _freeze(value))
-    return builder.build()
+        objects[obj] = attributes[attribute] = None
+        truth[(obj, attribute)] = freeze_value(value)
+    return Dataset(
+        sources,
+        objects,
+        attributes,
+        claims,
+        truth,
+        name=payload.get("name", "dataset"),
+        attribute_types=types,
+    )
 
 
 def save_json(dataset: Dataset, path: str | Path) -> None:
@@ -114,7 +135,7 @@ def load_claims_jsonl(
                     payload["source"],
                     payload["object"],
                     payload["attribute"],
-                    _freeze(payload["value"]),
+                    freeze_value(payload["value"]),
                 )
             except (KeyError, ValueError) as exc:
                 if isinstance(exc, DataError):
@@ -174,9 +195,3 @@ def _require_columns(reader: csv.DictReader, required: set, path) -> None:
     if missing:
         raise DataError(f"{path}: missing CSV columns {sorted(missing)}")
 
-
-def _freeze(value: Value) -> Value:
-    """Make JSON-decoded values hashable (lists become tuples)."""
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value

@@ -49,6 +49,13 @@ def validate_attribute_type(kind: str) -> str:
     return kind
 
 
+def freeze_value(value: Value) -> Value:
+    """Make a JSON-decoded value hashable: arrays become tuples."""
+    if isinstance(value, list):
+        return tuple(map(freeze_value, value))
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class Fact:
     """A single (object, attribute) slot holding one unknown true value."""

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from typing import IO, Any, Iterable
 
-from repro.data.types import Claim
+from repro.data.types import Claim, freeze_value
 from repro.serving.schema import envelope_error, envelope_tag
 from repro.serving.service import (
     IngestTicket,
@@ -47,7 +47,8 @@ from repro.serving.service import (
 
 
 def parse_claims(raw: Any) -> list[Claim]:
-    """Coerce the wire-format ``claims`` payload into :class:`Claim` rows."""
+    """Coerce the wire-format ``claims`` payload into :class:`Claim` rows
+    (a JSON array value becomes a tuple)."""
     if not isinstance(raw, list) or not raw:
         raise ValueError("'claims' must be a non-empty list")
     claims = []
@@ -58,7 +59,7 @@ def parse_claims(raw: Any) -> list[Claim]:
                     source=entry["source"],
                     object=entry["object"],
                     attribute=entry["attribute"],
-                    value=entry["value"],
+                    value=freeze_value(entry["value"]),
                 )
             )
         except (TypeError, KeyError) as exc:

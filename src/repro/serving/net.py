@@ -23,11 +23,12 @@ The design is robustness-first:
   a connection that vanishes mid-line is counted as a torn frame and
   closed without disturbing anyone else.
 * **Event-loop isolation.**  Ingest admissions run on a small
-  executor (the admit path can touch the WAL), and ticket completion is
-  bridged back via :meth:`IngestTicket.add_done_callback
-  <repro.serving.service.IngestTicket.add_done_callback>` +
-  ``call_soon_threadsafe`` — a deep queue parks zero threads, so
-  hundreds of in-flight ingests cannot starve the loop.
+  executor (the admit path can touch the WAL), and each ticket's
+  :attr:`~repro.serving.service.IngestTicket.future` is awaited through
+  :func:`asyncio.wrap_future` — a deep queue parks zero threads, so
+  hundreds of in-flight ingests cannot starve the loop.  The future is
+  created running, so the cancel ``wrap_future`` passes on when a
+  connection is dropped cannot drop the admitted batch.
 * **Bounded writes.**  Each connection's transport gets a
   :data:`WRITE_BUFFER_BYTES` write buffer and every response waits for
   ``drain()`` under :data:`WRITE_TIMEOUT`; a slow-loris consumer is
@@ -77,11 +78,7 @@ from repro.serving.frontend import (
     unknown_tenant,
 )
 from repro.serving.schema import envelope_error
-from repro.serving.service import (
-    IngestTicket,
-    ServiceOverloadedError,
-    TruthService,
-)
+from repro.serving.service import ServiceOverloadedError, TruthService
 
 #: Seconds a response may wait for the peer to drain it; a slower
 #: consumer is dropped as a slow loris.
@@ -476,26 +473,8 @@ class TruthServer:
             return overloaded(
                 exc.retry_after_seconds, op="ingest", tenant=tenant
             )
-        snapshot = await self._await_ticket(ticket)
+        snapshot = await asyncio.wrap_future(ticket.future)
         return ingest_ack(ticket, snapshot, tenant)
-
-    @staticmethod
-    async def _await_ticket(ticket: IngestTicket):
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-
-        def settle() -> None:
-            if future.cancelled():
-                return
-            try:
-                future.set_result(ticket.wait(0))
-            except BaseException as exc:  # ticket failure -> caller
-                future.set_exception(exc)
-
-        ticket.add_done_callback(
-            lambda: loop.call_soon_threadsafe(settle)
-        )
-        return await future
 
 
 def serve_network(

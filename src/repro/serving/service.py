@@ -41,6 +41,7 @@ import threading
 import time
 import warnings
 from collections import deque
+from concurrent.futures import Future, TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -81,46 +82,37 @@ class IngestTicket:
     the batch covers sequences ``[offset, offset + len(claims))``.  The
     snapshot that applied the batch therefore has
     ``watermark >= offset + len(claims)``.
+
+    ``future`` is a :class:`concurrent.futures.Future` the batcher
+    settles with that snapshot, or with the batch's failure.  It is
+    created running, so ``future.cancel()`` is refused: a batch the WAL
+    holds is never dropped by an awaiting caller giving up (the TCP
+    front-end awaits it through :func:`asyncio.wrap_future`, which
+    cancels its source when the awaiting task is cancelled).
     """
 
-    __slots__ = (
-        "claims",
-        "offset",
-        "_event",
-        "_snapshot",
-        "_error",
-        "_callbacks",
-        "_cb_lock",
-    )
+    __slots__ = ("claims", "offset", "future")
 
     def __init__(self, claims: Sequence[Claim], offset: int) -> None:
         self.claims: tuple[Claim, ...] = tuple(claims)
         self.offset = offset
-        self._event = threading.Event()
-        self._snapshot: TruthSnapshot | None = None
-        self._error: BaseException | None = None
-        self._callbacks: list = []
-        self._cb_lock = threading.Lock()
+        self.future: Future[TruthSnapshot] = Future()
+        self.future.set_running_or_notify_cancel()
 
     @property
     def done(self) -> bool:
         """Whether the batch has been applied (or failed)."""
-        return self._event.is_set()
+        return self.future.done()
 
     def add_done_callback(self, fn) -> None:
         """Run ``fn()`` once the ticket settles (immediately if it has).
 
-        Callbacks fire on whichever thread settles the ticket (the
-        batcher thread, usually), so they must be cheap and must not
-        block — the network front-end uses this to bridge tickets onto
-        an event loop via ``call_soon_threadsafe`` instead of parking
-        one executor thread per in-flight ingest.
+        Callbacks run on whichever thread settles the ticket (the
+        batcher thread, usually), after the result is visible, so they
+        must be cheap and must not block.  One that raises is logged
+        and does not reach the batcher.
         """
-        with self._cb_lock:
-            if not self._event.is_set():
-                self._callbacks.append(fn)
-                return
-        fn()
+        self.future.add_done_callback(lambda _: fn())
 
     def wait(self, timeout: float | None = None) -> TruthSnapshot:
         """Block until the batch is applied; return the covering snapshot.
@@ -128,28 +120,10 @@ class IngestTicket:
         Raises the batch's failure (e.g. a one-truth conflict) if the
         refit rejected it, or :class:`TimeoutError` on ``timeout``.
         """
-        if not self._event.wait(timeout):
-            raise TimeoutError("ingest not applied within timeout")
-        if self._error is not None:
-            raise self._error
-        assert self._snapshot is not None
-        return self._snapshot
-
-    def _settled(self) -> None:
-        with self._cb_lock:
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn()
-
-    def _resolve(self, snapshot: TruthSnapshot) -> None:
-        self._snapshot = snapshot
-        self._event.set()
-        self._settled()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-        self._settled()
+        try:
+            return self.future.result(timeout)
+        except FuturesTimeoutError:  # a distinct class before Python 3.11
+            raise TimeoutError("ingest not applied within timeout") from None
 
 
 @dataclass(frozen=True)
@@ -770,7 +744,7 @@ class TruthService:
                         # compaction is never blocked by a rejection.
                         self.store.append_abort(applied, repr(error))
                     for ticket in tickets:
-                        ticket._fail(error)
+                        ticket.future.set_exception(error)
                     continue
                 assert snapshot is not None
                 if self.store is not None:
@@ -780,7 +754,7 @@ class TruthService:
                         snapshot.version, snapshot.watermark, applied
                     )
                 for ticket in tickets:
-                    ticket._resolve(snapshot)
+                    ticket.future.set_result(snapshot)
                 self._batches_since_checkpoint += 1
 
     def _apply(self, claims: list[Claim]) -> TruthSnapshot:

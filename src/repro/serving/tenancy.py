@@ -177,7 +177,7 @@ class TenantHandle:
         self._count("ingest.claims", len(batch))
 
         def settled() -> None:
-            applied = ticket._error is None
+            applied = ticket.future.exception() is None
             with self._lock:
                 self._pending_claims -= len(batch)
                 if applied:

@@ -69,14 +69,12 @@ class StoreRecovery:
     """Everything :meth:`TruthStore.recover` reconstructed from disk."""
 
     checkpoint: dict | None = None
-    checkpoint_path: Path | None = None
     batches: list[ReplayBatch] = field(default_factory=list)
     uncommitted: list[tuple[int, tuple[Claim, ...]]] = field(
         default_factory=list
     )
     aborted_claims: int = 0
     next_sequence: int = 0
-    wal_lsn: int = 0
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -88,19 +86,6 @@ class StoreRecovery:
     def uncommitted_claims(self) -> int:
         """Admitted claims whose outcome the crash swallowed."""
         return sum(len(claims) for _, claims in self.uncommitted)
-
-    def summary(self) -> dict:
-        """JSON-ready condensation (CLI / logs)."""
-        stamp = self.checkpoint["stamp"] if self.checkpoint else {}
-        return {
-            "checkpoint_version": stamp.get("version"),
-            "checkpoint_watermark": stamp.get("watermark"),
-            "replayed_batches": len(self.batches),
-            "replayed_claims": self.replayed_claims,
-            "uncommitted_claims": self.uncommitted_claims,
-            "aborted_claims": self.aborted_claims,
-            "warnings": list(self.warnings),
-        }
 
 
 class TruthStore:
@@ -301,14 +286,13 @@ class TruthStore:
             latest = self.snapshots.latest_valid()
             base_watermark = 0
             if latest is not None:
-                recovery.checkpoint, recovery.checkpoint_path = latest
+                recovery.checkpoint = latest[0]
                 base_watermark = recovery.checkpoint["stamp"]["watermark"]
                 recovery.next_sequence = (
                     recovery.checkpoint["store"]["next_sequence"]
                 )
             scan = self.wal.scan()
             recovery.warnings.extend(scan.warnings)
-            recovery.wal_lsn = scan.next_lsn
             admits: dict[int, tuple[Claim, ...]] = {}
             for record in scan.records:
                 if record.type == "admit":

@@ -453,6 +453,22 @@ class TestStreamBitIdentity:
         assert "unseen-source" in outcome.source_trust
         self.assert_matches_offline(outcome, incremental.dataset, config)
 
+    def test_a_resent_none_claim_is_a_duplicate(self):
+        # A stored None re-sent beside a new claim must not count as
+        # fresh (the delta compile would see one claim too many).
+        dataset = make_synthetic("DS1", n_objects=15, seed=11).dataset
+        s0, s1 = dataset.sources[:2]
+        attribute = dataset.attributes[0]
+        stored = Claim(s0, "new-o", attribute, None)
+        incremental = IncrementalTDAC(MajorityVote(), config=CONFIG)
+        incremental.fit(dataset)
+        incremental.update([stored])
+        outcome = incremental.update(
+            [stored, Claim(s1, "new-o", attribute, 5)]
+        )
+        assert incremental.dataset.n_claims == dataset.n_claims + 2
+        self.assert_matches_offline(outcome, incremental.dataset, CONFIG)
+
     def test_conflicting_batch_leaves_state_untouched(self):
         dataset = make_synthetic("DS1", n_objects=10, seed=19).dataset
         incremental = IncrementalTDAC(MajorityVote(), config=CONFIG)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.data import (
     DataError,
+    Dataset,
+    DatasetBuilder,
     dataset_from_dict,
     dataset_to_dict,
     load_csv,
@@ -48,6 +50,52 @@ class TestJson:
         ds = dataset_from_dict(payload)
         values = ds.values_for(ds.facts[0])
         assert values == ((1, 2),)
+
+    def test_undeclared_identifiers_append_as_the_builder_adds_them(self):
+        payload = {
+            "format_version": 1,
+            "sources": ["s2"],
+            "objects": ["o2"],
+            "attributes": ["a2"],
+            "attribute_types": {"a3": "continuous"},
+            "claims": [["s1", "o1", "a1", 1], ["s2", "o3", "a2", [2]]],
+            "truth": [["o4", "a4", 3]],
+        }
+        builder = DatasetBuilder()
+        builder.declare_sources(["s2"]).declare_objects(["o2"])
+        builder.declare_attributes(["a2"])
+        builder.declare_attribute_types({"a3": "continuous"})
+        builder.add_claim("s1", "o1", "a1", 1)
+        builder.add_claim("s2", "o3", "a2", (2,))
+        builder.set_truth("o4", "a4", 3)
+        expected = builder.build()
+        decoded = dataset_from_dict(payload)
+        assert decoded.sources == expected.sources == ("s2", "s1")
+        assert decoded.objects == expected.objects
+        assert decoded.attributes == expected.attributes
+        assert decoded.attribute_types == expected.attribute_types
+        assert decoded.truth == expected.truth
+        assert decoded.fingerprint == expected.fingerprint
+
+    def test_a_key_claimed_twice_with_different_values_is_rejected(self):
+        claims = [["s1", "o1", "a1", 1], ["s1", "o1", "a1", 2]]
+        with pytest.raises(DataError, match="two values"):
+            dataset_from_dict({"format_version": 1, "claims": claims})
+        # Two distinct NaN objects are one value, as in the dataset.
+        claims = [
+            ["s1", "o1", "a1", [float("nan")]],
+            ["s1", "o1", "a1", [float("nan")]],
+        ]
+        decoded = dataset_from_dict({"format_version": 1, "claims": claims})
+        assert decoded.n_claims == 1
+
+    def test_a_dataset_with_no_claims_round_trips(self):
+        empty = Dataset(["s1", "s2"], ["o"], ["a", "b", "c"], {})
+        decoded = dataset_from_dict(dataset_to_dict(empty))
+        assert decoded.n_claims == 0
+        assert decoded.sources == empty.sources
+        assert decoded.attributes == empty.attributes
+        assert decoded.fingerprint == empty.fingerprint
 
 
 class TestCsv:

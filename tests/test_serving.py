@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro import TDAC, MajorityVote, SpanTracer, TDACConfig, TruthService
-from repro.data import Claim, DataError
+from repro.data import Claim, DataError, Fact
 from repro.datasets import make_synthetic
 from repro.serving import (
     QueryAnswer,
@@ -347,6 +347,130 @@ class TestFailureIsolation:
             assert after.version == before.version + 1
             assert after.watermark == 1  # the bad claim was never applied
             assert service.stats["batch_errors"] == 1
+
+
+@pytest.fixture
+def held_batches(monkeypatch):
+    """Hold every batch of ``service`` inside ``_apply`` until released.
+
+    Call the fixture with the started service; ``release()`` lets the
+    held batch (and every later one) through.
+    """
+    gate = threading.Event()
+
+    def hold(service):
+        apply = service._apply
+
+        def held(claims):
+            gate.wait(30)
+            return apply(claims)
+
+        monkeypatch.setattr(service, "_apply", held)
+        return gate.set
+
+    yield hold
+    gate.set()
+
+
+class TestTicketFuture:
+    """A ticket is a ``concurrent.futures.Future`` the batcher settles."""
+
+    def test_a_raising_callback_does_not_stop_the_batcher(
+        self, dataset, held_batches, caplog
+    ):
+        with TruthService(
+            MajorityVote(), dataset,
+            service_config=ServiceConfig(max_wait_ms=1.0),
+        ) as service:
+            release = held_batches(service)
+            ticket = service.ingest(fresh_claims(dataset, "cb", 1))
+
+            def boom():
+                raise RuntimeError("callback failure")
+
+            ticket.add_done_callback(boom)
+            later = []
+            ticket.add_done_callback(lambda: later.append(ticket.done))
+            release()
+            assert ticket.wait(timeout=30).watermark == 1
+            nxt = service.ingest(fresh_claims(dataset, "after", 1))
+            assert nxt.wait(timeout=10).watermark == 2
+            assert later == [True]
+            assert service.stats["batch_errors"] == 0
+        assert "callback failure" in caplog.text
+
+    def test_callbacks_see_the_result_once_on_the_settling_thread(
+        self, dataset, held_batches
+    ):
+        with TruthService(
+            MajorityVote(), dataset,
+            service_config=ServiceConfig(max_wait_ms=1.0),
+        ) as service:
+            release = held_batches(service)
+            ticket = service.ingest(fresh_claims(dataset, "once", 1))
+            seen = []
+            ticket.add_done_callback(
+                lambda: seen.append(
+                    (threading.current_thread().name, ticket.wait(0).version)
+                )
+            )
+            release()
+            ticket.wait(timeout=30)
+            # The batcher settles tickets in order: once the next one
+            # resolves, every callback of this one has run.
+            service.ingest(fresh_claims(dataset, "next", 1), wait=True)
+            assert seen == [("tdac-truth-service", 2)]
+            # Added after settling: runs at once, on the caller's thread.
+            late = []
+            ticket.add_done_callback(
+                lambda: late.append(threading.current_thread().name)
+            )
+            assert late == [threading.current_thread().name]
+            assert seen == [("tdac-truth-service", 2)]
+
+    def test_wait_times_out_and_cancel_is_refused(
+        self, dataset, held_batches
+    ):
+        with TruthService(
+            MajorityVote(), dataset,
+            service_config=ServiceConfig(max_wait_ms=1.0),
+        ) as service:
+            release = held_batches(service)
+            ticket = service.ingest(fresh_claims(dataset, "held", 1))
+            with pytest.raises(TimeoutError) as info:
+                ticket.wait(timeout=0.01)
+            assert info.type is TimeoutError
+            assert not ticket.done
+            # The WAL may hold the batch: no caller can drop it.
+            assert ticket.future.cancel() is False
+            release()
+            assert ticket.wait(timeout=30).watermark == 1
+            assert ticket.future.result() is ticket.wait()
+
+
+class TestResentNoneClaim:
+    def test_a_batch_resending_a_stored_none_claim_applies(self, dataset):
+        # The stored None is a duplicate, not a fresh claim: counting
+        # it again made the delta compile reject the whole batch.
+        s0, s1 = dataset.sources[:2]
+        attribute = dataset.attributes[0]
+        stored = Claim(s0, "new-o", attribute, None)
+        config = TDACConfig(seed=2)
+        with TruthService(
+            MajorityVote(), dataset, config=config,
+            service_config=ServiceConfig(max_wait_ms=1.0),
+        ) as service:
+            service.ingest([stored], wait=True, timeout=60)
+            ticket = service.ingest([stored, Claim(s1, "new-o", attribute, 5)])
+            snapshot = ticket.wait(timeout=60)
+            assert service.stats["batch_errors"] == 0
+            replayed = service.replay_dataset(snapshot.watermark)
+            assert replayed.n_claims == dataset.n_claims + 2
+            offline = TDAC(MajorityVote(), config=config).run(replayed)
+            assert dict(snapshot.predictions) == dict(
+                offline.result.predictions
+            )
+            assert Fact("new-o", attribute) in snapshot.predictions
 
 
 class TestSnapshotSerialization:

@@ -16,6 +16,7 @@ from repro.data import Claim
 from repro.datasets import make_synthetic
 from repro.serving import ServiceConfig
 from repro.serving import run_smoke, serve_jsonl
+from repro.serving.frontend import handle_request
 
 
 @pytest.fixture
@@ -183,6 +184,49 @@ class TestVanishedConsumer:
         # The service survived and can still be stopped cleanly by the
         # caller (the fixture's context manager does exactly that).
         assert service.snapshot().watermark >= 1
+
+
+class TestArrayValues:
+    @pytest.mark.parametrize("stored", [False, True], ids=["memory", "store"])
+    def test_a_json_array_value_applies_as_a_tuple(
+        self, tmp_path, dataset, stored
+    ):
+        store_dir = tmp_path / "store" if stored else None
+        attribute = dataset.attributes[0]
+        service = TruthService(
+            MajorityVote(), dataset, store=store_dir,
+            service_config=ServiceConfig(max_wait_ms=1.0),
+        )
+        service.start()
+        try:
+            response = handle_request(service, {
+                "op": "ingest",
+                "claims": [{
+                    "source": dataset.sources[0],
+                    "object": "o-array",
+                    "attribute": attribute,
+                    "value": [1, [2, 3]],
+                }],
+            })
+            assert response["ok"] is True, response
+            assert service.query("o-array", attribute).value == (1, (2, 3))
+            assert service.claim_log[-1].value == (1, (2, 3))
+            live = service.snapshot()
+        finally:
+            service.stop(checkpoint=False)
+        if store_dir is None:
+            return
+        restored = TruthService.restore(store_dir)
+        try:
+            again = restored.snapshot()
+            assert (again.version, again.watermark) == (
+                live.version, live.watermark
+            )
+            assert again.dataset_fingerprint == live.dataset_fingerprint
+            assert dict(again.predictions) == dict(live.predictions)
+            assert dict(again.source_trust) == dict(live.source_trust)
+        finally:
+            restored.stop(checkpoint=False)
 
 
 class TestSmoke:

@@ -19,6 +19,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -416,6 +417,62 @@ class TestTimeouts:
         eof, idle_closed = asyncio.run(scenario())
         assert eof == b""
         assert idle_closed == 1
+
+
+async def until(predicate, timeout: float = 10.0) -> None:
+    """Poll ``predicate`` on the loop until it holds (bounded)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.01)
+
+
+class TestDroppedConnection:
+    def test_a_dropped_await_cannot_cancel_the_admitted_batch(
+        self, dataset, monkeypatch
+    ):
+        # The connection's close cancels its in-flight ingest task after
+        # drain_timeout; the cancel reaches the ticket's future through
+        # asyncio.wrap_future, and must not drop a batch the batcher
+        # holds (settling a cancelled future would kill the batcher).
+        entered, gate = threading.Event(), threading.Event()
+
+        async def scenario():
+            async with serving_stack(dataset, drain_timeout=0.1) as (
+                service, server
+            ):
+                apply = service._apply
+
+                def held(claims):
+                    entered.set()
+                    gate.wait(30)
+                    return apply(claims)
+
+                monkeypatch.setattr(service, "_apply", held)
+                try:
+                    reader, writer = await raw_connection(server)
+                    await send_line(writer, {
+                        "op": "ingest",
+                        "claims": wire_claims(dataset, "held", 1),
+                    })
+                    await until(entered.is_set)
+                    writer.close()
+                    await writer.wait_closed()
+                    await until(lambda: server.stats["net.conn.closed"] == 1)
+                finally:
+                    gate.set()
+                await until(lambda: service.snapshot().watermark == 1)
+                reader, writer = await raw_connection(server)
+                await send_line(writer, {
+                    "op": "ingest", "claims": wire_claims(dataset, "next", 1),
+                })
+                response = await read_response(reader)
+                writer.close()
+                assert response["ok"] is True
+                assert response["watermark"] == 2
+                assert service.stats["batch_errors"] == 0
+
+        asyncio.run(scenario())
 
 
 class TestOneServiceConfig:

@@ -414,6 +414,31 @@ class TestValuesAcrossARestore:
         assert dict(live.source_trust) == dict(again.source_trust)
 
 
+class TestEmptyCorpus:
+    def test_a_service_started_on_no_claims_restores(self, tmp_path):
+        empty = Dataset(["s1", "s2"], ["o"], ["a", "b", "c"], {})
+        claim = Claim("s1", "o", "a", "v")
+        store_dir = tmp_path / "store"
+        service = TruthService(
+            MajorityVote(), empty, config=CONFIG, store=store_dir,
+            service_config=ServiceConfig(max_wait_ms=1.0),
+        )
+        service.start()
+        service.ingest([claim], wait=True, timeout=60)
+        live = service.snapshot()
+        service.stop(checkpoint=False)
+        restored = TruthService.restore(store_dir)
+        try:
+            again = restored.snapshot()
+            assert (again.version, again.watermark) == (
+                live.version, live.watermark
+            )
+            assert again.dataset_fingerprint == live.dataset_fingerprint
+            assert_bit_identical(restored, empty, [claim])
+        finally:
+            restored.stop(checkpoint=False)
+
+
 CRASH_CHILD = """\
 import os, sys
 from repro import MajorityVote, TDACConfig, TruthService
