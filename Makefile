@@ -7,15 +7,15 @@ test: lint test-serving test-incremental test-store test-net test-scenarios benc
 	pytest tests/
 
 # Static checks: ruff when the container ships it, plus a bytecode
-# compile of every tree ruff checks (catches syntax errors everywhere,
-# with or without ruff).
+# compile of every tree ruff checks and of the perfbench harness
+# (catches syntax errors everywhere, with or without ruff).
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 	    ruff check src tests benchmarks examples; \
 	else \
 	    echo "ruff not installed; skipping ruff check"; \
 	fi
-	python -m compileall -q src tests benchmarks examples
+	python -m compileall -q src tests benchmarks examples perfbench
 
 # Serving, tenancy and API-stability suites (including the golden
 # API-surface snapshot for the v1 promise), the serve path's import
@@ -40,10 +40,12 @@ test-incremental:
 
 # Durable store suites: WAL/snapshot units plus crash-recovery
 # bit-identity (kill mid-ingest, restore, compare to offline TDAC.run),
-# and the crash/restore state machine's derandomized profile (~10 s),
-# which checkpoints, restores and compacts on the checkpoint format.
+# the crash/restore state machine's derandomized profile (~10 s),
+# which checkpoints, restores and compacts on the checkpoint format,
+# and the dataset codec's tests (test_io.py): a checkpoint stores the
+# dataset in that codec's columnar form.
 test-store:
-	PYTHONPATH=src python -m pytest tests/test_store.py tests/test_store_recovery.py tests/test_restore_machine.py -q
+	PYTHONPATH=src python -m pytest tests/test_store.py tests/test_store_recovery.py tests/test_restore_machine.py tests/test_io.py -q
 
 # Network front-end suites: TCP round trips over the JSON-lines
 # protocol, framing/backpressure edges, client reconnect behaviour,

@@ -106,10 +106,43 @@ class Dataset:
         self._attribute_types = types
         # Sorted fingerprint pieces, kept only on the streaming path: set
         # by :meth:`keep_pieces` (which :meth:`extended` calls on the
-        # dataset it extends) and on the dataset :meth:`extended`
-        # returns.  A dataset that is only fingerprinted builds them
-        # transiently, so an offline pass pays no memory for them.
+        # dataset it extends), on the dataset :meth:`extended` returns
+        # and on a restore's decoded checkpoint dataset.  A dataset that
+        # is only fingerprinted builds them transiently, so an offline
+        # pass pays no memory for them.
         self._pieces: list[bytes] | None = None
+
+    @classmethod
+    def _decoded(
+        cls,
+        sources: tuple[SourceId, ...],
+        objects: tuple[ObjectId, ...],
+        attributes: tuple[AttributeId, ...],
+        claims: dict[tuple[SourceId, ObjectId, AttributeId], Value],
+        truth: dict[tuple[ObjectId, AttributeId], Value],
+        *,
+        name: str,
+        attribute_types: Mapping[AttributeId, str],
+        pieces: list[bytes] | None = None,
+    ) -> "Dataset":
+        """A dataset the columnar codec (:mod:`repro.data.io`) decoded.
+
+        Identifiers and attribute types are validated as the constructor
+        validates them.  ``claims`` and ``truth`` are taken as they are:
+        the codec built them from identifier codes it range-checked and
+        from canonical values, so the per-claim membership loop and the
+        value scan are skipped.  ``pieces``, when given, are the sorted
+        fingerprint pieces (:func:`coded_pieces`), kept as
+        :meth:`keep_pieces` keeps them.
+        """
+        dataset = cls(
+            sources, objects, attributes, {}, name=name,
+            attribute_types=attribute_types,
+        )
+        dataset._claims = claims
+        dataset._truth = truth
+        dataset._pieces = pieces
+        return dataset
 
     # ------------------------------------------------------------------
     # Identity and size
@@ -214,9 +247,10 @@ class Dataset:
         """Sort the fingerprint pieces once and keep them on this dataset.
 
         Only for a dataset on the streaming path: :meth:`extended` calls
-        it, and a restore calls it on the checkpoint's dataset before
-        checking its fingerprint, so the check and the extend by the WAL
-        tail share one sort of the corpus.
+        it.  A restore's checkpoint dataset is decoded with its pieces
+        kept (``dataset_from_dict(..., keep_pieces=True)``), so its
+        fingerprint check and the extend by the WAL tail share one sort
+        of the corpus.
         """
         if self._pieces is None:
             self._pieces = self._sorted_pieces()
@@ -551,6 +585,27 @@ def _claim_piece(
 ) -> bytes:
     """One claim's fingerprint bytes: ``repr((key, value))``, then 0x1f."""
     return f"({key!r}, {value!r})\x1f".encode("utf-8")
+
+
+def coded_pieces(
+    tables: tuple[list, ...], codes: tuple[list, ...]
+) -> list[bytes]:
+    """Sorted fingerprint pieces of claims given as codes into tables.
+
+    ``tables`` are the source, object, attribute and value tables and
+    ``codes`` the four equally long code columns.  Each piece is the
+    bytes :func:`_claim_piece` gives its claim, built from one ``repr``
+    per table entry instead of one ``repr`` of every claim's key and
+    value (the repr of a 3-tuple joins its items' reprs).
+    """
+    sources, objects, attributes, values = (
+        [repr(item) for item in table] for table in tables
+    )
+    return sorted(
+        f"(({sources[s]}, {objects[o]}, {attributes[a]}), {values[v]})"
+        "\x1f".encode("utf-8")
+        for s, o, a, v in zip(*codes)
+    )
 
 
 def _check_unique(kind: str, items: tuple) -> None:

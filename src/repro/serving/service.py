@@ -416,10 +416,12 @@ class TruthService:
                 f"not {config.fingerprint()}; refusing to serve another "
                 "key's state"
             )
-        dataset = dataset_from_dict(recovery.checkpoint["dataset"])
         # The service extends this dataset: its fingerprint check and
-        # the extend by the WAL tail share one sort of the pieces.
-        dataset.keep_pieces()
+        # the extend by the WAL tail share one sort of the pieces, built
+        # from the checkpoint's code columns.
+        dataset = dataset_from_dict(
+            recovery.checkpoint["dataset"], keep_pieces=True
+        )
         if dataset.fingerprint != stamp["dataset_fingerprint"]:
             warnings.warn(
                 f"restored dataset fingerprint {dataset.fingerprint} does "

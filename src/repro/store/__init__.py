@@ -6,13 +6,15 @@ backing directory:
 * :class:`ClaimWAL` — append-only, checksummed JSON-lines log of every
   admitted claim batch, rotated into sealed segments;
 * :class:`SnapshotStore` — versioned, content-addressed
-  ``tdac-snapshot/v2`` checkpoints: the served
+  ``tdac-snapshot/v3`` checkpoints: the served
   :class:`~repro.serving.TruthSnapshot`'s stamp plus the accumulated
-  dataset, under a SHA-256 of the bytes written;
+  dataset, as a JSON head over raw ``int32`` claim and truth code
+  columns, under a SHA-256 of the bytes written;
 * :class:`TruthStore` — the facade combining both, with
   :meth:`~TruthStore.recover` (rebuild the applied history from disk)
   and :meth:`~TruthStore.compact` (fold sealed WAL segments below the
-  latest checkpoint's live frontier).
+  live frontier of the older of the two newest checkpoints, so the
+  fallback checkpoint keeps its WAL tail).
 
 The subsystem is opt-in: a service without a ``store=`` stays purely
 in-memory and pays nothing.

@@ -5,22 +5,30 @@ where the address is a digest of ``(Dataset.fingerprint,
 TDACConfig.fingerprint, watermark)`` — the triple that determines an
 exact snapshot's content.  A restore refits the checkpointed corpus, so
 a file holds only what recovery, compaction and inspection read.  Its
-first line is ``tdac-snapshot/v2 <sha256 of the body>``; the body is one
-``json.dumps(payload, sort_keys=True)`` of:
+first line is ``tdac-snapshot/v3 <sha256 of the body>``.  The body is:
 
-* ``stamp`` — the snapshot's version, watermark and fingerprints;
-* ``dataset`` — the **accumulated dataset** at the watermark
-  (:func:`repro.data.io.dataset_to_dict`): recovery rebuilds the corpus
-  from it and replays only the WAL tail above the watermark, so WAL
-  segments below it can be compacted away;
-* ``store`` — ``min_live_lsn``, ``next_sequence``, the base algorithm
-  name and the full config.
+* one JSON head line (``json.dumps(head, sort_keys=True)``) holding
+  ``stamp`` — the snapshot's version, watermark and fingerprints;
+  ``store`` — ``min_live_lsn``, ``next_sequence``, the base algorithm
+  name and the full config; ``dataset`` — the **accumulated dataset**'s
+  name, identifier tables, attribute types and value table
+  (:func:`repro.data.io.dataset_columns`); and ``columns`` — how many
+  claims and truths the code columns hold;
+* then the claim code columns (source, object, attribute, value) and
+  the truth code columns (object, attribute, value), as raw
+  little-endian ``int32`` blocks.
+
+Recovery rebuilds the corpus from the dataset and replays only the WAL
+tail above the watermark, so WAL segments below it can be compacted
+away.  The columns are raw because a restore reads them with one
+``np.frombuffer`` instead of parsing and decoding a JSON list per claim.
 
 :meth:`SnapshotStore.load` checks the header and the digest of the bytes
-read before it parses once; a file of another schema (``v1`` included)
-is refused by name.  Recovery parses exactly one file, the newest that
-loads (:meth:`SnapshotStore.latest_valid`); older files are read only as
-the fallback when a newer one is corrupt.
+read before it parses the head; a file of another schema (``v1`` and
+``v2`` included) is refused by name.  Recovery parses exactly one file,
+the newest that loads (:meth:`SnapshotStore.latest_valid`); older files
+are read only as the fallback when a newer one is corrupt.  Compaction
+and inspection parse the heads alone.
 """
 
 from __future__ import annotations
@@ -32,7 +40,9 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
+
+import numpy as np
 
 from repro.store.records import StoreError
 from repro.store.wal import WALCorruptionWarning
@@ -43,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.snapshot import TruthSnapshot
 
 #: Version tag of the persisted snapshot file (its header's first word).
-SNAPSHOT_SCHEMA = "tdac-snapshot/v2"
+SNAPSHOT_SCHEMA = "tdac-snapshot/v3"
 
 SNAPSHOT_PREFIX = "snapshot-"
 SNAPSHOT_SUFFIX = ".json"
@@ -119,22 +129,25 @@ class SnapshotStore:
     ) -> Path:
         """Persist ``snapshot``'s stamp plus its dataset as a checkpoint.
 
-        The payload is serialised once; a value JSON cannot hold raises
+        The dataset is coded once (:func:`repro.data.io.dataset_columns`)
+        and the head serialised once; a value JSON cannot hold raises
         :class:`StoreError` naming its type.  The write is atomic and
         durable (temp file, fsync, rename, directory fsync), so a crash
         mid-write leaves at worst an ignorable ``.tmp`` file, and a
         checkpoint that compaction trusts is on disk.
         """
-        from repro.data.io import dataset_to_dict
+        from repro.data.io import dataset_columns
 
-        payload = {
+        dataset_head, claims, truth = dataset_columns(dataset)
+        head = {
             "stamp": {
                 "version": snapshot.version,
                 "watermark": snapshot.watermark,
                 "dataset_fingerprint": snapshot.dataset_fingerprint,
                 "config_fingerprint": snapshot.config_fingerprint,
             },
-            "dataset": dataset_to_dict(dataset),
+            "dataset": dataset_head,
+            "columns": {"claims": claims.shape[1], "truth": truth.shape[1]},
             "store": {
                 "min_live_lsn": min_live_lsn,
                 "next_sequence": next_sequence,
@@ -143,9 +156,10 @@ class SnapshotStore:
             },
         }
         try:
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            encoded = json.dumps(head, sort_keys=True).encode("utf-8")
         except TypeError as exc:
             raise StoreError(f"cannot checkpoint the dataset: {exc}") from exc
+        body = b"".join((encoded, b"\n", claims.tobytes(), truth.tobytes()))
         digest = hashlib.sha256(body).hexdigest()
         address = snapshot_address(
             snapshot.dataset_fingerprint,
@@ -169,7 +183,28 @@ class SnapshotStore:
         return path
 
     def load(self, path: Path) -> dict[str, Any]:
-        """Read one snapshot file; check its header and digest, then parse."""
+        """Read one snapshot file; check its header and digest, then parse.
+
+        Returns ``{"stamp", "dataset", "store"}``, the dataset dict
+        holding its code columns as read-only ``int32`` arrays over the
+        bytes read (:func:`repro.data.io.dataset_from_dict` decodes it).
+        """
+        payload, body, start, (n, m) = self._read(path)
+        codes = np.frombuffer(body, dtype="<i4", offset=start)
+        payload["dataset"]["claims"] = codes[:4 * n].reshape(4, n)
+        payload["dataset"]["truth"] = codes[4 * n:].reshape(3, m)
+        return payload
+
+    def load_head(self, path: Path) -> dict[str, Any]:
+        """:meth:`load` without the code columns: the digest and the
+        columns' length are checked over the whole file, but only the head
+        is parsed."""
+        return self._read(path)[0]
+
+    def _read(self, path: Path) -> tuple[dict[str, Any], bytes, int, tuple]:
+        """The checked file's parsed head, its body, the offset of the
+        code columns in it and the head's (claims, truths) counts, which
+        the columns' length must match."""
         try:
             data = path.read_bytes()
         except OSError as exc:
@@ -183,26 +218,52 @@ class SnapshotStore:
             )
         if digest != hashlib.sha256(body).hexdigest().encode("ascii"):
             raise StoreError(f"snapshot {path.name} failed its checksum")
+        head_end = body.find(b"\n")
         try:
-            return json.loads(body)
-        except ValueError as exc:
-            raise StoreError(f"unreadable snapshot {path.name}: {exc}") from exc
+            if head_end < 0:
+                raise ValueError("no line ends the head")
+            payload = json.loads(body[:head_end])
+            columns = payload.pop("columns")
+            counts = (int(columns["claims"]), int(columns["truth"]))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise StoreError(
+                f"unreadable snapshot {path.name}: {exc!r}"
+            ) from exc
+        n, m = counts
+        size = len(body) - head_end - 1
+        if min(n, m) < 0 or size != 4 * (4 * n + 3 * m):
+            raise StoreError(
+                f"snapshot {path.name} holds {size} bytes of code columns; "
+                f"its head declares {n} claims and {m} truths"
+            )
+        return payload, body, head_end + 1, counts
 
-    def latest_valid(self) -> tuple[dict[str, Any], Path] | None:
-        """Newest snapshot that validates, falling back over corrupt ones.
+    def valid(
+        self, *, head_only: bool = False
+    ) -> Iterator[tuple[dict[str, Any], Path]]:
+        """Snapshots that validate, newest first, read by :meth:`load`
+        (by :meth:`load_head` with ``head_only``).
 
-        A corrupt newer snapshot produces a loud warning (the state it
-        held is lost; recovery falls back to the previous checkpoint
+        Each invalid file passed over produces a loud warning (the state
+        it held is lost; recovery falls back to the previous checkpoint
         plus a longer WAL replay) — never a silent skip.
         """
+        read = self.load_head if head_only else self.load
         for entry in self.entries():
             try:
-                return self.load(entry.path), entry.path
+                payload = read(entry.path)
             except StoreError as exc:
                 warnings.warn(
                     f"snapshot {entry.path.name} is invalid ({exc}); "
                     "falling back to an older checkpoint",
                     WALCorruptionWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
-        return None
+                continue
+            yield payload, entry.path
+
+    def latest_valid(
+        self, *, head_only: bool = False
+    ) -> tuple[dict[str, Any], Path] | None:
+        """Newest snapshot that validates, falling back over corrupt ones."""
+        return next(self.valid(head_only=head_only), None)

@@ -22,9 +22,10 @@ and exposes exactly the operations the serving layer needs:
 * **recover** — the read path behind ``TruthService.restore``: latest
   valid snapshot, committed tail batches in commit order, uncommitted
   leftovers, and every corruption warning the scan raised;
-* **compact** — delete sealed WAL segments wholly below the latest
-  snapshot's live frontier (``min_live_lsn``), the offset below which
-  no admit or commit record can ever be needed again.
+* **compact** — delete sealed WAL segments wholly below the live
+  frontier (``min_live_lsn``) of the older of the two newest valid
+  checkpoints: below it no recovery, not even one that falls back over
+  a corrupt newest checkpoint, needs an admit or commit record.
 
 All operations run under the ambient
 :class:`~repro.observability.SpanTracer` (``store.append``,
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -372,22 +374,25 @@ class TruthStore:
     # ------------------------------------------------------------------
 
     def compact(self) -> dict:
-        """Fold sealed WAL segments below the latest snapshot's frontier.
+        """Fold sealed WAL segments below the fallback checkpoint's frontier.
 
-        Safe by construction: the frontier is the snapshot's recorded
-        ``min_live_lsn`` — the smallest LSN of any admit record that was
-        still unsettled when the checkpoint was cut.  Every record a
-        future :meth:`recover` can need (tail commits, their admits,
-        pending admits) lives at or above it.  Without a snapshot there
-        is nothing to fold into, so compaction is a no-op.
+        Safe by construction: a checkpoint's recorded ``min_live_lsn``
+        is the smallest LSN of any admit record that was still unsettled
+        when it was cut, so every record a :meth:`recover` from it can
+        need (tail commits, their admits, pending admits) lives at or
+        above it.  The frontier kept is the older of the two newest
+        valid checkpoints', so if the newest is later found corrupt,
+        recovery falls back to the other one with its whole WAL tail.
+        With one checkpoint its own frontier is kept; without one there
+        is nothing to fold into, so compaction is a no-op.  Only the
+        checkpoints' heads are parsed.
         """
         tracer = current_tracer()
         with tracer.span("store.compact"):
-            latest = self.snapshots.latest_valid()
-            if latest is None:
+            newest = list(islice(self.snapshots.valid(head_only=True), 2))
+            if not newest:
                 return {"removed_segments": [], "keep_from_lsn": 0}
-            payload, _path = latest
-            keep_from = payload["store"]["min_live_lsn"]
+            keep_from = newest[-1][0]["store"]["min_live_lsn"]
             removed = self.wal.compact(keep_from)
         self._compactions += 1
         tracer.count("store.compactions")
@@ -408,7 +413,7 @@ class TruthStore:
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", WALCorruptionWarning)
             scan = self.wal.scan()
-            latest = self.snapshots.latest_valid()
+            latest = self.snapshots.latest_valid(head_only=True)
         by_type: dict[str, int] = {}
         for record in scan.records:
             by_type[record.type] = by_type.get(record.type, 0) + 1

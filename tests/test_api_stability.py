@@ -74,7 +74,7 @@ class TestPublicSurface:
         from repro import TruthService, TruthSnapshot  # noqa: F401
 
     def test_version_matches_package_metadata(self):
-        assert repro.__version__ == "1.25.0"
+        assert repro.__version__ == "1.26.0"
 
     def test_store_symbols_are_top_level(self):
         from repro import TruthStore, store  # noqa: F401

@@ -303,12 +303,21 @@ class TestBackpressure:
                         "id": "second",
                     },
                 )
-                shed = await read_response(reader)
-                assert shed["id"] == "second"
-                assert shed["error"] == "overloaded"
-                assert shed["retry_after_seconds"] > 0
-                # Drain applies the first one; its ack arrives intact.
-                return shed
+                try:
+                    shed = await read_response(reader)
+                    assert shed["id"] == "second"
+                    assert shed["error"] == "overloaded"
+                    assert shed["retry_after_seconds"] > 0
+                    # The batcher applies the first one once its linger
+                    # ends; its ack arrives intact.
+                    first = await read_response(reader)
+                    assert first["id"] == "first"
+                    assert first["ok"] is True
+                    assert first["offset"] == 0
+                    assert first["applied"] == 1
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
 
         asyncio.run(scenario())
 

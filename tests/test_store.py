@@ -11,6 +11,7 @@ import json
 import os
 import stat
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +21,7 @@ import numpy as np
 from repro import TDAC, MajorityVote, TDACConfig, TruthService
 from repro.data import (
     Claim,
+    DataError,
     Dataset,
     DatasetIndex,
     dataset_from_dict,
@@ -250,7 +252,7 @@ def checkpoint_files(tmp_path_factory):
     """``(name, bytes)`` of a stopped service's checkpoints, newest first."""
     dataset = make_synthetic("DS1", n_objects=15, seed=11).dataset
     store_dir = _stopped_service(
-        tmp_path_factory.mktemp("v2"), dataset, claims=3
+        tmp_path_factory.mktemp("checkpoints"), dataset, claims=3
     )
     entries = SnapshotStore(store_dir / "snapshots").entries()
     assert len(entries) >= 2
@@ -266,25 +268,41 @@ def _started(dataset):
 
 
 class TestSnapshotFormat:
-    """A v2 checkpoint: ``tdac-snapshot/v2 <sha256 of the body>``, then
-    the body, which holds only the stamp, the dataset and the store
-    metadata."""
+    """A v3 checkpoint: ``tdac-snapshot/v3 <sha256 of the body>``, then
+    the body: one JSON head line (the stamp, the store metadata, the
+    dataset's tables and the column lengths) over the claim and truth
+    code columns as raw little-endian ``int32`` blocks."""
 
     def test_file_is_a_header_line_over_the_body(self, checkpoint_files):
         _, data = checkpoint_files[0]
         header, _, body = data.partition(b"\n")
         schema, _, digest = header.decode("ascii").partition(" ")
-        assert schema == SNAPSHOT_SCHEMA == "tdac-snapshot/v2"
+        assert schema == SNAPSHOT_SCHEMA == "tdac-snapshot/v3"
         assert digest == hashlib.sha256(body).hexdigest()
-        payload = json.loads(body)
-        assert set(payload) == {"stamp", "dataset", "store"}
-        assert set(payload["stamp"]) == {
+        head_line, _, blocks = body.partition(b"\n")
+        head = json.loads(head_line)
+        assert set(head) == {"stamp", "dataset", "columns", "store"}
+        assert set(head["stamp"]) == {
             "version", "watermark", "dataset_fingerprint",
             "config_fingerprint",
         }
-        assert set(payload["store"]) == {
+        assert set(head["store"]) == {
             "min_live_lsn", "next_sequence", "base_algorithm", "config",
         }
+        assert set(head["dataset"]) == {
+            "format_version", "name", "sources", "objects", "attributes",
+            "values",
+        }
+        n, m = head["columns"]["claims"], head["columns"]["truth"]
+        codes = np.frombuffer(blocks, dtype="<i4")
+        assert codes.size == 4 * n + 3 * m
+        claims = codes[:4 * n].reshape(4, n)
+        truth = codes[4 * n:].reshape(3, m)
+        decoded = dataset_from_dict(
+            {**head["dataset"], "claims": claims, "truth": truth}
+        )
+        assert decoded.n_claims == n
+        assert decoded.fingerprint == head["stamp"]["dataset_fingerprint"]
 
     @settings(max_examples=60, deadline=None)
     @example(position=0, mask=1)  # the schema
@@ -312,7 +330,10 @@ class TestSnapshotFormat:
                 payload, path = snapshots.latest_valid()
             assert path.name == older_name
             assert (snapshots.directory / newest_name).exists()
-        assert payload == json.loads(older.partition(b"\n")[2])
+        with tempfile.TemporaryDirectory() as directory:
+            clean = Path(directory) / older_name
+            clean.write_bytes(older)
+            assert_same_payload(payload, SnapshotStore(directory).load(clean))
 
     def test_a_v1_file_is_refused_by_its_schema(self, tmp_path):
         snapshots = SnapshotStore(tmp_path)
@@ -328,6 +349,66 @@ class TestSnapshotFormat:
         with pytest.warns(WALCorruptionWarning, match="tdac-snapshot/v1"):
             assert snapshots.latest_valid() is None
         assert path.exists()  # refused, never deleted
+
+    def test_a_v2_file_is_refused_by_its_schema(self, tmp_path):
+        snapshots = SnapshotStore(tmp_path)
+        path = tmp_path / "snapshot-0000000001-0123456789abcdef.json"
+        body = json.dumps(  # as 1.24.0 and 1.25.0 wrote it
+            {"dataset": {"format_version": 1}, "stamp": {}, "store": {}},
+            sort_keys=True,
+        ).encode("utf-8")
+        digest = hashlib.sha256(body).hexdigest()
+        path.write_bytes(f"tdac-snapshot/v2 {digest}\n".encode() + body)
+        with pytest.raises(StoreError, match="'tdac-snapshot/v2'"):
+            snapshots.load(path)
+        with pytest.warns(WALCorruptionWarning, match="tdac-snapshot/v2"):
+            assert snapshots.latest_valid() is None
+        assert path.exists()  # refused, never deleted
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("duplicate", "claim key twice"),
+            ("out_of_range", "object code out of range"),
+        ],
+    )
+    def test_a_bad_code_column_is_refused_by_the_decode(
+        self, checkpoint_files, tmp_path, edit, message
+    ):
+        """A file whose digest holds but whose columns repeat a claim
+        key or code past a table loads, and its decode raises."""
+        name, data = checkpoint_files[0]
+        _, _, body = data.partition(b"\n")
+        head_line, _, blocks = body.partition(b"\n")
+        n = json.loads(head_line)["columns"]["claims"]
+        codes = np.frombuffer(blocks, dtype="<i4").copy()
+        claims = codes[:4 * n].reshape(4, n)
+        if edit == "duplicate":
+            claims[:, 1] = claims[:, 0]
+        else:
+            claims[1, 0] = len(json.loads(head_line)["dataset"]["objects"])
+        body = head_line + b"\n" + codes.tobytes()
+        digest = hashlib.sha256(body).hexdigest()
+        path = tmp_path / name
+        path.write_bytes(f"{SNAPSHOT_SCHEMA} {digest}\n".encode() + body)
+        payload = SnapshotStore(tmp_path).load(path)
+        with pytest.raises(DataError, match=message):
+            dataset_from_dict(payload["dataset"])
+
+    def test_columns_of_another_length_than_the_head_declares_are_refused(
+        self, checkpoint_files, tmp_path
+    ):
+        name, data = checkpoint_files[0]
+        _, _, body = data.partition(b"\n")
+        head_line, _, blocks = body.partition(b"\n")
+        body = head_line + b"\n" + blocks[:-4]  # one truth code short
+        digest = hashlib.sha256(body).hexdigest()
+        path = tmp_path / name
+        path.write_bytes(f"{SNAPSHOT_SCHEMA} {digest}\n".encode() + body)
+        snapshots = SnapshotStore(tmp_path)
+        for read in (snapshots.load, snapshots.load_head):
+            with pytest.raises(StoreError, match="bytes of code columns"):
+                read(path)
 
     def test_record_serialises_once_and_load_never(
         self, tmp_path, dataset, monkeypatch
@@ -354,8 +435,14 @@ class TestSnapshotFormat:
             for c in calls if "stamp" not in c
         )
         calls.clear()
-        assert snapshots.load(path) == json.loads(dumps(payloads[0]))
+        loaded = snapshots.load(path)
         assert calls == []
+        head = json.loads(dumps(payloads[0]))
+        assert loaded["stamp"] == head["stamp"]
+        assert loaded["store"] == head["store"]
+        restored = dataset_from_dict(loaded["dataset"])
+        assert list(restored.claims.items()) == list(dataset.claims.items())
+        assert restored.fingerprint == dataset.fingerprint
 
     def test_record_fsyncs_the_file_then_the_directory(
         self, tmp_path, dataset, monkeypatch
@@ -382,6 +469,16 @@ class TestSnapshotFormat:
             ("file", [path.with_suffix(".tmp").name]),
             ("dir", [path.name]),
         ]
+
+
+def assert_same_payload(loaded: dict, expected: dict):
+    """Two loaded checkpoints hold the same head and code columns."""
+    assert loaded["stamp"] == expected["stamp"]
+    assert loaded["store"] == expected["store"]
+    a, b = dict(loaded["dataset"]), dict(expected["dataset"])
+    for column in ("claims", "truth"):
+        np.testing.assert_array_equal(a.pop(column), b.pop(column))
+    assert a == b
 
 
 def assert_same_slots(restored: Dataset, original: Dataset):

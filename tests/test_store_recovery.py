@@ -12,15 +12,19 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from repro import MajorityVote, SpanTracer, TDAC, TDACConfig, TruthService
 from repro.serving import ServiceConfig
+import repro.data.io as io_module
 from repro.core import extend_dataset
 from repro.data import Claim, Dataset, Fact
 from repro.datasets import make_synthetic
@@ -30,6 +34,13 @@ from repro.store import (
     TruthStore,
     WALCorruptionWarning,
     decode_claim,
+)
+from tests.strategies import (
+    ADVERSARIAL_VALUES,
+    ATTRIBUTES,
+    OBJECTS,
+    SOURCES,
+    claim_datasets,
 )
 
 CONFIG = TDACConfig(seed=3)
@@ -267,18 +278,25 @@ class TestPostRestoreCheckpoint:
     ):
         store_dir = self.crashed_store(tmp_path, dataset)
         sorted_pieces = Dataset._sorted_pieces
+        coded_pieces = io_module.coded_pieces
         calls = []
 
         def spy(self):
-            calls.append(self)
+            calls.append("per-claim repr")
             return sorted_pieces(self)
 
+        def coded_spy(*args):
+            calls.append("coded")
+            return coded_pieces(*args)
+
         monkeypatch.setattr(Dataset, "_sorted_pieces", spy)
+        monkeypatch.setattr(io_module, "coded_pieces", coded_spy)
         tracer = SpanTracer()
         restored = TruthService.restore(store_dir, tracer=tracer)
         restored.stop(checkpoint=False)
         assert tracer.counters["store.replayed_claims"] == 5
-        assert len(calls) == 1
+        # One sort, of pieces built from the checkpoint's code columns.
+        assert calls == ["coded"]
 
 
 class TestFailedCheckpoint:
@@ -473,11 +491,13 @@ os._exit(7)  # hard crash: no stop(), no final checkpoint
 
 
 class TestCrashRecovery:
-    def test_restore_refuses_a_corpus_with_a_hole(self, tmp_path, dataset):
-        """Compaction follows the newest checkpoint; if that one is then
-        corrupt, the fallback checkpoint's WAL tail has lost batch t4.
-        Replaying t5 on top of t0-t3 would serve a state that is no
-        acked prefix, so restore must refuse."""
+    def test_compaction_keeps_the_fallback_checkpoints_wal_tail(
+        self, tmp_path, dataset
+    ):
+        """Compaction folds only below the older of the two newest
+        checkpoints' frontiers, so when the newest is then corrupt the
+        fallback still finds its whole WAL tail: the restore replays it
+        and serves all six acked batches, bit-identical to offline."""
         store_dir = tmp_path / "store"
         store = TruthStore(store_dir, segment_max_records=2, sync="never")
         service = TruthService(
@@ -485,17 +505,27 @@ class TestCrashRecovery:
             service_config=ServiceConfig(snapshot_every=2, max_wait_ms=1.0),
         )
         service.start()
+        applied = []
         for j in range(6):
-            service.ingest(fresh_claims(dataset, f"t{j}", 2), wait=True)
+            batch = fresh_claims(dataset, f"t{j}", 2)
+            service.ingest(batch, wait=True)
+            applied.extend(batch)
         service.stop()
-        store.compact()
-        newest = store.snapshots.entries()[0].path
-        data = bytearray(newest.read_bytes())
+        removed = store.compact()["removed_segments"]
+        assert removed  # compaction did fold sealed segments
+        newest, fallback = store.snapshots.entries()[:2]
+        data = bytearray(newest.path.read_bytes())
         data[-2] ^= 0x01  # one body byte: the digest check fails
-        newest.write_bytes(bytes(data))
+        newest.path.write_bytes(bytes(data))
+        tracer = SpanTracer()
         with pytest.warns(WALCorruptionWarning, match="falling back"):
-            with pytest.raises(StoreError, match="does not continue"):
-                TruthService.restore(store_dir)
+            restored = TruthService.restore(store_dir, tracer=tracer)
+        try:
+            assert fallback.version < newest.version
+            assert tracer.counters["store.replayed_claims"] > 0
+            assert_bit_identical(restored, dataset, applied)
+        finally:
+            restored.stop()
 
     def test_kill_mid_ingest_restores_bit_identically(
         self, tmp_path, dataset
@@ -576,3 +606,73 @@ class TestCrashRecovery:
             assert_bit_identical(restored, dataset, batches[0] + batches[1])
         finally:
             restored.stop()
+
+
+def _free_keys(dataset):
+    """Claim keys over the strategy's identifiers the draw left free."""
+    return [
+        key
+        for key in product(SOURCES, OBJECTS, ATTRIBUTES)
+        if key not in dataset.claims
+    ]
+
+
+def typed(mapping):
+    """``mapping`` with each value's type and repr: 1 / 1.0 / True,
+    -0.0 / 0.0 and (1,) / (1.0,) stay apart."""
+    return {key: (type(v), repr(v)) for key, v in mapping.items()}
+
+
+class TestAdversarialRestore:
+    """A restore over corpora of adversarial values (1/1.0/True, -0.0,
+    NaN objects, None, tuples, non-ASCII; the empty corpus too) serves
+    offline Algorithm 1 over the acked prefix, field for field."""
+
+    @settings(
+        max_examples=3, derandomize=True, deadline=None, database=None
+    )
+    @example(dataset=Dataset(SOURCES, OBJECTS, ATTRIBUTES, {}))
+    @given(dataset=claim_datasets())
+    def test_restore_equals_offline_over_the_acked_prefix(self, dataset):
+        free = _free_keys(dataset)
+        batches = [
+            [
+                Claim(*key, ADVERSARIAL_VALUES[i % len(ADVERSARIAL_VALUES)])
+                for i, key in enumerate(free[half::2][:8])
+            ]
+            for half in (0, 1)
+        ]
+        with tempfile.TemporaryDirectory() as directory:
+            store_dir = Path(directory) / "store"
+            service = TruthService(
+                MajorityVote(), dataset, config=CONFIG, store=store_dir,
+                service_config=ServiceConfig(max_wait_ms=1.0),
+            )
+            service.start()
+            for batch in batches:
+                service.ingest(batch, wait=True)
+            live = service.snapshot()
+            service.stop(checkpoint=False)
+            restored = TruthService.restore(store_dir)
+            try:
+                snapshot = restored.snapshot()
+            finally:
+                restored.stop()
+        acked = [claim for batch in batches for claim in batch]
+        offline_dataset = extend_dataset(dataset, acked)
+        offline = TDAC(MajorityVote(), config=CONFIG).run(offline_dataset)
+        assert snapshot.version == live.version
+        assert snapshot.watermark == len(acked)
+        assert snapshot.dataset_fingerprint == offline_dataset.fingerprint
+        assert snapshot.config_fingerprint == CONFIG.fingerprint()
+        assert snapshot.exact and snapshot.pending_claims == 0
+        # Dict equality holds where a NaN is one object.
+        assert dict(snapshot.predictions) == dict(offline.predictions)
+        assert typed(snapshot.predictions) == typed(offline.predictions)
+        assert dict(snapshot.result.confidence) == dict(
+            offline.result.confidence
+        )
+        assert dict(snapshot.source_trust) == dict(offline.result.source_trust)
+        assert snapshot.result.iterations == offline.result.iterations
+        assert snapshot.partition.blocks == offline.partition.blocks
+        assert dict(snapshot.silhouette_by_k) == dict(offline.silhouette_by_k)
