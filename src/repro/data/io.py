@@ -173,12 +173,14 @@ def dataset_from_dict(
 def _decode_codes(column, tables: tuple, rows: tuple) -> list[list[int]]:
     """Range-checked code rows of one ``column`` (lists or an array)."""
     names = "/".join(rows)
+    if column is None or (isinstance(column, list) and not column):
+        column = [[]] * len(rows)
     try:
-        codes = np.asarray([[]] * len(rows) if column is None else column)
+        codes = np.asarray(column)
     except ValueError as exc:  # ragged lists
         raise DataError(f"malformed {names} code columns: {exc}") from exc
-    if codes.size == 0:
-        codes = codes.reshape(len(rows), 0).astype("<i4")
+    if codes.size == 0 and not isinstance(column, np.ndarray):
+        codes = codes.astype("<i4")  # empty JSON lists carry no dtype
     if (
         codes.ndim != 2
         or codes.shape[0] != len(rows)

@@ -27,8 +27,8 @@ away.  The columns are raw because a restore reads them with one
 read before it parses the head; a file of another schema (``v1`` and
 ``v2`` included) is refused by name.  Recovery parses exactly one file,
 the newest that loads (:meth:`SnapshotStore.latest_valid`); older files
-are read only as the fallback when a newer one is corrupt.  Compaction
-and inspection parse the heads alone.
+are read only as the fallback when a newer one is corrupt.  Only the
+head is ever parsed: the columns are views over the bytes read.
 """
 
 from __future__ import annotations
@@ -188,23 +188,8 @@ class SnapshotStore:
         Returns ``{"stamp", "dataset", "store"}``, the dataset dict
         holding its code columns as read-only ``int32`` arrays over the
         bytes read (:func:`repro.data.io.dataset_from_dict` decodes it).
+        Only the head is parsed; the columns are views, not copies.
         """
-        payload, body, start, (n, m) = self._read(path)
-        codes = np.frombuffer(body, dtype="<i4", offset=start)
-        payload["dataset"]["claims"] = codes[:4 * n].reshape(4, n)
-        payload["dataset"]["truth"] = codes[4 * n:].reshape(3, m)
-        return payload
-
-    def load_head(self, path: Path) -> dict[str, Any]:
-        """:meth:`load` without the code columns: the digest and the
-        columns' length are checked over the whole file, but only the head
-        is parsed."""
-        return self._read(path)[0]
-
-    def _read(self, path: Path) -> tuple[dict[str, Any], bytes, int, tuple]:
-        """The checked file's parsed head, its body, the offset of the
-        code columns in it and the head's (claims, truths) counts, which
-        the columns' length must match."""
         try:
             data = path.read_bytes()
         except OSError as exc:
@@ -224,34 +209,32 @@ class SnapshotStore:
                 raise ValueError("no line ends the head")
             payload = json.loads(body[:head_end])
             columns = payload.pop("columns")
-            counts = (int(columns["claims"]), int(columns["truth"]))
+            n, m = int(columns["claims"]), int(columns["truth"])
         except (ValueError, TypeError, KeyError) as exc:
             raise StoreError(
                 f"unreadable snapshot {path.name}: {exc!r}"
             ) from exc
-        n, m = counts
         size = len(body) - head_end - 1
         if min(n, m) < 0 or size != 4 * (4 * n + 3 * m):
             raise StoreError(
                 f"snapshot {path.name} holds {size} bytes of code columns; "
                 f"its head declares {n} claims and {m} truths"
             )
-        return payload, body, head_end + 1, counts
+        codes = np.frombuffer(body, dtype="<i4", offset=head_end + 1)
+        payload["dataset"]["claims"] = codes[:4 * n].reshape(4, n)
+        payload["dataset"]["truth"] = codes[4 * n:].reshape(3, m)
+        return payload
 
-    def valid(
-        self, *, head_only: bool = False
-    ) -> Iterator[tuple[dict[str, Any], Path]]:
-        """Snapshots that validate, newest first, read by :meth:`load`
-        (by :meth:`load_head` with ``head_only``).
+    def valid(self) -> Iterator[tuple[dict[str, Any], Path]]:
+        """Snapshots that validate, newest first, read by :meth:`load`.
 
         Each invalid file passed over produces a loud warning (the state
         it held is lost; recovery falls back to the previous checkpoint
         plus a longer WAL replay) — never a silent skip.
         """
-        read = self.load_head if head_only else self.load
         for entry in self.entries():
             try:
-                payload = read(entry.path)
+                payload = self.load(entry.path)
             except StoreError as exc:
                 warnings.warn(
                     f"snapshot {entry.path.name} is invalid ({exc}); "
@@ -262,8 +245,6 @@ class SnapshotStore:
                 continue
             yield payload, entry.path
 
-    def latest_valid(
-        self, *, head_only: bool = False
-    ) -> tuple[dict[str, Any], Path] | None:
+    def latest_valid(self) -> tuple[dict[str, Any], Path] | None:
         """Newest snapshot that validates, falling back over corrupt ones."""
-        return next(self.valid(head_only=head_only), None)
+        return next(self.valid(), None)

@@ -384,12 +384,11 @@ class TruthStore:
         valid checkpoints', so if the newest is later found corrupt,
         recovery falls back to the other one with its whole WAL tail.
         With one checkpoint its own frontier is kept; without one there
-        is nothing to fold into, so compaction is a no-op.  Only the
-        checkpoints' heads are parsed.
+        is nothing to fold into, so compaction is a no-op.
         """
         tracer = current_tracer()
         with tracer.span("store.compact"):
-            newest = list(islice(self.snapshots.valid(head_only=True), 2))
+            newest = list(islice(self.snapshots.valid(), 2))
             if not newest:
                 return {"removed_segments": [], "keep_from_lsn": 0}
             keep_from = newest[-1][0]["store"]["min_live_lsn"]
@@ -413,7 +412,7 @@ class TruthStore:
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", WALCorruptionWarning)
             scan = self.wal.scan()
-            latest = self.snapshots.latest_valid(head_only=True)
+            latest = self.snapshots.latest_valid()
         by_type: dict[str, int] = {}
         for record in scan.records:
             by_type[record.type] = by_type.get(record.type, 0) + 1

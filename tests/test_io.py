@@ -114,7 +114,13 @@ class TestJson:
 
     @pytest.mark.parametrize(
         "claims",
-        [[[0], [0], [0]], [[0], [0], [0], [0.5]], [[0, 0], [0], [0], [0]]],
+        [
+            [[0], [0], [0]],
+            [[0], [0], [0], [0.5]],
+            [[0, 0], [0], [0], [0]],
+            [[], [], []],
+            np.zeros((4, 0)),
+        ],
     )
     def test_a_malformed_code_column_is_rejected(self, claims):
         payload = {

@@ -405,10 +405,8 @@ class TestSnapshotFormat:
         digest = hashlib.sha256(body).hexdigest()
         path = tmp_path / name
         path.write_bytes(f"{SNAPSHOT_SCHEMA} {digest}\n".encode() + body)
-        snapshots = SnapshotStore(tmp_path)
-        for read in (snapshots.load, snapshots.load_head):
-            with pytest.raises(StoreError, match="bytes of code columns"):
-                read(path)
+        with pytest.raises(StoreError, match="bytes of code columns"):
+            SnapshotStore(tmp_path).load(path)
 
     def test_record_serialises_once_and_load_never(
         self, tmp_path, dataset, monkeypatch

@@ -490,6 +490,32 @@ os._exit(7)  # hard crash: no stop(), no final checkpoint
 """
 
 
+def compacted_store(store_dir, dataset):
+    """Six acked batches with a checkpoint every two, then compacted:
+    the store and the claims it acknowledged."""
+    store = TruthStore(store_dir, segment_max_records=2, sync="never")
+    service = TruthService(
+        MajorityVote(), dataset, config=CONFIG, store=store,
+        service_config=ServiceConfig(snapshot_every=2, max_wait_ms=1.0),
+    )
+    service.start()
+    applied = []
+    for j in range(6):
+        batch = fresh_claims(dataset, f"t{j}", 2)
+        service.ingest(batch, wait=True)
+        applied.extend(batch)
+    service.stop()
+    assert store.compact()["removed_segments"]  # sealed segments folded
+    return store, applied
+
+
+def flip_body_byte(path):
+    """Flip one byte of a checkpoint's body, so its digest check fails."""
+    data = bytearray(path.read_bytes())
+    data[-2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
 class TestCrashRecovery:
     def test_compaction_keeps_the_fallback_checkpoints_wal_tail(
         self, tmp_path, dataset
@@ -499,24 +525,9 @@ class TestCrashRecovery:
         fallback still finds its whole WAL tail: the restore replays it
         and serves all six acked batches, bit-identical to offline."""
         store_dir = tmp_path / "store"
-        store = TruthStore(store_dir, segment_max_records=2, sync="never")
-        service = TruthService(
-            MajorityVote(), dataset, config=CONFIG, store=store,
-            service_config=ServiceConfig(snapshot_every=2, max_wait_ms=1.0),
-        )
-        service.start()
-        applied = []
-        for j in range(6):
-            batch = fresh_claims(dataset, f"t{j}", 2)
-            service.ingest(batch, wait=True)
-            applied.extend(batch)
-        service.stop()
-        removed = store.compact()["removed_segments"]
-        assert removed  # compaction did fold sealed segments
+        store, applied = compacted_store(store_dir, dataset)
         newest, fallback = store.snapshots.entries()[:2]
-        data = bytearray(newest.path.read_bytes())
-        data[-2] ^= 0x01  # one body byte: the digest check fails
-        newest.path.write_bytes(bytes(data))
+        flip_body_byte(newest.path)
         tracer = SpanTracer()
         with pytest.warns(WALCorruptionWarning, match="falling back"):
             restored = TruthService.restore(store_dir, tracer=tracer)
@@ -526,6 +537,21 @@ class TestCrashRecovery:
             assert_bit_identical(restored, dataset, applied)
         finally:
             restored.stop()
+
+    def test_restore_refuses_a_corpus_with_a_hole(self, tmp_path, dataset):
+        """With both checkpoints compaction kept a tail for corrupt, the
+        third one's tail was folded away: restore refuses to replay
+        around the hole rather than serve a state that is not an acked
+        prefix."""
+        store_dir = tmp_path / "store"
+        store, _ = compacted_store(store_dir, dataset)
+        entries = store.snapshots.entries()
+        assert len(entries) >= 3
+        for entry in entries[:2]:
+            flip_body_byte(entry.path)
+        with pytest.warns(WALCorruptionWarning, match="falling back"):
+            with pytest.raises(StoreError, match="does not continue"):
+                TruthService.restore(store_dir)
 
     def test_kill_mid_ingest_restores_bit_identically(
         self, tmp_path, dataset
